@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
+from .errors import BudgetExceededError
+
 __all__ = [
     "Digraph",
     "Tournament",
@@ -68,6 +70,16 @@ class Digraph:
 
     def in_mask(self, v: int) -> int:
         return self._in[v]
+
+    @property
+    def out_masks(self) -> tuple[int, ...]:
+        """out_mask(v) for every vertex v, as one tuple."""
+        return self._out
+
+    @property
+    def in_masks(self) -> tuple[int, ...]:
+        """in_mask(v) for every vertex v, as one tuple."""
+        return self._in
 
     def out_neighbors(self, v: int) -> set[int]:
         return _bits_to_set(self._out[v])
@@ -301,7 +313,7 @@ def are_isomorphic(a: Digraph, b: Digraph, max_nodes: int = 10**6) -> bool:
                 continue
             nodes += 1
             if nodes > max_nodes:
-                raise RuntimeError("isomorphism search budget exceeded")
+                raise BudgetExceededError("isomorphism search budget exceeded")
             images[v] = cand
             used |= 1 << cand
             if extend(i + 1):

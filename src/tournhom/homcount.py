@@ -1,19 +1,45 @@
 """Exact homomorphism counting and enumeration between digraphs.
 
-Counting walks a static search plan: pattern vertices are placed one at a
-time, each candidate image drawn from the intersection of neighborhoods of
-the images of already-placed pattern neighbors (big-int masks).  When the
-unplaced part of the pattern splits into weakly connected components, the
-counts of the components multiply, so disjoint unions never blow up the
-search.  Counts are exact Python integers; densities exact Fractions.
+One search engine serves counting, root-pair sweeps and enumeration.  A
+pattern is compiled once per set of pinned vertices into a plan: the arc
+lists of every pattern vertex, a tie-break rank that depends on the
+pattern only, and the weakly connected components of the free (unpinned)
+vertices.  The executor keeps a candidate bitmask over the host's vertices
+for every unplaced pattern vertex.  Placing a vertex ANDs the host out- or
+in-mask of its image into the mask of every unplaced neighbour (a digon
+gets both), restores the old masks on backtrack, and prunes as soon as a
+mask is empty: forward checking in the sense of Haralick and Elliott
+(1980).  Maps need not be injective, so there is no all-different
+constraint.  The next vertex is one with the smallest mask; ties break by
+the plan's rank, so renaming the host's vertices changes no search
+decision and no node count.
+
+Counting multiplies the counts of independent parts: the components of the
+free vertices, and the components the unplaced vertices fall into after a
+placement (the doubled gadget splits into its two halves once its roots
+are pinned).  A part of one vertex counts as the size of its mask.  The
+sweep walks each component of the non-root vertices in one depth-first
+search, with the two unplaced roots as forward-checked masks, and adds the
+outer product of the root masks at every full placement.  Enumeration
+walks all free vertices in one depth-first search.  The search runs on an
+explicit stack, and the plan builder does not recurse either, so pattern
+size is bounded by memory, not by the interpreter's recursion limit.
+
+`max_nodes` bounds the number of search nodes.  A node is one free
+pattern vertex chosen for branching: the search then tries each host
+vertex left in its mask.  Pinned vertices are not nodes, nor are the
+one-vertex parts whose count is read off their mask, so a count that the
+pinned vertices' forward checks settle takes no node.  Counts are exact
+Python integers; densities exact Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .digraphs import Digraph, QuantumDigraph, RootedDigraph
 from .errors import BudgetExceededError, EnumerationCapError
@@ -25,6 +51,7 @@ __all__ = [
     "count_hom_rooted_bruteforce",
     "density",
     "conditional_density",
+    "disjoint_union_density_check",
     "eval_quantum",
     "iter_homs",
     "rooted_count_matrix",
@@ -34,204 +61,244 @@ __all__ = [
 BRUTE_FORCE_BUDGET = 10**8
 
 
-# -- search plans ------------------------------------------------------------
-
-_PLACE, _SPLIT = 0, 1
+# -- search plan -----------------------------------------------------------------
 
 
-def _weak_components(F: Digraph, vertices: frozenset[int]) -> list[frozenset[int]]:
-    left = set(vertices)
+def _bits(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
+
+
+def _split(mask: int, adj: Sequence[int]) -> list[int]:
+    """Masks of the weakly connected components of the vertices in mask."""
     comps = []
-    while left:
-        seed = min(left)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            m = (F.out_mask(v) | F.in_mask(v))
-            while m:
-                b = m & -m
-                u = b.bit_length() - 1
-                m ^= b
-                if u in left and u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(frozenset(comp))
-        left -= comp
-    comps.sort(key=min)
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier and comp != mask:
+            b = frontier & -frontier
+            frontier ^= b
+            new = adj[b.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        mask &= ~comp
     return comps
 
 
-def _find_triangle(F: Digraph, comp: frozenset[int]) -> tuple[int, int, int] | None:
-    """Smallest directed 3-cycle inside comp, or None."""
-    comp_mask = 0
-    for v in comp:
-        comp_mask |= 1 << v
-    for u in sorted(comp):
-        m = F.out_mask(u) & comp_mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            back = F.out_mask(v) & F.in_mask(u) & comp_mask
-            if back:
-                w = (back & -back).bit_length() - 1
-                return (u, v, w)
-    return None
+def _parts(comps: list[int], order: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Components as (vertices in the order of `order`, mask); smallest
+    first, then by lowest vertex, so that cheap parts settle a zero early."""
+    comps = sorted(comps, key=lambda c: (c.bit_count(), c & -c))
+    return [(tuple(u for u in order if c >> u & 1), c) for c in comps]
 
 
-def _adjacency_count(F: Digraph, v: int, placed_mask: int) -> int:
-    return ((F.out_mask(v) | F.in_mask(v)) & placed_mask).bit_count()
-
-
-def _greedy_pick(F: Digraph, comp: frozenset[int], placed_mask: int) -> int:
-    # vertices constrained in both directions stay inside one strong component
-    # of the host, so prefer them; one-way-dominated vertices roam widely
-    def key(v: int):
-        into = (F.in_mask(v) & placed_mask).bit_count()
-        out = (F.out_mask(v) & placed_mask).bit_count()
-        return (min(into, out), into + out, F.degree(v), -v)
-
-    return max(comp, key=key)
-
-
-def _constraints(F: Digraph, v: int, placed: Sequence[int]) -> tuple[tuple[int, bool], ...]:
-    """(u, True) demands image(v) in out-neighbors of image(u); False: in-neighbors."""
-    cons = []
-    for u in placed:
-        if F.has_arc(u, v):
-            cons.append((u, True))
-        if F.has_arc(v, u):
-            cons.append((u, False))
-    return tuple(cons)
-
-
-def _build_plan(F: Digraph, pinned: tuple[int, ...]):
-    """Search plan: nested (_PLACE, v, constraints, child) / (_SPLIT, children)."""
-
-    def make(remaining: frozenset[int], placed: tuple[int, ...], pending: tuple[int, ...]):
-        if not remaining:
-            return None
-        comps = _weak_components(F, remaining)
-        if len(comps) > 1:
-            children = []
-            for comp in comps:
-                sub_pending = tuple(p for p in pending if p in comp)
-                children.append(make(comp, placed, sub_pending))
-            return (_SPLIT, tuple(children))
-        comp = comps[0]
-        pending = tuple(p for p in pending if p in remaining)
-        placed_mask = 0
-        for u in placed:
-            placed_mask |= 1 << u
-        if pending:
-            v = pending[0]
-            rest = pending[1:]
-        elif placed and any(_adjacency_count(F, v, placed_mask) for v in comp):
-            v = _greedy_pick(F, comp, placed_mask)
-            rest = ()
-        else:
-            tri = _find_triangle(F, comp)
-            if tri is not None:
-                v, *r = tri
-                rest = tuple(r)
-            else:
-                v = _greedy_pick(F, comp, placed_mask)
-                rest = ()
-        child = make(remaining - {v}, placed + (v,), rest)
-        return (_PLACE, v, _constraints(F, v, placed), child)
-
-    free = frozenset(range(F.n)) - set(pinned)
-    return make(free, tuple(pinned), ())
+class _Plan(NamedTuple):
+    outs: tuple[tuple[int, ...], ...]  # outs[v]: every u with an arc v -> u
+    ins: tuple[tuple[int, ...], ...]  # ins[v]: every u with an arc u -> v
+    adj: tuple[int, ...]  # adj[v]: neighbour bitmask over pattern vertices
+    by_rank: tuple[int, ...]  # tie-break among equal masks: earlier goes first
+    free: int  # mask of the unpinned vertices
+    parts: tuple[tuple[tuple[int, ...], int], ...]  # components of the free vertices
 
 
 @lru_cache(maxsize=512)
-def _plan_for(F: Digraph, pinned: tuple[int, ...]):
-    return _build_plan(F, pinned)
+def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
+    n = F.n
+    adj = tuple(F.out_mask(v) | F.in_mask(v) for v in range(n))
+    by_rank = tuple(sorted(range(n), key=lambda v: (-adj[v].bit_count(), v)))
+    free = (1 << n) - 1
+    for p in pinned:
+        free &= ~(1 << p)
+    return _Plan(
+        outs=tuple(_bits(F.out_mask(v)) for v in range(n)),
+        ins=tuple(_bits(F.in_mask(v)) for v in range(n)),
+        adj=adj,
+        by_rank=by_rank,
+        free=free,
+        parts=tuple(_parts(_split(free, adj), by_rank)),
+    )
 
 
-def _linear_order(F: Digraph, pinned: tuple[int, ...]) -> list[int]:
-    """Flat placement order for enumeration (no component splitting)."""
-    order = list(pinned)
-    remaining = set(range(F.n)) - set(pinned)
-    pending: list[int] = []
-    while remaining:
-        placed_mask = 0
-        for u in order:
-            placed_mask |= 1 << u
-        pending = [p for p in pending if p in remaining]
-        if pending:
-            v = pending.pop(0)
-        else:
-            comps = _weak_components(F, frozenset(remaining))
-            comp = comps[0]
-            if order and any(_adjacency_count(F, v, placed_mask) for v in comp):
-                v = _greedy_pick(F, comp, placed_mask)
+# -- the executor ------------------------------------------------------------------
+
+_COUNT, _SWEEP, _ENUM = 0, 1, 2
+
+
+def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
+    """Candidate masks and images with the pinned vertices placed.
+
+    None when an arc between pinned vertices is missing from T or forward
+    checking from the pins empties a mask."""
+    n = len(plan.adj)
+    dom = [(1 << T.n) - 1] * n
+    images = [-1] * n
+    for p, x in pins.items():
+        images[p] = x
+    outm, inm = T.out_masks, T.in_masks
+    for p, x in pins.items():
+        om, im = outm[x], inm[x]
+        for u in plan.outs[p]:
+            if u in pins:
+                if not om >> pins[u] & 1:
+                    return None
             else:
-                tri = _find_triangle(F, comp)
-                if tri is not None:
-                    v = tri[0]
-                    pending = list(tri[1:])
+                dom[u] &= om
+                if not dom[u]:
+                    return None
+        for u in plan.ins[p]:
+            if u not in pins:
+                dom[u] &= im
+                if not dom[u]:
+                    return None
+    return dom, images
+
+
+def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
+    """The search loop, on an explicit stack of frames.
+
+    Count mode returns the product over `parts` of their counts, splitting
+    a part again whenever its unplaced vertices fall apart.  Sweep and
+    enumerate modes take one part.  Sweep mode adds, at every full
+    placement, the outer product of the masks of the roots z, w to S, with
+    sweep = (z, w, S); enumerate mode yields every full image tuple.  The
+    generator returns (count, nodes used).
+
+    A part is (its unplaced vertices in rank order, their mask).  A sum
+    frame [False, rest, rest_mask, v, cands, acc, saved] places v at each
+    host vertex left in cands; rest lists the part's other unplaced
+    vertices, and saved holds the masks from before v was placed.  A
+    product frame [True, parts, i, acc] multiplies the counts of parts.
+
+    Forward checking also ANDs into the masks of placed neighbours.  That
+    never empties one: a placed vertex's image stays in its mask, because
+    every later neighbour was drawn from a mask already narrowed to agree
+    with it.  So the inner loops need no test for placed vertices, and the
+    masks come back on backtrack by restoring the frame's saved copy.
+    """
+    dom, images = state
+    outm, inm = T.out_masks, T.in_masks
+    outs, ins, adj = plan.outs, plan.ins, plan.adj
+    counting = mode == _COUNT
+    limit = sys.maxsize if max_nodes is None else max_nodes
+    nodes = 0
+    size = int.bit_count
+    get = dom.__getitem__
+
+    def open_part(verts, mask):
+        # a node: the first vertex in rank order with the smallest mask
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError("homomorphism search budget exceeded")
+        sizes = list(map(size, map(get, verts)))
+        i = sizes.index(min(sizes))
+        v = verts[i]
+        return [False, verts[:i] + verts[i + 1 :], mask & ~(1 << v), v, dom[v], 0, dom[:]]
+
+    stack = [[True, parts, 0, 1]] if counting else [open_part(*parts[0])]
+    ret = None  # what the frame just popped hands to the one below
+    while stack:
+        fr = stack[-1]
+        if fr[0]:
+            _, prts, i, acc = fr
+            if ret is not None:
+                acc *= ret
+                i += 1
+                ret = None
+            while acc and i < len(prts) and len(prts[i][0]) == 1:
+                acc *= dom[prts[i][0][0]].bit_count()
+                i += 1
+            if acc and i < len(prts):
+                fr[2], fr[3] = i, acc
+                stack.append(open_part(*prts[i]))
+            else:
+                stack.pop()
+                ret = acc
+            continue
+
+        _, rest, rest_mask, v, cands, acc, saved = fr
+        if ret is not None:
+            acc += ret
+            ret = None
+            dom[:] = saved
+        child = None
+        while cands:
+            b = cands & -cands
+            cands ^= b
+            g = b.bit_length() - 1
+            mask = outm[g]
+            for u in outs[v]:
+                d = dom[u] & mask
+                if not d:
+                    break
+                dom[u] = d
+            else:
+                mask = inm[g]
+                for u in ins[v]:
+                    d = dom[u] & mask
+                    if not d:
+                        break
+                    dom[u] = d
                 else:
-                    v = _greedy_pick(F, comp, placed_mask)
-        order.append(v)
-        remaining.remove(v)
-    return order
+                    images[v] = g
+                    if not rest:
+                        if counting:
+                            acc += 1
+                        elif mode == _SWEEP:
+                            z, w, S = sweep
+                            ys = _bits(dom[w])
+                            for x in _bits(dom[z]):
+                                row = S[x]
+                                for y in ys:
+                                    row[y] += 1
+                        else:
+                            yield tuple(images)
+                    elif not counting:
+                        child = open_part(rest, rest_mask)
+                    elif len(rest) == 1:
+                        acc += dom[rest[0]].bit_count()
+                    else:
+                        near = adj[v] & rest_mask
+                        if near & (near - 1):
+                            # v had two or more unplaced neighbours: rest may split
+                            comps = _split(rest_mask, adj)
+                            if len(comps) > 1:
+                                child = [True, _parts(comps, rest), 0, 1]
+                        if child is None:
+                            child = open_part(rest, rest_mask)
+                    if child is not None:
+                        fr[4], fr[5] = cands, acc
+                        stack.append(child)
+                        break
+            dom[:] = saved
+        if child is None:
+            stack.pop()
+            ret = acc
+    return ret, nodes
+
+
+def _finish(search) -> tuple[int, int]:
+    """Run a count or sweep search to its end: (count, nodes used)."""
+    try:
+        next(search)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("only enumeration yields maps")
+
+
+def _count(F: Digraph, T: Digraph, pins: dict[int, int], max_nodes: int | None) -> int:
+    plan = _plan(F, tuple(sorted(pins)))
+    state = _start(plan, T, pins)
+    if state is None:
+        return 0
+    return _finish(_search(plan, T, _COUNT, state, plan.parts, max_nodes))[0]
 
 
 # -- counting ----------------------------------------------------------------
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, max_nodes: int | None):
-        self.left = max_nodes
-
-    def spend(self, k: int = 1) -> None:
-        if self.left is not None:
-            self.left -= k
-            if self.left < 0:
-                raise BudgetExceededError("homomorphism search budget exceeded")
-
-
-def _count_plan(plan, images: list[int], host: Digraph, full: int, budget: _Budget) -> int:
-    if plan is None:
-        return 1
-    if plan[0] == _SPLIT:
-        total = 1
-        for child in plan[1]:
-            c = _count_plan(child, images, host, full, budget)
-            if c == 0:
-                return 0
-            total *= c
-        return total
-    _, v, cons, child = plan
-    mask = full
-    out = host.out_mask
-    inn = host.in_mask
-    for u, fwd in cons:
-        mask &= out(images[u]) if fwd else inn(images[u])
-        if not mask:
-            return 0
-    budget.spend()
-    if child is None:
-        return mask.bit_count()
-    total = 0
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        images[v] = b.bit_length() - 1
-        total += _count_plan(child, images, host, full, budget)
-    return total
-
-
-def _check_pinned_arcs(F: Digraph, host: Digraph, pins: dict[int, int]) -> bool:
-    for u, gu in pins.items():
-        for v, gv in pins.items():
-            if u != v and F.has_arc(u, v) and not host.has_arc(gu, gv):
-                return False
-    return True
 
 
 def count_hom(F: Digraph, T: Digraph, max_nodes: int | None = None) -> int:
@@ -240,9 +307,7 @@ def count_hom(F: Digraph, T: Digraph, max_nodes: int | None = None) -> int:
         return 1
     if T.n == 0:
         return 0
-    images = [-1] * F.n
-    plan = _plan_for(F, ())
-    return _count_plan(plan, images, T, (1 << T.n) - 1, _Budget(max_nodes))
+    return _count(F, T, {}, max_nodes)
 
 
 def count_hom_rooted(
@@ -252,16 +317,7 @@ def count_hom_rooted(
     if not (0 <= x < T.n and 0 <= y < T.n):
         raise ValueError("root images out of range")
     z, w = F.roots
-    if x == y and (F.graph.has_arc(z, w) or F.graph.has_arc(w, z)):
-        return 0
-    pins = {z: x, w: y}
-    if not _check_pinned_arcs(F.graph, T, pins):
-        return 0
-    images = [-1] * F.graph.n
-    images[z] = x
-    images[w] = y
-    plan = _plan_for(F.graph, (z, w))
-    return _count_plan(plan, images, T, (1 << T.n) - 1, _Budget(max_nodes))
+    return _count(F.graph, T, {z: x, w: y}, max_nodes)
 
 
 def count_hom_bruteforce(F: Digraph, T: Digraph, budget: int = BRUTE_FORCE_BUDGET) -> int:
@@ -357,48 +413,22 @@ def iter_homs(
     pins = dict(root_images or {})
     if T.n == 0 and F.n > 0:
         return
-    if not _check_pinned_arcs(F, T, pins):
-        return
-    order = _linear_order(F, tuple(pins))
-    cons = []
-    for i, v in enumerate(order):
-        cons.append(_constraints(F, v, order[:i]))
-    images = [-1] * F.n
     for v, g in pins.items():
-        if not (0 <= g < T.n):
+        if not (0 <= v < F.n and 0 <= g < T.n):
             raise ValueError("pinned image out of range")
-        images[v] = g
-    full = (1 << T.n) - 1
-    budget = _Budget(max_nodes)
-    produced = 0
-    start = len(pins)
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal produced
-        if i == len(order):
-            produced += 1
-            if cap is not None and produced > cap:
-                raise EnumerationCapError(f"more than {cap} homomorphisms")
-            yield tuple(images)
-            return
-        v = order[i]
-        mask = full
-        for u, fwd in cons[i]:
-            mask &= T.out_mask(images[u]) if fwd else T.in_mask(images[u])
-            if not mask:
-                return
-        budget.spend()
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            images[v] = b.bit_length() - 1
-            yield from rec(i + 1)
-        images[v] = -1
-
-    if F.n == 0:
-        yield ()
+    plan = _plan(F, tuple(sorted(pins)))
+    state = _start(plan, T, pins)
+    if state is None:
         return
-    yield from rec(start)
+    if plan.free:
+        free = tuple(v for v in plan.by_rank if plan.free >> v & 1)
+        maps = _search(plan, T, _ENUM, state, [(free, plan.free)], max_nodes)
+    else:
+        maps = iter([tuple(state[1])])
+    for produced, images in enumerate(maps, start=1):
+        if cap is not None and produced > cap:
+            raise EnumerationCapError(f"more than {cap} homomorphisms")
+        yield images
 
 
 # -- all-root-pairs sweep -------------------------------------------------------
@@ -418,19 +448,15 @@ def rooted_count_matrix(
         raise ValueError("sweep requires non-adjacent roots")
     n = T.n
     z, w = F.roots
-    G = F.graph
-    free = frozenset(range(G.n)) - {z, w}
+    plan = _plan(F.graph, tuple(sorted(F.roots)))
     total: list[list[int]] | None = None
-    budget = _Budget(max_nodes)
-    full = (1 << n) - 1
-    for comp in _weak_components(G, free):
+    left = max_nodes
+    for part in plan.parts:
         S = [[0] * n for _ in range(n)]
-        order = _sweep_order(G, comp)
-        cons = [_constraints(G, v, order[:i]) for i, v in enumerate(order)]
-        zdir = [_root_dir(G, z, v) for v in order]
-        wdir = [_root_dir(G, w, v) for v in order]
-        images = [-1] * G.n
-        _sweep(T, order, cons, zdir, wdir, images, S, 0, full, full, full, budget)
+        state = _start(plan, T, {})
+        _, used = _finish(_search(plan, T, _SWEEP, state, [part], left, (z, w, S)))
+        if left is not None:
+            left -= used
         if total is None:
             total = S
         else:
@@ -441,79 +467,3 @@ def rooted_count_matrix(
     if total is None:
         total = [[1] * n for _ in range(n)]
     return total
-
-
-def _root_dir(G: Digraph, root: int, v: int) -> tuple[bool, bool]:
-    """(root->v, v->root) arc flags; digons carry both constraints."""
-    return (G.has_arc(root, v), G.has_arc(v, root))
-
-
-def _sweep_order(G: Digraph, comp: frozenset[int]) -> list[int]:
-    order: list[int] = []
-    remaining = set(comp)
-    pending: list[int] = []
-    while remaining:
-        placed_mask = 0
-        for u in order:
-            placed_mask |= 1 << u
-        pending = [p for p in pending if p in remaining]
-        if pending:
-            v = pending.pop(0)
-        elif order and any(
-            _adjacency_count(G, v, placed_mask) for v in remaining
-        ):
-            v = _greedy_pick(G, frozenset(remaining), placed_mask)
-        else:
-            tri = _find_triangle(G, frozenset(remaining))
-            if tri is not None:
-                v = tri[0]
-                pending = list(tri[1:])
-            else:
-                v = _greedy_pick(G, frozenset(remaining), placed_mask)
-        order.append(v)
-        remaining.remove(v)
-    return order
-
-
-def _sweep(T, order, cons, zdir, wdir, images, S, i, zmask, wmask, full, budget):
-    if i == len(order):
-        zm = zmask
-        while zm:
-            zb = zm & -zm
-            zm ^= zb
-            row = S[zb.bit_length() - 1]
-            wm = wmask
-            while wm:
-                wb = wm & -wm
-                wm ^= wb
-                row[wb.bit_length() - 1] += 1
-        return
-    v = order[i]
-    mask = full
-    for u, fwd in cons[i]:
-        mask &= T.out_mask(images[u]) if fwd else T.in_mask(images[u])
-        if not mask:
-            return
-    budget.spend()
-    (z_fwd, z_bwd), (w_fwd, w_bwd) = zdir[i], wdir[i]
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        g = b.bit_length() - 1
-        zm = zmask
-        if z_fwd:
-            zm &= T.in_mask(g)
-        if z_bwd:
-            zm &= T.out_mask(g)
-        if not zm:
-            continue
-        wm = wmask
-        if w_fwd:
-            wm &= T.in_mask(g)
-        if w_bwd:
-            wm &= T.out_mask(g)
-        if not wm:
-            continue
-        images[v] = g
-        _sweep(T, order, cons, zdir, wdir, images, S, i + 1, zm, wm, full, budget)
-    images[v] = -1

@@ -62,9 +62,9 @@ def in_region(x, y, tol=Fraction(0)) -> bool:
         return False
     if y > x + tol:
         return False
-    if x <= tol:
-        # the limit point (0, 0)
-        return abs(y) <= tol
+    if x <= 0:
+        # the limit point (0, 0): -tol <= y <= x + tol holds from the checks above
+        return True
     r = max(1, math.floor(1 / x))
     # x may sit a hair above 1/r; both adjacent chords agree at the vertex
     slope, intercept = chord(r)

@@ -29,6 +29,7 @@ __all__ = [
     "necklace_density_trace",
     "necklace_density_direct",
     "necklace_density_spectral",
+    "xy_from_matrix",
     "xy_point",
     "XYPoint",
     "PatternVerdict",

@@ -24,6 +24,7 @@ from tournhom.digraphs import (
     save_quantum,
     transitive_tournament,
 )
+from tournhom.errors import BudgetExceededError
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -56,6 +57,13 @@ class TestDigraph:
         assert a != b
         assert a == Digraph(2, [(0, 1)])
         assert are_isomorphic(a, b)
+
+    def test_isomorphism_budget_error(self):
+        a = Digraph(3, [(0, 1), (1, 2)])
+        b = Digraph(3, [(2, 1), (1, 0)])
+        assert a.arcs != b.arcs and are_isomorphic(a, b)
+        with pytest.raises(BudgetExceededError):
+            are_isomorphic(a, b, max_nodes=0)
 
 
 class TestMakeTournament:

@@ -1,5 +1,6 @@
 """Homomorphism counting engine against the brute-force oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -236,3 +237,218 @@ class TestRootedCountMatrix:
     def test_requires_nonadjacent_roots(self):
         with pytest.raises(ValueError):
             rooted_count_matrix(RootedDigraph(ARC, (0, 1)), random_tournament(3, 0))
+
+
+# -- the search engine ---------------------------------------------------------------
+
+
+def all_maps(F, T, pins=None):
+    """Every homomorphism by exhaustion, for patterns of a few vertices."""
+    pins = pins or {}
+    free = [v for v in range(F.n) if v not in pins]
+    found = set()
+    for assignment in itertools.product(range(T.n), repeat=len(free)):
+        images = [-1] * F.n
+        for v, g in pins.items():
+            images[v] = g
+        for v, g in zip(free, assignment):
+            images[v] = g
+        if is_hom(F, T, images):
+            found.add(tuple(images))
+    return found
+
+
+def random_pattern(rng):
+    """Small patterns with digons, sometimes disconnected."""
+    F = random_digraph(rng.randint(1, 4), 1, 2, rng.randrange(2**30))
+    if rng.random() < 0.3:
+        F = disjoint_union(F, random_digraph(rng.randint(1, 2), 1, 2, rng.randrange(2**30)))
+    return F
+
+
+def random_host(rng):
+    if rng.random() < 0.5:
+        return random_tournament(rng.randint(1, 5), rng.randrange(2**30))
+    # digons in the host let digons in the pattern map somewhere
+    return random_digraph(rng.randint(1, 5), 1, 2, rng.randrange(2**30))
+
+
+def relabelled(T, perm):
+    return Digraph(T.n, [(perm[u], perm[v]) for u, v in T.arcs])
+
+
+def nodes_needed(run):
+    """The smallest max_nodes with which run(max_nodes) finishes."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            run(hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid + 1
+    return lo
+
+
+class TestSearchEngine:
+    def test_counts_and_maps_agree_with_oracle(self):
+        rng = random.Random(20261018)
+        digons = 0
+        for _ in range(150):
+            F = random_pattern(rng)
+            T = random_host(rng)
+            digons += any((v, u) in F.arcs for u, v in F.arcs)
+            expected = all_maps(F, T)
+            assert count_hom(F, T) == count_hom_bruteforce(F, T) == len(expected)
+            maps = list(iter_homs(F, T))
+            assert len(maps) == len(set(maps))
+            assert set(maps) == expected
+        assert digons > 10
+
+    def test_disconnected_patterns_multiply(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            F1, F2 = random_pattern(rng), random_pattern(rng)
+            T = random_host(rng)
+            F = disjoint_union(F1, F2)
+            assert count_hom(F, T) == count_hom(F1, T) * count_hom(F2, T)
+            assert count_hom(F, T) == count_hom_bruteforce(F, T)
+            assert set(iter_homs(F, T)) == all_maps(F, T)
+
+    def test_rooted_counts_agree_with_oracle(self):
+        rng = random.Random(31)
+        seen_equal = seen_adjacent = seen_bare = 0
+        for _ in range(200):
+            F = random_pattern(rng)
+            if F.n < 2:
+                continue
+            z, w = rng.sample(range(F.n), 2)
+            rooted = RootedDigraph(F, (z, w))
+            T = random_host(rng)
+            x = rng.randrange(T.n)
+            y = x if rng.random() < 0.3 else rng.randrange(T.n)
+            seen_equal += x == y
+            seen_adjacent += not rooted.roots_nonadjacent()
+            seen_bare += F.n == 2
+            count = count_hom_rooted(rooted, T, x, y)
+            assert count == count_hom_rooted_bruteforce(rooted, T, x, y)
+            pinned_maps = all_maps(F, T, {z: x, w: y})
+            assert count == len(pinned_maps)
+            assert set(iter_homs(F, T, root_images={z: x, w: y})) == pinned_maps
+        assert seen_equal > 20 and seen_adjacent > 20 and seen_bare > 5
+
+    def test_no_free_vertex_with_adjacent_roots(self):
+        digon = RootedDigraph(Digraph(2, [(0, 1), (1, 0)]), (0, 1))
+        host = Digraph(3, [(0, 1), (1, 0), (1, 2)])
+        assert count_hom_rooted(digon, host, 0, 1) == 1
+        assert count_hom_rooted(digon, host, 1, 2) == 0
+        assert count_hom_rooted(digon, host, 1, 1) == 0
+        assert list(iter_homs(digon.graph, host, root_images={0: 1, 1: 0})) == [(1, 0)]
+        assert list(iter_homs(digon.graph, host, root_images={0: 2, 1: 1})) == []
+
+    def test_rooted_count_matrix_matches_pairs(self):
+        rng = random.Random(77)
+        done = 0
+        while done < 40:
+            F = random_pattern(rng)
+            if F.n < 2:
+                continue
+            z, w = rng.sample(range(F.n), 2)
+            rooted = RootedDigraph(F, (z, w))
+            if not rooted.roots_nonadjacent():
+                continue
+            T = random_host(rng)
+            S = rooted_count_matrix(rooted, T)
+            assert S == [
+                [count_hom_rooted_bruteforce(rooted, T, x, y) for y in range(T.n)]
+                for x in range(T.n)
+            ]
+            done += 1
+
+    def test_zero_budget_raises_where_search_is_needed(self):
+        T = random_tournament(6, 3)
+        with pytest.raises(BudgetExceededError):
+            count_hom(CYCLE3, T, max_nodes=0)
+        # roots 0, 1 joined by the path 0 -> 2 -> 3 -> 1: two free vertices
+        long_gadget = RootedDigraph(Digraph(4, [(0, 2), (2, 3), (3, 1)]), (0, 1))
+        expected = count_hom_rooted_bruteforce(long_gadget, T, 0, 1)
+        assert count_hom_rooted(long_gadget, T, 0, 1) == expected
+        with pytest.raises(BudgetExceededError):
+            count_hom_rooted(long_gadget, T, 0, 1, max_nodes=0)
+        with pytest.raises(BudgetExceededError):
+            list(iter_homs(CYCLE3, T, max_nodes=0))
+        with pytest.raises(BudgetExceededError):
+            rooted_count_matrix(PATH_GADGET, T, max_nodes=0)
+
+    def test_budget_is_the_node_count(self):
+        T = random_tournament(7, 8)
+        needed = nodes_needed(lambda b: count_hom(CYCLE3, T, max_nodes=b))
+        assert needed > 0
+        assert count_hom(CYCLE3, T, max_nodes=needed) == count_hom_bruteforce(CYCLE3, T)
+        with pytest.raises(BudgetExceededError):
+            count_hom(CYCLE3, T, max_nodes=needed - 1)
+
+    def test_node_count_ignores_host_labels(self):
+        # roots 0, 1 joined through a chain of triangles: hundreds of nodes
+        arcs = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 1), (3, 6), (6, 4), (4, 7), (7, 3), (2, 6)]
+        rooted = RootedDigraph(Digraph(8, arcs), (0, 1))
+        rng = random.Random(8)
+        for seed in range(3):
+            T = random_tournament(16, seed)
+            perm = list(range(T.n))
+            rng.shuffle(perm)
+            T2 = relabelled(T, perm)
+            for x, y in ((0, 1), (2, 7), (5, 5)):
+                first = nodes_needed(lambda b: count_hom_rooted(rooted, T, x, y, max_nodes=b))
+                second = nodes_needed(
+                    lambda b: count_hom_rooted(rooted, T2, perm[x], perm[y], max_nodes=b)
+                )
+                assert first == second > 100
+                count = count_hom_rooted(rooted, T, x, y)
+                assert count == count_hom_rooted(rooted, T2, perm[x], perm[y]) > 0
+
+
+class TestLongPattern:
+    """Pattern size is not bounded by the interpreter's recursion limit."""
+
+    N = 1200
+    PATH = Digraph(N, [(i, i + 1) for i in range(N - 1)])
+
+    def test_count_enumerate_and_rooted(self):
+        assert count_hom(self.PATH, CYCLE3) == 3
+        maps = list(iter_homs(self.PATH, CYCLE3))
+        assert sorted(maps) == [tuple((s + i) % 3 for i in range(self.N)) for s in range(3)]
+        rooted = RootedDigraph(self.PATH, (0, self.N - 1))
+        assert count_hom_rooted(rooted, CYCLE3, 0, (self.N - 1) % 3) == 1
+        assert count_hom_rooted(rooted, CYCLE3, 0, 0) == 0
+        assert rooted_count_matrix(rooted, CYCLE3)[1][(1 + self.N - 1) % 3] == 1
+
+    def test_cli_hom(self, tmp_path, capsys):
+        from tournhom.cli import main
+        from tournhom.digraphs import save_digraph
+
+        pattern, host = tmp_path / "path.txt", tmp_path / "c3.txt"
+        save_digraph(pattern, self.PATH)
+        save_digraph(host, CYCLE3)
+        assert main(["hom", "--pattern", str(pattern), "--host", str(host)]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("module", ["tournhom.homcount", "tournhom.spectral"])
+def test_public_functions_are_exported(module):
+    import importlib
+    import inspect
+
+    mod = importlib.import_module(module)
+    defined = {
+        name
+        for name, obj in vars(mod).items()
+        if inspect.isfunction(obj) and obj.__module__ == module and not name.startswith("_")
+    }
+    assert defined <= set(mod.__all__), defined - set(mod.__all__)

@@ -60,6 +60,14 @@ class TestInRegion:
     def test_vertices_property(self, r):
         assert in_region(Fraction(1, r), Fraction(1, r * r))
 
+    def test_tolerance_band_near_origin(self):
+        # both points lie tol above the hull edge y = x; every hull
+        # inequality is relaxed by tol, near the origin too
+        tol = Fraction(1, 10**9)
+        assert in_region(tol / 2, 3 * tol / 2, tol)
+        assert in_region(2 * tol, 3 * tol, tol)
+        assert not in_region(tol / 2, 3 * tol / 2 + Fraction(1, 10**30), tol)
+
     def test_unit_square_bounds(self):
         assert not in_region(1.2, 0.5)
         assert not in_region(0.5, -0.1)
