@@ -317,7 +317,7 @@ def necklace_densities(
     out = []
     for dg in family.doubled:
         dm = density_matrix(dg, T)
-        traces = _power_traces([list(r) for r in dm.counts], list(lengths))
+        traces = _power_traces(dm.counts, lengths)
         unit = T.n ** (2 * dg.m + 1)
         out.append({ell: Fraction(traces[ell], unit**ell) for ell in lengths})
     return out

@@ -2,9 +2,10 @@
 
 The region is the convex hull of the points (1/r, 1/r^2): inside the unit
 square, below the diagonal, and above the chord through consecutive hull
-vertices.  Membership runs in exact rational arithmetic whenever the
-inputs convert exactly (Fractions, ints, and floats all do), with an
-additive tolerance for sampled float points.
+vertices.  Membership is exact for every rational input (Fractions, ints,
+and floats, which are dyadic rationals), with an additive tolerance for
+sampled float points: each coordinate is read as an integer ratio, and
+every comparison is one of integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ __all__ = [
 ]
 
 
-def _exact(value) -> Fraction:
-    if isinstance(value, Rational):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator, as Python ints, of a rational or finite float."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("NaN is not a point")
-        return Fraction(value)  # floats are dyadic rationals, conversion is exact
+        if math.isinf(value):
+            raise ValueError(f"{value} is not a point")
+        return value.as_integer_ratio()  # floats are dyadic rationals, exactly
+    if isinstance(value, Rational):
+        # e.g. numpy integers, whose fixed-width products would wrap
+        return int(value.numerator), int(value.denominator)
     raise TypeError(f"cannot interpret {type(value).__name__} as a coordinate")
 
 
@@ -52,23 +59,30 @@ def chord(r: int) -> tuple[Fraction, Fraction]:
 
 
 def in_region(x, y, tol=Fraction(0)) -> bool:
-    """Exact membership in the hull of {(1/r, 1/r^2)}, within an additive tolerance."""
-    x = _exact(x)
-    y = _exact(y)
-    tol = _exact(tol)
-    if tol < 0:
+    """Exact membership in the hull of {(1/r, 1/r^2)}, within an additive tolerance.
+
+    Each hull inequality is relaxed by tol.  With x = a/b, y = c/d and
+    tol = e/f, every quantity is scaled by the common denominator
+    D = b d f, so each comparison is one of integers.
+    """
+    a, b = _ratio(x)
+    c, d = _ratio(y)
+    e, f = _ratio(tol)
+    if e < 0:
         raise ValueError("tolerance must be nonnegative")
-    if x < -tol or x > 1 + tol or y < -tol or y > 1 + tol:
+    D = b * d * f
+    X, Y, T = a * d * f, c * b * f, e * b * d  # x, y and tol, times D
+    if X < -T or X > D + T or Y < -T or Y > D + T:
         return False
-    if y > x + tol:
+    if Y > X + T:
         return False
-    if x <= 0:
+    if X <= 0:
         # the limit point (0, 0): -tol <= y <= x + tol holds from the checks above
         return True
-    r = max(1, math.floor(1 / x))
-    # x may sit a hair above 1/r; both adjacent chords agree at the vertex
-    slope, intercept = chord(r)
-    return y >= slope * x + intercept - tol
+    r = max(1, b // a)  # floor(1/x)
+    # x may sit a hair above 1/r; both adjacent chords agree at the vertex.
+    # y >= ((2r + 1) x - 1) / (r (r + 1)) - tol, times D r (r + 1):
+    return (Y + T) * r * (r + 1) >= (2 * r + 1) * X - D
 
 
 # -- Newton identities -----------------------------------------------------------

@@ -6,12 +6,20 @@ hom_{x,y}(doubled gadget, host) supports exact trace identities
 eigenvalue power sums run in floats.  The (x, y) statistics are ratios in
 which the host-size normalization cancels, so they come in an exact
 rational twin next to the float spectral value.
+
+Every trace and spectrum runs on the support of the matrix: the indices
+whose row and column both hold a nonzero entry.  A closed walk leaves an
+index through its row and enters it through its column, so it stays on
+the support, and tr H^l (l >= 1) of the compressed matrix equals that of
+the full one.  For a symmetric H the indices off the support carry zero
+rows and columns, so the nonzero eigenvalues agree as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -24,7 +32,6 @@ from .hosts import HostAtlas
 __all__ = [
     "DensityMatrix",
     "density_matrix",
-    "conditional_count_entries",
     "necklace_count_trace",
     "necklace_density_trace",
     "necklace_density_direct",
@@ -46,10 +53,9 @@ class DensityMatrix:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for x in range(self.order):
-            for y in range(x):
-                if self.counts[x][y] != self.counts[y][x]:
-                    raise ValueError(f"count matrix not symmetric at ({x}, {y})")
+        bad = _first_asymmetry(self.counts)
+        if bad is not None:
+            raise ValueError(f"count matrix not symmetric at {bad}")
 
     def count(self, x: int, y: int) -> int:
         return self.counts[x][y]
@@ -60,12 +66,15 @@ class DensityMatrix:
     def density_denominator(self) -> int:
         return self.order ** (2 * self.m)
 
-    def count_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=float)
-
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the count matrix, by descending magnitude."""
-        eig = np.linalg.eigvalsh(self.count_array())
+        """Eigenvalues of the count matrix, by descending magnitude.
+
+        Computed on the support; the indices off it add exact zeros.
+        """
+        H = _support_matrix(self.counts)
+        eig = np.zeros(self.order)
+        if H:
+            eig[: len(H)] = np.linalg.eigvalsh(np.array(H, dtype=float))
         return eig[np.argsort(-np.abs(eig), kind="stable")]
 
     def kernel_eigenvalues(self) -> np.ndarray:
@@ -114,24 +123,37 @@ def density_matrix(
     return DensityMatrix(order=n, m=dg.m, counts=tuple(tuple(r) for r in rows))
 
 
-def conditional_count_entries(
-    dg: DoubledGadget,
-    T: Tournament,
-    pairs: list[tuple[int, int]],
-    max_nodes: int | None = None,
-) -> dict[tuple[int, int], int]:
-    """Independent per-pair recounts, for spot-checking a full matrix."""
-    return {
-        (x, y): count_hom_rooted(dg.rooted, T, x, y, max_nodes) for x, y in pairs
-    }
+# -- the support, and exact traces on it ------------------------------------------------
 
 
-# -- exact traces -----------------------------------------------------------------
+def _first_asymmetry(rows) -> tuple[int, int] | None:
+    """The first (i, j), j < i in row-major order, with rows[i][j] != rows[j][i].
+
+    Only nonzero entries are compared with their mirror: a zero entry whose
+    mirror is nonzero is found from the mirror's side.
+    """
+    bad = None
+    for i, row in enumerate(rows):
+        for j in compress(range(len(row)), row):
+            if rows[j][i] != row[j]:
+                pair = (max(i, j), min(i, j))
+                if bad is None or pair < bad:
+                    bad = pair
+    return bad
+
+
+def _support_matrix(rows) -> list[list]:
+    """The square matrix restricted to the indices whose row and column are nonzero."""
+    nonzero_rows = [i for i, row in enumerate(rows) if any(row)]
+    nonzero_cols = set()
+    for i in nonzero_rows:
+        nonzero_cols.update(compress(range(len(rows[i])), rows[i]))
+    support = [i for i in nonzero_rows if i in nonzero_cols]
+    return [[rows[i][j] for j in support] for i in support]
 
 
 def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     n = len(A)
-    Bt = list(zip(*B))
     out = [[0] * n for _ in range(n)]
     for i, row in enumerate(A):
         out_i = out[i]
@@ -145,8 +167,12 @@ def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _power_traces(H: list[list[int]], ells: list[int]) -> dict[int, int]:
-    """Exact traces of H^l for each requested l via repeated squaring."""
+def _power_traces(rows, ells) -> dict[int, int]:
+    """Exact traces of H^l (l >= 1) for each requested l via repeated squaring
+    on the support of the square matrix H."""
+    if any(ell < 1 for ell in ells):
+        raise ValueError("trace powers must be at least 1")
+    H = _support_matrix(rows)
     powers: dict[int, list[list[int]]] = {1: H}
 
     def get(e: int) -> list[list[int]]:
@@ -169,8 +195,7 @@ def _power_traces(H: list[list[int]], ells: list[int]) -> dict[int, int]:
 
 def necklace_count_trace(dm: DensityMatrix, ell: int) -> int:
     """hom of the length-l necklace, as trace(H^l) in exact integers."""
-    H = [list(row) for row in dm.counts]
-    return _power_traces(H, [ell])[ell]
+    return _power_traces(dm.counts, [ell])[ell]
 
 
 def necklace_density_trace(dm: DensityMatrix, ell: int) -> Fraction:
@@ -210,16 +235,20 @@ class XYPoint:
     p12: Fraction
 
 
-def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
-    """The (x, y) statistics of an arbitrary symmetric rational matrix.
+def _xy(rows, unit: int) -> XYPoint:
+    """The (x, y) statistics of a symmetric matrix whose traces are p_l * unit^l.
 
-    The host-size normalization cancels in both ratios, so this works on
-    count and density matrices alike.
+    The exact twin comes from the traces of H^4, H^8 and H^12.  The float
+    twin comes from the support matrix divided exactly by its largest
+    |entry|: x and y do not change with scale, and the scaled entries lie
+    in [-1, 1], so none overflows a float.
     """
-    traces = _power_traces([list(r) for r in rows], [4, 8, 12])
+    H = _support_matrix(rows)
+    traces = _power_traces(H, [4, 8, 12])
     if traces[4] == 0:
-        raise DegenerateHostError("fourth power sum vanishes")
-    lam = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in rows]))
+        raise DegenerateHostError("fourth power sum vanishes: the matrix is zero")
+    top = max(abs(c) for row in H for c in row)
+    lam = np.linalg.eigvalsh(np.array([[float(c / top) for c in row] for row in H]))
     s4 = float(np.sum(lam**4))
     s8 = float(np.sum(lam**8))
     s12 = float(np.sum(lam**12))
@@ -228,10 +257,26 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
         y=s12 / s4**3,
         x_exact=Fraction(traces[8], traces[4] ** 2),
         y_exact=Fraction(traces[12], traces[4] ** 3),
-        p4=Fraction(traces[4]),
-        p8=Fraction(traces[8]),
-        p12=Fraction(traces[12]),
+        p4=Fraction(traces[4], unit**4),
+        p8=Fraction(traces[8], unit**8),
+        p12=Fraction(traces[12], unit**12),
     )
+
+
+def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
+    """The (x, y) statistics of an arbitrary symmetric rational matrix.
+
+    The host-size normalization cancels in both ratios, so this works on
+    count and density matrices alike.  A matrix that is not square or not
+    symmetric raises ValueError.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    bad = _first_asymmetry(rows)
+    if bad is not None:
+        raise ValueError(f"matrix not symmetric at {bad}")
+    return _xy(rows, 1)
 
 
 def xy_point(dm: DensityMatrix) -> XYPoint:
@@ -240,25 +285,7 @@ def xy_point(dm: DensityMatrix) -> XYPoint:
     Degeneracy (p4 = 0, equivalently a zero count matrix) is detected
     exactly, never by a float threshold.
     """
-    traces = _power_traces([list(r) for r in dm.counts], [4, 8, 12])
-    if traces[4] == 0:
-        raise DegenerateHostError("4-necklace density vanishes on this host")
-    x_exact = Fraction(traces[8], traces[4] ** 2)
-    y_exact = Fraction(traces[12], traces[4] ** 3)
-    lam = dm.eigenvalues()
-    s4 = float(np.sum(lam**4))
-    s8 = float(np.sum(lam**8))
-    s12 = float(np.sum(lam**12))
-    unit = dm.order ** (2 * dm.m + 1)
-    return XYPoint(
-        x=s8 / s4**2,
-        y=s12 / s4**3,
-        x_exact=x_exact,
-        y_exact=y_exact,
-        p4=Fraction(traces[4], unit**4),
-        p8=Fraction(traces[8], unit**8),
-        p12=Fraction(traces[12], unit**12),
-    )
+    return _xy(dm.counts, dm.order ** (2 * dm.m + 1))
 
 
 # -- block pattern check ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from .digraphs import Digraph, RootedDigraph, Tournament, random_tournament
-from .errors import DegenerateHostError
 from .gadgets import (
     BaseTournament,
     GadgetFamily,
@@ -48,14 +47,19 @@ from .reduction import (
     parse_poly_text,
     reduction_rhs,
 )
-from .region import chord, elementary_from_power, in_region, power_from_elementary
+from .region import (
+    chord,
+    elementary_from_power,
+    in_region,
+    power_from_elementary,
+    verify_region_on_hosts,
+)
 from .spectral import (
     density_matrix,
     graphon_pattern_check,
     necklace_density_direct,
     necklace_density_spectral,
     necklace_density_trace,
-    xy_point,
 )
 
 __all__ = [
@@ -545,9 +549,6 @@ def run_region(config: ExperimentConfig) -> RunReport:
     tol = Fraction(1, 10**9)
 
     t0 = time.time()
-    outside = []
-    checked = 0
-    skipped = 0
     hosts = [random_tournament(rng.randint(3, 7), rng.randrange(2**30)) for _ in range(200)]
     hosts += [rotational_tournament(7), rotational_tournament(9)]
     if config.hosts_dir:
@@ -555,22 +556,13 @@ def run_region(config: ExperimentConfig) -> RunReport:
 
         for path in sorted(Path(config.hosts_dir).glob("*.txt")):
             hosts.append(load_tournament(path))
-    for idx, T in enumerate(hosts):
-        dm = density_matrix(dg, T)
-        try:
-            pt = xy_point(dm)
-        except DegenerateHostError:
-            skipped += 1
-            continue
-        checked += 1
-        if not in_region(pt.x_exact, pt.y_exact, tol):
-            outside.append((idx, float(pt.x_exact), float(pt.y_exact)))
+    containment = verify_region_on_hosts(dg, hosts, tol)
     report.check(
         "region.containment",
         "every nondegenerate host point lies in the hull within 1e-9",
-        not outside,
-        f"checked {checked}, skipped {skipped} degenerate"
-        + (f", outside {outside[:3]}" if outside else ""),
+        containment.ok,
+        f"checked {containment.checked}, skipped {containment.skipped_degenerate} degenerate"
+        + (f", outside {list(containment.failures[:3])}" if containment.failures else ""),
     )
     report.timings["containment"] = time.time() - t0
 

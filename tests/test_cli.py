@@ -119,12 +119,36 @@ class TestHostAndMatrix:
         assert out["y_exact"] == "1/16"
 
 
+class TestXY:
+    @staticmethod
+    def write_csv(path, rows):
+        lines = ["vertex," + ",".join(str(j) for j in range(len(rows)))]
+        lines += [f"{i}," + ",".join(str(c) for c in row) for i, row in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_nonsymmetric_matrix_exit_2(self, tmp_path, capsys):
+        csv_path = self.write_csv(tmp_path / "m.csv", [[0, 1, 0], [2, 0, 1], [0, 1, 0]])
+        assert run(["xy", "--matrix", csv_path]) == 2
+        assert "not symmetric at (1, 0)" in capsys.readouterr().err
+
+    def test_huge_entries(self, tmp_path, capsys):
+        c = 10**400
+        csv_path = self.write_csv(tmp_path / "m.csv", [[0, c], [c, 0]])
+        assert run(["xy", "--matrix", csv_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"x": 0.5, "y": 0.25, "x_exact": "1/2", "y_exact": "1/4"}
+
+
 class TestRegionCheck:
     def test_inside(self):
         assert run(["region-check", "--x", 0.5, "--y", 0.25]) == 0
 
     def test_outside_exit_1(self):
         assert run(["region-check", "--x", 0.4, "--y", 0.14]) == 1
+
+    def test_infinite_coordinate_exit_2(self):
+        assert run(["region-check", "--x", "inf", "--y", 0.25]) == 2
 
 
 class TestReduce:

@@ -24,6 +24,65 @@ from tournhom.region import (
 TOY = toy_family(3, (2,)).doubled[0]
 
 
+def fraction_in_region(x, y, tol=Fraction(0)) -> bool:
+    """The dense Fraction formula that in_region replaced, kept as its reference."""
+    x, y, tol = Fraction(x), Fraction(y), Fraction(tol)
+    if x < -tol or x > 1 + tol or y < -tol or y > 1 + tol:
+        return False
+    if y > x + tol:
+        return False
+    if x <= 0:
+        return True
+    r = max(1, math.floor(1 / x))
+    slope, intercept = chord(r)
+    return y >= slope * x + intercept - tol
+
+
+class TestIntegerTestAgreesWithFractionFormula:
+    TOLS = (Fraction(0), Fraction(1, 10**9), Fraction(1, 100), 0, 1e-9, 0.0)
+
+    @staticmethod
+    def log_uniform_r(rng):
+        return max(1, int(10**6 ** rng.random()))
+
+    def points(self, rng):
+        for _ in range(1500):  # hull vertices up to r = 10^6
+            r = self.log_uniform_r(rng)
+            yield Fraction(1, r), Fraction(1, r * r)
+        yield Fraction(1, 10**6), Fraction(1, 10**12)
+        for _ in range(1500):  # on a chord, and 1e-30 above and below it
+            r = self.log_uniform_r(rng)
+            lo, hi = Fraction(1, r + 1), Fraction(1, r)
+            x = lo + Fraction(rng.randint(0, 1000), 1000) * (hi - lo)
+            y = ((2 * r + 1) * x - 1) / (r * (r + 1))
+            for off in (0, 1, -1):
+                yield x, y + off * Fraction(1, 10**30)
+        for _ in range(1500):  # floats, x > 1 and y < 0 included
+            yield rng.uniform(-0.01, 1.2), rng.uniform(-0.01, 1.2)
+        for _ in range(1500):  # rationals on a grid around the unit square
+            yield Fraction(rng.randint(-5, 1100), 1000), Fraction(rng.randint(-5, 1100), 1000)
+
+    def test_random_points(self):
+        rng = random.Random(11)
+        inside = 0
+        for x, y in self.points(rng):
+            tol = rng.choice(self.TOLS)
+            expected = fraction_in_region(x, y, tol)
+            assert in_region(x, y, tol) == expected, (x, y, tol)
+            inside += expected
+        assert 0 < inside
+
+    def test_band_near_origin(self):
+        # 0 < x <= tol, y anywhere within a few tol of the hull
+        rng = random.Random(12)
+        for _ in range(3000):
+            tol = rng.choice([Fraction(1, 10**9), Fraction(1, 100), 1e-9, 0.01])
+            x = Fraction(tol) * Fraction(rng.randint(1, 1000), 1000)
+            y = Fraction(tol) * Fraction(rng.randint(-2000, 3000), 1000)
+            for px, py in ((x, y), (float(x), float(y))):
+                assert in_region(px, py, tol) == fraction_in_region(px, py, tol), (px, py, tol)
+
+
 class TestInRegion:
     def test_hull_vertex(self):
         assert in_region(Fraction(1, 2), Fraction(1, 4))
@@ -43,6 +102,26 @@ class TestInRegion:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             in_region(math.nan, 0.5)
+
+    def test_infinity_rejected(self):
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not a point"):
+                in_region(0.5, bad)
+
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError):
+            in_region("0.5", 0.25)
+        with pytest.raises(TypeError):
+            in_region(0.5, 0.25, tol=complex(0))
+
+    def test_numpy_integers_read_as_python_ints(self):
+        np = pytest.importorskip("numpy")
+        assert in_region(np.int64(1), np.int64(1), Fraction(1, 10**30))
+        assert not in_region(np.int64(0), np.int64(1), Fraction(1, 10**30))
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            in_region(0.5, 0.25, tol=-1e-9)
 
     def test_hull_vertices_exact_small(self):
         for r in range(1, 2000):

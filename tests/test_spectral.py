@@ -1,5 +1,6 @@
 """Density matrices, trace identities, power sums, and the block pattern check."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,14 @@ from tournhom.homcount import count_hom_rooted_bruteforce
 from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
+    _power_traces,
     density_matrix,
     graphon_pattern_check,
     necklace_count_trace,
     necklace_density_direct,
     necklace_density_spectral,
     necklace_density_trace,
+    xy_from_matrix,
     xy_point,
 )
 
@@ -102,6 +105,89 @@ class TestTraceIdentity:
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+def object_traces(H, ells):
+    """tr H^l by numpy's matrix_power on Python integers, the full matrix."""
+    A = np.array(H, dtype=object)
+    return {ell: int(np.trace(np.linalg.matrix_power(A, ell))) for ell in ells}
+
+
+def random_symmetric(rng, n, zero_rows):
+    H = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                H[i][j] = H[j][i] = rng.randint(-9, 10**rng.randint(1, 12))
+    for z in zero_rows:
+        for j in range(n):
+            H[z][j] = H[j][z] = 0
+    return H
+
+
+class TestSupport:
+    """Traces and spectra run on the indices whose row and column are nonzero."""
+
+    ELLS = (1, 2, 3, 4, 5, 8, 12)
+
+    def test_traces_match_full_matrix_power(self):
+        rng = random.Random(3)
+        for trial in range(40):
+            n = rng.randint(1, 12)
+            H = random_symmetric(rng, n, rng.sample(range(n), rng.randint(0, n)))
+            dm = synthetic(H)
+            expected = object_traces(H, self.ELLS)
+            assert {ell: necklace_count_trace(dm, ell) for ell in self.ELLS} == expected
+
+    def test_nonsymmetric_traces_match_full_matrix_power(self):
+        # row 0 is nonzero but column 0 is zero, row 3 is zero but column 3
+        # is not: neither index lies on a closed walk
+        H = [
+            [0, 5, 7, 2, 0],
+            [0, 1, 3, 4, 2],
+            [0, 2, 0, 9, 1],
+            [0, 0, 0, 0, 0],
+            [0, 6, 1, 8, 3],
+        ]
+        assert _power_traces(H, self.ELLS) == object_traces(H, self.ELLS)
+        rng = random.Random(8)
+        for trial in range(30):
+            n = rng.randint(2, 10)
+            H = [[rng.choice([0, 0, rng.randint(-5, 9)]) for _ in range(n)] for _ in range(n)]
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                H[i] = [0] * n
+            for j in rng.sample(range(n), rng.randint(0, n)):
+                for row in H:
+                    row[j] = 0
+            assert _power_traces(H, self.ELLS) == object_traces(H, self.ELLS)
+
+    def test_zero_matrix_traces_vanish_and_xy_is_degenerate(self):
+        dm = synthetic([[0] * 4 for _ in range(4)])
+        assert all(necklace_count_trace(dm, ell) == 0 for ell in self.ELLS)
+        with pytest.raises(DegenerateHostError):
+            xy_point(dm)
+        with pytest.raises(DegenerateHostError):
+            xy_from_matrix([[Fraction(0)] * 3 for _ in range(3)])
+
+    def test_power_below_one_rejected(self):
+        dm = synthetic([[0, 1], [1, 0]])
+        for ell in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                necklace_count_trace(dm, ell)
+
+    def test_eigenvalues_padded_with_exact_zeros(self):
+        rng = random.Random(4)
+        for trial in range(20):
+            n = rng.randint(2, 12)
+            zero_rows = rng.sample(range(n), rng.randint(1, n - 1))
+            H = random_symmetric(rng, n, zero_rows)
+            lam = synthetic(H).eigenvalues()
+            assert len(lam) == n
+            assert np.count_nonzero(lam == 0) >= len(zero_rows)
+            assert np.all(np.abs(lam[:-1]) >= np.abs(lam[1:]))
+            full = np.linalg.eigvalsh(np.array(H, dtype=float))
+            scale = max(1.0, float(np.max(np.abs(full))))
+            assert np.allclose(np.sort(lam), np.sort(full), atol=1e-9 * scale, rtol=0)
+
+
 class TestSyntheticSpectra:
     def test_two_by_two_closed_form(self):
         dm = synthetic([[0, 3], [3, 0]])
@@ -163,6 +249,44 @@ class TestXYPoint:
             pt = xy_point(dm)
             assert pt.x == pytest.approx(float(pt.x_exact), abs=1e-9)
             assert pt.y == pytest.approx(float(pt.y_exact), abs=1e-9)
+
+
+class TestXYFromMatrix:
+    def test_agrees_with_xy_point(self):
+        for seed in range(6):
+            t = random_tournament(6, seed)
+            dm = density_matrix(TOY, t)
+            if dm.is_zero():
+                continue
+            pt, qt = xy_point(dm), xy_from_matrix([list(r) for r in dm.counts])
+            assert (qt.x_exact, qt.y_exact) == (pt.x_exact, pt.y_exact)
+            assert qt.p4 == pt.p4 * dm.order ** (4 * (2 * dm.m + 1))
+            assert (qt.x, qt.y) == pytest.approx((pt.x, pt.y), abs=1e-12)
+
+    def test_nonsymmetric_rejected_at_first_pair(self):
+        with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+            xy_from_matrix([[0, 1, 0], [2, 0, 1], [0, 1, 0]])
+        # found from the nonzero side, and the first pair in row-major order
+        with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+            xy_from_matrix([[0, 0, 1], [3, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match=r"not symmetric at \(2, 1\)"):
+            xy_from_matrix([[0, 1, 1], [1, 0, 0], [1, 4, 0]])
+
+    def test_nonsquare_rejected(self):
+        with pytest.raises(ValueError, match="not square"):
+            xy_from_matrix([[0, 1], [1]])
+
+    @pytest.mark.parametrize(
+        "c", [10**26, 10**400, Fraction(10**400, 3)], ids=["1e26", "1e400", "1e400_over_3"]
+    )
+    def test_float_twin_is_scale_free(self, c):
+        rows = [[0, c], [c, 0]]
+        points = [xy_from_matrix(rows)]
+        if isinstance(c, int):
+            points.append(xy_point(synthetic(rows)))
+        for pt in points:
+            assert pt.x_exact == pt.x == 0.5
+            assert pt.y_exact == pt.y == 0.25
 
 
 class TestPatternCheck:
