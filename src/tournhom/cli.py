@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--atlas", help="atlas JSON; when given, the block pattern is checked")
     p.add_argument("--pattern-index", type=int, default=1)
-    p.add_argument("--method", default="auto", choices=["auto", "pairs", "sweep"])
+    p.add_argument("--method", default="sweep", choices=["pairs", "sweep"])
     p.add_argument("--out", required=True, help="integer count matrix CSV")
     p.add_argument("--out-density", required=True, help="exact density matrix CSV")
     p.set_defaults(func=cmd_density_matrix)

@@ -196,7 +196,7 @@ def pipeline_cross_check(
     family: GadgetFamily,
     r: int,
     gadget_index: int = 0,
-    method: str = "auto",
+    method: str = "sweep",
     max_nodes: int | None = None,
 ) -> dict:
     """Full tournament pipeline versus the adjacency-spectrum closed form.

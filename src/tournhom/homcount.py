@@ -18,9 +18,12 @@ Counting multiplies the counts of independent parts: the components of the
 free vertices, and the components the unplaced vertices fall into after a
 placement (the doubled gadget splits into its two halves once its roots
 are pinned).  A part of one vertex counts as the size of its mask.  The
-sweep walks each component of the non-root vertices in one depth-first
-search, with the two unplaced roots as forward-checked masks, and adds the
-outer product of the root masks at every full placement.  Enumeration
+sweep serves several rooted patterns that share their non-root part (the
+core): it walks each component of the core in one depth-first search,
+keeps two forward-checked root masks per pattern, and adds the outer
+product of each pattern's root masks to that pattern's matrix at every
+full placement.  A branch is cut when a core mask empties, or when every
+pattern has an empty root mask.  Enumeration
 walks all free vertices in one depth-first search.  The search runs on an
 explicit stack, and the plan builder does not recurse either, so pattern
 size is bounded by memory, not by the interpreter's recursion limit.
@@ -55,6 +58,7 @@ __all__ = [
     "eval_quantum",
     "iter_homs",
     "rooted_count_matrix",
+    "rooted_count_matrices",
     "is_hom",
 ]
 
@@ -162,10 +166,16 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
 
     Count mode returns the product over `parts` of their counts, splitting
     a part again whenever its unplaced vertices fall apart.  Sweep and
-    enumerate modes take one part.  Sweep mode adds, at every full
-    placement, the outer product of the masks of the roots z, w to S, with
-    sweep = (z, w, S); enumerate mode yields every full image tuple.  The
-    generator returns (count, nodes used).
+    enumerate modes take one part.  Enumerate mode yields every full image
+    tuple.  The generator returns (count, nodes used).
+
+    Sweep mode takes sweep = (routs, rins, pairs, mats) from `_SweepPlan`
+    plus one matrix per pattern: the root masks live in `dom` past the
+    pattern's own vertices, pattern p's at the slots pairs[p] = (z, w).
+    Placing v ANDs its image's out-mask into the slots of routs[v] and its
+    in-mask into those of rins[v], and the branch is cut when every pattern
+    has an empty root mask.  At every full placement the outer product of
+    each pattern's root masks is added to its matrix.
 
     A part is (its unplaced vertices in rank order, their mask).  A sum
     frame [False, rest, rest_mask, v, cands, acc, saved] places v at each
@@ -183,6 +193,9 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
     outm, inm = T.out_masks, T.in_masks
     outs, ins, adj = plan.outs, plan.ins, plan.adj
     counting = mode == _COUNT
+    sweeping = mode == _SWEEP
+    if sweeping:
+        routs, rins, pairs, mats = sweep
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = 0
     size = int.bit_count
@@ -244,17 +257,39 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
                         break
                     dom[u] = d
                 else:
+                    if sweeping:
+                        # a root mask that empties kills its pattern, not the branch
+                        dead = False
+                        mask = outm[g]
+                        for u in routs[v]:
+                            d = dom[u]
+                            if d:
+                                d &= mask
+                                dom[u] = d
+                                if not d:
+                                    dead = True
+                        mask = inm[g]
+                        for u in rins[v]:
+                            d = dom[u]
+                            if d:
+                                d &= mask
+                                dom[u] = d
+                                if not d:
+                                    dead = True
+                        if dead and not any(dom[z] and dom[w] for z, w in pairs):
+                            dom[:] = saved
+                            continue
                     images[v] = g
                     if not rest:
                         if counting:
                             acc += 1
-                        elif mode == _SWEEP:
-                            z, w, S = sweep
-                            ys = _bits(dom[w])
-                            for x in _bits(dom[z]):
-                                row = S[x]
-                                for y in ys:
-                                    row[y] += 1
+                        elif sweeping:
+                            for (z, w), S in zip(pairs, mats):
+                                ys = _bits(dom[w])
+                                for x in _bits(dom[z]):
+                                    row = S[x]
+                                    for y in ys:
+                                        row[y] += 1
                         else:
                             yield tuple(images)
                     elif not counting:
@@ -431,7 +466,99 @@ def iter_homs(
         yield images
 
 
-# -- all-root-pairs sweep -------------------------------------------------------
+# -- all-root-pairs sweep of patterns sharing a core --------------------------------
+
+
+class _SweepPlan(NamedTuple):
+    plan: _Plan  # the union pattern's plan, with arcs to the roots left out
+    routs: tuple[tuple[int, ...], ...]  # routs[v]: root slots u with an arc v -> u
+    rins: tuple[tuple[int, ...], ...]  # rins[v]: root slots u with an arc u -> v
+    pairs: tuple[tuple[int, int], ...]  # pairs[p]: the (z, w) slots of pattern p
+
+
+@lru_cache(maxsize=64)
+def _sweep_plan(patterns: tuple[RootedDigraph, ...]) -> _SweepPlan:
+    """Plan a sweep of rooted patterns that share their non-root part.
+
+    The branching order comes from the union of the patterns' arcs, which
+    is the pattern itself when there is one, so a single pattern's sweep
+    makes the same search decisions as its own plan.  Pattern p's root
+    masks get the slots n + 2p and n + 2p + 1 after the n pattern vertices.
+    """
+    first = patterns[0]
+    n, (z, w) = first.graph.n, first.roots
+    core = (1 << n) - 1 & ~(1 << z) & ~(1 << w)
+
+    def core_arcs(F):
+        return {(u, v) for u, v in F.graph.arcs if core >> u & 1 and core >> v & 1}
+
+    arcs = core_arcs(first)
+    for F in patterns:
+        if not F.roots_nonadjacent():
+            raise ValueError("sweep requires non-adjacent roots")
+        if F.graph.n != n or F.roots != first.roots:
+            raise ValueError("swept patterns need the same vertex count and root labels")
+        if core_arcs(F) != arcs:
+            raise ValueError("swept patterns need the same arcs among their non-root vertices")
+    union = Digraph(n, set().union(*(F.graph.arcs for F in patterns)))
+    plan = _plan(union, tuple(sorted(first.roots)))
+    routs: list[list[int]] = [[] for _ in range(n)]
+    rins: list[list[int]] = [[] for _ in range(n)]
+    for p, F in enumerate(patterns):
+        for root, slot in ((z, n + 2 * p), (w, n + 2 * p + 1)):
+            for v in _bits(F.graph.in_mask(root)):
+                routs[v].append(slot)
+            for v in _bits(F.graph.out_mask(root)):
+                rins[v].append(slot)
+    return _SweepPlan(
+        plan=plan._replace(
+            outs=tuple(tuple(u for u in us if core >> u & 1) for us in plan.outs),
+            ins=tuple(tuple(u for u in us if core >> u & 1) for us in plan.ins),
+        ),
+        routs=tuple(map(tuple, routs)),
+        rins=tuple(map(tuple, rins)),
+        pairs=tuple((n + 2 * p, n + 2 * p + 1) for p in range(len(patterns))),
+    )
+
+
+def rooted_count_matrices(
+    patterns: Sequence[RootedDigraph], T: Digraph, max_nodes: int | None = None
+) -> list[list[list[int]]]:
+    """One matrix S_p with S_p[x][y] = hom_{x,y}(F_p, T) per pattern, in one sweep.
+
+    The patterns must have non-adjacent roots, the same vertex count and
+    root labels, and the same arcs among their non-root vertices (the
+    core); anything else raises ValueError.  The search places the core
+    once for all of them.  With non-adjacent roots the two root masks of a
+    pattern are independent, so every full placement of the core adds the
+    outer product of the pattern's root masks to its matrix.  Independent
+    components of the core contribute elementwise-multiplied matrices.
+    `max_nodes` bounds the nodes of the whole sweep.
+    """
+    patterns = tuple(patterns)
+    if not patterns:
+        return []
+    sp = _sweep_plan(patterns)
+    n, width = T.n, len(sp.plan.adj) + 2 * len(patterns)
+    totals: list[list[list[int]]] | None = None
+    left = max_nodes
+    for part in sp.plan.parts:
+        mats = [[[0] * n for _ in range(n)] for _ in patterns]
+        state = ([(1 << n) - 1] * width, [-1] * len(sp.plan.adj))
+        sweep = (sp.routs, sp.rins, sp.pairs, mats)
+        _, used = _finish(_search(sp.plan, T, _SWEEP, state, [part], left, sweep))
+        if left is not None:
+            left -= used
+        if totals is None:
+            totals = mats
+            continue
+        for total, S in zip(totals, mats):
+            for tx, sx in zip(total, S):
+                for y in range(n):
+                    tx[y] *= sx[y]
+    if totals is None:
+        totals = [[[1] * n for _ in range(n)] for _ in patterns]
+    return totals
 
 
 def rooted_count_matrix(
@@ -439,31 +566,6 @@ def rooted_count_matrix(
 ) -> list[list[int]]:
     """Matrix S with S[x][y] = hom_{x,y}(F, T), computed in one global sweep.
 
-    Requires non-adjacent roots: root candidate masks are then independent,
-    so every full placement of the non-root part contributes an outer
-    product of the two masks.  Independent components of the non-root part
-    contribute elementwise-multiplied matrices.
+    Requires non-adjacent roots; see `rooted_count_matrices`.
     """
-    if not F.roots_nonadjacent():
-        raise ValueError("sweep requires non-adjacent roots")
-    n = T.n
-    z, w = F.roots
-    plan = _plan(F.graph, tuple(sorted(F.roots)))
-    total: list[list[int]] | None = None
-    left = max_nodes
-    for part in plan.parts:
-        S = [[0] * n for _ in range(n)]
-        state = _start(plan, T, {})
-        _, used = _finish(_search(plan, T, _SWEEP, state, [part], left, (z, w, S)))
-        if left is not None:
-            left -= used
-        if total is None:
-            total = S
-        else:
-            for x in range(n):
-                tx, sx = total[x], S[x]
-                for y in range(n):
-                    tx[y] *= sx[y]
-    if total is None:
-        total = [[1] * n for _ in range(n)]
-    return total
+    return rooted_count_matrices([F], T, max_nodes)[0]

@@ -25,9 +25,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .digraphs import Digraph, QuantumDigraph, Tournament, disjoint_union, parse_digraph, format_digraph, Tournament as _Tournament
+from .digraphs import Digraph, QuantumDigraph, Tournament, disjoint_union, parse_digraph, format_digraph
 from .gadgets import GadgetFamily, build_family, build_necklace
-from .spectral import density_matrix, _power_traces
+from .spectral import _power_traces, density_matrices
 
 __all__ = [
     "IntPolynomial",
@@ -43,6 +43,7 @@ __all__ = [
     "necklace_densities",
     "eval_reduced",
     "reduction_rhs",
+    "identity_sides",
     "save_reduced",
     "load_reduced",
     "nonnegativity_report",
@@ -313,10 +314,13 @@ def build_reduction(
 def necklace_densities(
     family: GadgetFamily, T: Tournament, lengths: tuple[int, ...] = (4, 8, 12)
 ) -> list[dict[int, Fraction]]:
-    """Per-gadget exact necklace densities via integer traces."""
+    """Per-gadget exact necklace densities via integer traces.
+
+    Every gadget's density matrix comes from one sweep of the host, shared
+    by all the half-gadgets of the family (`density_matrices`).
+    """
     out = []
-    for dg in family.doubled:
-        dm = density_matrix(dg, T)
+    for dg, dm in zip(family.doubled, density_matrices(family.doubled, T)):
         traces = _power_traces(dm.counts, lengths)
         unit = T.n ** (2 * dg.m + 1)
         out.append({ell: Fraction(traces[ell], unit**ell) for ell in lengths})
@@ -325,7 +329,27 @@ def necklace_densities(
 
 def eval_reduced(rq: ReducedQuantum, T: Tournament) -> Fraction:
     """Exact value of the reduced quantum digraph on a tournament."""
+    return _eval_terms(rq, necklace_densities(rq.family, T))
+
+
+def reduction_rhs(rq: ReducedQuantum, T: Tournament) -> Fraction | None:
+    """Penalized polynomial at the host's (x, y) statistics, times cleared
+    powers; None when some 4-necklace density vanishes (the value is then 0
+    by divisibility and checked separately)."""
+    return _rhs(rq, necklace_densities(rq.family, T))
+
+
+def identity_sides(rq: ReducedQuantum, T: Tournament) -> tuple[Fraction, Fraction | None]:
+    """`eval_reduced` and `reduction_rhs` on one host, from one build of its densities.
+
+    The evaluation identity says the two agree whenever the second is not None.
+    """
     dens = necklace_densities(rq.family, T)
+    return _eval_terms(rq, dens), _rhs(rq, dens)
+
+
+def _eval_terms(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction:
+    """`eval_reduced` from the host's necklace densities at lengths 4, 8 and 12."""
     total = Fraction(0)
     for term in rq.terms:
         value = Fraction(term.coef)
@@ -340,11 +364,8 @@ def eval_reduced(rq: ReducedQuantum, T: Tournament) -> Fraction:
     return total
 
 
-def reduction_rhs(rq: ReducedQuantum, T: Tournament) -> Fraction | None:
-    """Penalized polynomial at the host's (x, y) statistics, times cleared
-    powers; None when some 4-necklace density vanishes (the value is then 0
-    by divisibility and checked separately)."""
-    dens = necklace_densities(rq.family, T)
+def _rhs(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction | None:
+    """`reduction_rhs` from the host's necklace densities at lengths 4, 8 and 12."""
     if any(d[4] == 0 for d in dens):
         return None
     xs = [d[8] / d[4] ** 2 for d in dens]
@@ -389,7 +410,7 @@ def load_reduced(path: str | Path) -> ReducedQuantum:
     doc = json.loads(Path(path).read_text())
     meta = doc["meta"]
     base_graph, _ = parse_digraph(meta["base"])
-    base = _Tournament(base_graph.n, base_graph.arcs)
+    base = Tournament(base_graph.n, base_graph.arcs)
     family = build_family(base, k_values=list(meta["k"]), enforce_interval=False)
     pbar = PenalizedPolynomial(
         s=int(meta["s"]),
@@ -446,8 +467,8 @@ def nonnegativity_report(
     degenerate = []
     negative = []
     for idx, T in enumerate(hosts):
-        dens = necklace_densities(rq.family, T, lengths=(4,))
-        val = eval_reduced(rq, T)
+        dens = necklace_densities(rq.family, T)
+        val = _eval_terms(rq, dens)
         values.append(val)
         if any(d[4] == 0 for d in dens):
             degenerate.append(idx)

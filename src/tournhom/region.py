@@ -38,7 +38,7 @@ __all__ = [
 def _ratio(value) -> tuple[int, int]:
     """Numerator and positive denominator, as Python ints, of a rational or finite float."""
     if isinstance(value, (int, Fraction)):
-        return value.numerator, value.denominator
+        return value.as_integer_ratio()
     if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("NaN is not a point")

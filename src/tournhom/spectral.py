@@ -17,21 +17,24 @@ rows and columns, so the nonzero eigenvalues agree as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
 from .digraphs import Tournament
 from .errors import DegenerateHostError
 from .gadgets import DoubledGadget, build_necklace
-from .homcount import count_hom, count_hom_rooted, rooted_count_matrix
+from .homcount import count_hom, count_hom_rooted, rooted_count_matrices, rooted_count_matrix
 from .hosts import HostAtlas
 
 __all__ = [
     "DensityMatrix",
     "density_matrix",
+    "density_matrices",
     "necklace_count_trace",
     "necklace_density_trace",
     "necklace_density_direct",
@@ -53,7 +56,7 @@ class DensityMatrix:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        bad = _first_asymmetry(self.counts)
+        bad = _scan(self.counts)[1]
         if bad is not None:
             raise ValueError(f"count matrix not symmetric at {bad}")
 
@@ -93,18 +96,17 @@ class DensityMatrix:
 def density_matrix(
     dg: DoubledGadget,
     T: Tournament,
-    method: str = "auto",
+    method: str = "sweep",
     max_nodes: int | None = None,
 ) -> DensityMatrix:
     """All conditional counts of the doubled gadget in the host.
 
     method "pairs" runs one rooted count per unordered vertex pair and
     mirrors it; "sweep" enumerates each half-gadget once over the whole
-    host and multiplies the two root-pair matrices.  Both are exact.
+    host and multiplies the two root-pair matrices.  Both are exact, and
+    "pairs" serves as an independent check of the sweep.
     """
     n = T.n
-    if method == "auto":
-        method = "sweep" if n > 24 else "pairs"
     if method == "pairs":
         rows = [[0] * n for _ in range(n)]
         for x in range(n):
@@ -115,41 +117,69 @@ def density_matrix(
     elif method == "sweep":
         left = rooted_count_matrix(dg.left_pattern(), T, max_nodes)
         right = rooted_count_matrix(dg.right_pattern(), T, max_nodes)
-        rows = [
-            [left[x][y] * right[x][y] for y in range(n)] for x in range(n)
-        ]
+        return _glued(dg, left, right)
     else:
         raise ValueError(f"unknown method {method!r}")
     return DensityMatrix(order=n, m=dg.m, counts=tuple(tuple(r) for r in rows))
 
 
+def density_matrices(doubled: Sequence[DoubledGadget], T: Tournament) -> list[DensityMatrix]:
+    """The density matrix of each doubled gadget, from one sweep of all their halves.
+
+    The halves of a family's doubled gadgets share the base tournament as
+    their non-root part, so one search over the host places it for all of
+    them (`rooted_count_matrices`).  Gadgets with different bases raise
+    ValueError.
+    """
+    halves = [h for dg in doubled for h in (dg.left_pattern(), dg.right_pattern())]
+    mats = rooted_count_matrices(halves, T)
+    return [_glued(dg, mats[2 * i], mats[2 * i + 1]) for i, dg in enumerate(doubled)]
+
+
+def _glued(dg: DoubledGadget, left: list[list[int]], right: list[list[int]]) -> DensityMatrix:
+    """The parallel gluing of the two halves: their root-pair matrices multiplied entrywise."""
+    counts = tuple(
+        tuple(a * b for a, b in zip(lrow, rrow)) for lrow, rrow in zip(left, right)
+    )
+    return DensityMatrix(order=len(counts), m=dg.m, counts=counts)
+
+
 # -- the support, and exact traces on it ------------------------------------------------
 
 
-def _first_asymmetry(rows) -> tuple[int, int] | None:
-    """The first (i, j), j < i in row-major order, with rows[i][j] != rows[j][i].
+def _scan(rows) -> tuple[list[int], tuple[int, int] | None]:
+    """The support of a square matrix and its first asymmetry, in one pass.
 
-    Only nonzero entries are compared with their mirror: a zero entry whose
-    mirror is nonzero is found from the mirror's side.
+    The support is the indices whose row and column both hold a nonzero
+    entry.  The first asymmetry is the first (i, j), j < i in row-major
+    order, with rows[i][j] != rows[j][i], or None.  Only nonzero entries
+    are compared with their mirror: a zero entry whose mirror is nonzero
+    is found from the mirror's side.
     """
+    nonzero_rows = []
+    nonzero_cols = set()
     bad = None
     for i, row in enumerate(rows):
-        for j in compress(range(len(row)), row):
+        cols = list(compress(range(len(row)), row))
+        if not cols:
+            continue
+        nonzero_rows.append(i)
+        nonzero_cols.update(cols)
+        for j in cols:
             if rows[j][i] != row[j]:
                 pair = (max(i, j), min(i, j))
                 if bad is None or pair < bad:
                     bad = pair
-    return bad
+    return [i for i in nonzero_rows if i in nonzero_cols], bad
+
+
+def _restrict(rows, support: list[int]) -> list[list]:
+    return [[rows[i][j] for j in support] for i in support]
 
 
 def _support_matrix(rows) -> list[list]:
     """The square matrix restricted to the indices whose row and column are nonzero."""
-    nonzero_rows = [i for i, row in enumerate(rows) if any(row)]
-    nonzero_cols = set()
-    for i in nonzero_rows:
-        nonzero_cols.update(compress(range(len(rows[i])), rows[i]))
-    support = [i for i in nonzero_rows if i in nonzero_cols]
-    return [[rows[i][j] for j in support] for i in support]
+    return _restrict(rows, _scan(rows)[0])
 
 
 def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -168,29 +198,41 @@ def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
 
 
 def _power_traces(rows, ells) -> dict[int, int]:
-    """Exact traces of H^l (l >= 1) for each requested l via repeated squaring
-    on the support of the square matrix H."""
+    """Exact traces of H^l (l >= 1) for each requested l, on the support of
+    the square matrix H.
+
+    When the support is symmetric, an even l = 2k takes tr H^l as the sum
+    of the squared entries of the symmetric H^k, so l = 4, 8, 12 need only
+    H^2, H^4 = H^2 H^2 and H^6 = H^4 H^2.  Odd powers, and every power of a
+    matrix that is not symmetric, come from repeated squaring.
+    """
     if any(ell < 1 for ell in ells):
         raise ValueError("trace powers must be at least 1")
     H = _support_matrix(rows)
+    symmetric = _scan(H)[1] is None
     powers: dict[int, list[list[int]]] = {1: H}
 
     def get(e: int) -> list[list[int]]:
         if e in powers:
             return powers[e]
         half = e // 2
-        if e % 2 == 0:
-            M = _mat_mul(get(half), get(half))
-        else:
+        if e % 2:
             M = _mat_mul(get(e - 1), H)
+        elif symmetric and half not in powers and e - 2 in powers:
+            M = _mat_mul(powers[e - 2], get(2))
+        else:
+            M = _mat_mul(get(half), get(half))
         powers[e] = M
         return M
 
     out = {}
-    for ell in ells:
-        M = get(ell)
-        out[ell] = sum(M[i][i] for i in range(len(H)))
-    return out
+    for ell in sorted(ells):
+        if symmetric and ell % 2 == 0:
+            out[ell] = sum(c * c for row in get(ell // 2) for c in row)
+        else:
+            M = get(ell)
+            out[ell] = sum(M[i][i] for i in range(len(H)))
+    return {ell: out[ell] for ell in ells}
 
 
 def necklace_count_trace(dm: DensityMatrix, ell: int) -> int:
@@ -235,15 +277,15 @@ class XYPoint:
     p12: Fraction
 
 
-def _xy(rows, unit: int) -> XYPoint:
-    """The (x, y) statistics of a symmetric matrix whose traces are p_l * unit^l.
+def _xy(H: list[list[int]], unit: int) -> XYPoint:
+    """The (x, y) statistics of a symmetric integer support matrix whose
+    traces are p_l * unit^l.
 
     The exact twin comes from the traces of H^4, H^8 and H^12.  The float
     twin comes from the support matrix divided exactly by its largest
     |entry|: x and y do not change with scale, and the scaled entries lie
     in [-1, 1], so none overflows a float.
     """
-    H = _support_matrix(rows)
     traces = _power_traces(H, [4, 8, 12])
     if traces[4] == 0:
         raise DegenerateHostError("fourth power sum vanishes: the matrix is zero")
@@ -268,15 +310,20 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
 
     The host-size normalization cancels in both ratios, so this works on
     count and density matrices alike.  A matrix that is not square or not
-    symmetric raises ValueError.
+    symmetric raises ValueError.  The traces are taken in integers, on the
+    support times the lcm `den` of its denominators: that scales tr H^l by
+    den^l, which x and y do not see and p_l divides out.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    bad = _first_asymmetry(rows)
+    support, bad = _scan(rows)
     if bad is not None:
         raise ValueError(f"matrix not symmetric at {bad}")
-    return _xy(rows, 1)
+    H = _restrict(rows, support)
+    den = math.lcm(*(c.denominator for row in H for c in row))
+    H = [[int(c.numerator) * (den // int(c.denominator)) for c in row] for row in H]
+    return _xy(H, den)
 
 
 def xy_point(dm: DensityMatrix) -> XYPoint:
@@ -285,7 +332,7 @@ def xy_point(dm: DensityMatrix) -> XYPoint:
     Degeneracy (p4 = 0, equivalently a zero count matrix) is detected
     exactly, never by a float threshold.
     """
-    return _xy(dm.counts, dm.order ** (2 * dm.m + 1))
+    return _xy(_support_matrix(dm.counts), dm.order ** (2 * dm.m + 1))
 
 
 # -- block pattern check ----------------------------------------------------------------

@@ -43,9 +43,8 @@ from .convergence import (
 )
 from .reduction import (
     build_reduction,
-    eval_reduced,
+    identity_sides,
     parse_poly_text,
-    reduction_rhs,
 )
 from .region import (
     chord,
@@ -637,8 +636,7 @@ def run_reduction(config: ExperimentConfig) -> RunReport:
         degenerate_bad = []
         nondegenerate = 0
         for idx, T in enumerate(hosts):
-            value = eval_reduced(rq, T)
-            rhs = reduction_rhs(rq, T)
+            value, rhs = identity_sides(rq, T)
             if rhs is None:
                 if value != 0:
                     degenerate_bad.append(idx)

@@ -27,8 +27,10 @@ from tournhom.homcount import (
     eval_quantum,
     is_hom,
     iter_homs,
+    rooted_count_matrices,
     rooted_count_matrix,
 )
+from tournhom.gadgets import toy_family
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 # the reverse orientation, where 0 -> 2 -> 1 is a path
@@ -237,6 +239,78 @@ class TestRootedCountMatrix:
     def test_requires_nonadjacent_roots(self):
         with pytest.raises(ValueError):
             rooted_count_matrix(RootedDigraph(ARC, (0, 1)), random_tournament(3, 0))
+
+
+class TestRootedCountMatrices:
+    """One sweep for several rooted patterns that share their non-root part."""
+
+    @staticmethod
+    def halves(fam):
+        return [h for dg in fam.doubled for h in (dg.left_pattern(), dg.right_pattern())]
+
+    @pytest.mark.parametrize("m, ks", [(3, (2, 1)), (4, (3, 2, 1))])
+    def test_family_halves_match_single_sweeps_and_oracle(self, m, ks):
+        halves = self.halves(toy_family(m, ks))
+        rng = random.Random(m)
+        for n in range(5, 13):
+            T = random_tournament(n, rng.randrange(2**30))
+            mats = rooted_count_matrices(halves, T)
+            assert mats == [rooted_count_matrix(F, T) for F in halves]
+            if n <= 6:
+                for F, S in zip(halves, mats):
+                    assert S == [
+                        [count_hom_rooted_bruteforce(F, T, x, y) for y in range(n)]
+                        for x in range(n)
+                    ]
+
+    def test_a_dead_pattern_does_not_cut_the_others(self):
+        # both share the core 2 -> 3; the digon z <-> 2 has no image in a tournament
+        core = [(2, 3)]
+        dead = RootedDigraph(Digraph(4, core + [(0, 2), (2, 0), (3, 1)]), (0, 1))
+        path = RootedDigraph(Digraph(4, core + [(0, 2), (3, 1)]), (0, 1))
+        for seed in range(4):
+            T = random_tournament(7, seed)
+            first, second = rooted_count_matrices([dead, path], T)
+            assert not any(map(any, first))
+            assert second == rooted_count_matrix(path, T)
+            assert any(map(any, second))
+
+    def test_patterns_must_share_the_core_and_have_separate_roots(self):
+        T = random_tournament(5, 0)
+        # the same one-vertex core, other arcs to the roots: accepted
+        reversed_gadget = RootedDigraph(Digraph(3, [(2, 0), (1, 2)]), (0, 1))
+        assert rooted_count_matrices([reversed_gadget, PATH_GADGET], T) == [
+            rooted_count_matrix(reversed_gadget, T),
+            rooted_count_matrix(PATH_GADGET, T),
+        ]
+        longer = RootedDigraph(Digraph(4, [(0, 2), (2, 3), (3, 1)]), (0, 1))
+        swapped = RootedDigraph(PATH_GADGET.graph, (1, 0))
+        adjacent = RootedDigraph(Digraph(3, [(0, 2), (2, 1), (0, 1)]), (0, 1))
+        for bad in (longer, swapped, adjacent):
+            with pytest.raises(ValueError):
+                rooted_count_matrices([PATH_GADGET, bad], T)
+        backwards = RootedDigraph(Digraph(4, [(0, 2), (3, 2), (3, 1)]), (0, 1))
+        with pytest.raises(ValueError):
+            rooted_count_matrices([longer, backwards], T)
+        a, b = (self.halves(toy_family(4, (2,), seed=seed))[0] for seed in (1, 2))
+        assert a.graph != b.graph
+        with pytest.raises(ValueError):
+            rooted_count_matrices([a, b], T)
+        assert rooted_count_matrices([], T) == []
+
+    def test_single_pattern_node_count_is_pinned(self):
+        # core 2 -> 3 -> 4 -> 5 with z pointing at all of it: z's mask prunes
+        core = [(2, 3), (3, 4), (4, 5)]
+        fan = [(0, v) for v in range(2, 6)]
+        pruned = RootedDigraph(Digraph(6, core + fan + [(5, 1)]), (0, 1))
+        bare = RootedDigraph(Digraph(6, core + [(5, 1)]), (0, 1))
+        T = random_tournament(12, 0)
+        expected = rooted_count_matrix(pruned, T, max_nodes=245)
+        assert rooted_count_matrices([pruned], T, max_nodes=245) == [expected]
+        with pytest.raises(BudgetExceededError):
+            rooted_count_matrix(pruned, T, max_nodes=244)
+        # without the fan the roots cannot prune, and the same core takes more nodes
+        assert nodes_needed(lambda b: rooted_count_matrix(bare, T, max_nodes=b)) > 245
 
 
 # -- the search engine ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from tournhom.reduction import (
     build_penalized,
     build_reduction,
     eval_reduced,
+    identity_sides,
     load_reduced,
     monomial_to_quantum,
     necklace_densities,
@@ -181,6 +182,52 @@ class TestEvaluationIdentity:
             generic = eval_quantum(q, T)
             trace = necklace_densities(FAM1, T)[0][4]
             assert generic == trace
+
+
+class TestNecklaceDensities:
+    @pytest.mark.parametrize("fam", [FAM2, toy_family(4, (3, 2, 1))], ids=["m3", "m4"])
+    def test_one_sweep_matches_each_gadget_matrix(self, fam):
+        from tournhom.spectral import density_matrix, necklace_density_trace
+
+        for seed in range(5):
+            T = random_tournament(5 + seed, seed)
+            for lengths in ((4, 8, 12), (3, 5)):
+                dms = [density_matrix(dg, T, "pairs") for dg in fam.doubled]
+                assert necklace_densities(fam, T, lengths) == [
+                    {ell: necklace_density_trace(dm, ell) for ell in lengths} for dm in dms
+                ]
+
+    def test_report_builds_each_host_once(self, monkeypatch):
+        import tournhom.reduction as reduction
+
+        calls = []
+        real = reduction.density_matrices
+        monkeypatch.setattr(
+            reduction, "density_matrices", lambda *a: calls.append(1) or real(*a)
+        )
+        p = parse_poly_text("x1 - x2", s=2)
+        hosts = [random_tournament(6, s) for s in range(4)] + [transitive_tournament(5)]
+        report = nonnegativity_report(p, FAM2, hosts)
+        assert len(calls) == len(hosts)
+        rq = build_reduction(p, FAM2, mode="minimal")
+        assert report.values == tuple(eval_reduced(rq, T) for T in hosts)
+        assert 4 in report.degenerate_hosts
+
+    def test_identity_sides_builds_each_host_once(self, monkeypatch):
+        import tournhom.reduction as reduction
+
+        calls = []
+        real = reduction.density_matrices
+        monkeypatch.setattr(
+            reduction, "density_matrices", lambda *a: calls.append(1) or real(*a)
+        )
+        rq = build_reduction(parse_poly_text("x1 - x2", s=2), FAM2, mode="minimal")
+        hosts = [random_tournament(7, s) for s in range(4)] + [transitive_tournament(5)]
+        sides = [identity_sides(rq, T) for T in hosts]
+        assert len(calls) == len(hosts)
+        assert sides == [(eval_reduced(rq, T), reduction_rhs(rq, T)) for T in hosts]
+        assert sides[-1] == (0, None)
+        assert any(rhs is not None for _, rhs in sides)
 
 
 class TestPersistence:

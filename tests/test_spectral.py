@@ -14,6 +14,7 @@ from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
     _power_traces,
+    density_matrices,
     density_matrix,
     graphon_pattern_check,
     necklace_count_trace,
@@ -45,6 +46,23 @@ class TestDensityMatrix:
             assert density_matrix(TOY, t, method="sweep") == density_matrix(
                 TOY, t, method="pairs"
             )
+
+    @pytest.mark.parametrize("m, ks", [(3, (2, 1)), (4, (3, 2, 1)), (5, (3,))])
+    def test_one_sweep_for_the_family_matches_each_gadget(self, m, ks):
+        doubled = toy_family(m, ks).doubled
+        rng = random.Random(m)
+        for n in (5, 7, 9):
+            t = random_tournament(n, rng.randrange(2**30))
+            dms = density_matrices(doubled, t)
+            assert dms == [density_matrix(dg, t, method="sweep") for dg in doubled]
+            assert dms == [density_matrix(dg, t, method="pairs") for dg in doubled]
+
+    def test_one_sweep_needs_one_base(self):
+        t = random_tournament(5, 0)
+        mixed = (TOY, toy_family(5, (3,)).doubled[0])
+        with pytest.raises(ValueError):
+            density_matrices(mixed, t)
+        assert density_matrices((), t) == []
 
     def test_symmetry_validated(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -158,6 +176,53 @@ class TestSupport:
                 for row in H:
                     row[j] = 0
             assert _power_traces(H, self.ELLS) == object_traces(H, self.ELLS)
+
+    def test_symmetric_support_takes_three_products(self, monkeypatch):
+        import tournhom.spectral as spectral
+
+        products = []
+        real = spectral._mat_mul
+        monkeypatch.setattr(spectral, "_mat_mul", lambda A, B: products.append(1) or real(A, B))
+        H = random_symmetric(random.Random(5), 9, [2, 7])
+        # asymmetric off the support only: row 2 is nonzero, column 2 is zero
+        off_support = [row[:] for row in H]
+        off_support[2][0] = 4
+        i, j = next((i, j) for i in range(9) for j in range(i + 1, 9) if H[i][j])
+        on_support = [row[:] for row in H]
+        on_support[i][j] += 1
+        for rows, symmetric in ((H, True), (off_support, True), (on_support, False)):
+            # products for l = 4, 8, 12 in either order, and for l = 2
+            for ells, wanted in (
+                ((4, 8, 12), 3 if symmetric else 6),
+                ((12, 8, 4), 3 if symmetric else 6),
+                ((2,), 0 if symmetric else 1),
+            ):
+                products.clear()
+                assert _power_traces(rows, ells) == object_traces(rows, ells)
+                assert len(products) == wanted
+            assert _power_traces(rows, self.ELLS) == object_traces(rows, self.ELLS)
+
+    def test_rational_traces_scale_to_integers(self):
+        # p_l = tr H^l exactly, though the traces run on den * H in integers
+        rng = random.Random(6)
+        checked = 0
+        for trial in range(20):
+            n = rng.randint(2, 8)
+            H = random_symmetric(rng, n, rng.sample(range(n), rng.randint(0, n - 2)))
+            H = [[Fraction(c, rng.randint(1, 10**6)) for c in row] for row in H]
+            for i in range(n):
+                for j in range(i):
+                    H[i][j] = H[j][i]
+            A = np.array(H, dtype=object)
+            exact = {ell: np.trace(np.linalg.matrix_power(A, ell)) for ell in (4, 8, 12)}
+            if exact[4] == 0:
+                continue
+            pt = xy_from_matrix(H)
+            assert (pt.p4, pt.p8, pt.p12) == (exact[4], exact[8], exact[12])
+            assert pt.x_exact == exact[8] / exact[4] ** 2
+            assert pt.y_exact == exact[12] / exact[4] ** 3
+            checked += 1
+        assert checked > 10
 
     def test_zero_matrix_traces_vanish_and_xy_is_degenerate(self):
         dm = synthetic([[0] * 4 for _ in range(4)])
