@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -222,7 +223,11 @@ def cmd_reduce(args) -> int:
     else:
         p = parse_poly_text(poly_path.read_text())
     family_dir = Path(args.family)
-    manifest = json.loads((family_dir / "family.json").read_text())
+    manifest_path = family_dir / "family.json"
+    manifest = json.loads(manifest_path.read_text())
+    for key in ("f0", "k"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path} lacks the field {key!r}")
     f0 = load_tournament(family_dir / manifest["f0"])
     family = build_family(
         f0,
@@ -252,7 +257,7 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     if args.seed is not None:
-        config = ExperimentConfig(**{**config.__dict__, "seed": args.seed})
+        config = replace(config, seed=args.seed)
     return config
 
 
@@ -269,7 +274,7 @@ def _print_report(report) -> None:
 def cmd_verify(args) -> int:
     config = _config_from_args(args)
     if getattr(args, "hosts", None):
-        config = ExperimentConfig(**{**config.__dict__, "hosts_dir": args.hosts})
+        config = replace(config, hosts_dir=args.hosts)
     report = run_suite(args.suite, config)
     _print_report(report)
     if args.out_report:
@@ -280,13 +285,9 @@ def cmd_verify(args) -> int:
 def cmd_converge(args) -> int:
     config = _config_from_args(args)
     if args.sizes:
-        config = ExperimentConfig(
-            **{**config.__dict__, "sizes": tuple(_parse_int_list(args.sizes))}
-        )
+        config = replace(config, sizes=tuple(_parse_int_list(args.sizes)))
     if args.r:
-        config = ExperimentConfig(
-            **{**config.__dict__, "converge_r": tuple(_parse_int_list(args.r))}
-        )
+        config = replace(config, converge_r=tuple(_parse_int_list(args.r)))
     report = run_convergence(config)
     _print_report(report)
     if args.out_csv:

@@ -21,7 +21,7 @@ import numpy as np
 from .gadgets import GadgetFamily
 from .errors import SamplingError
 from .hosts import SimpleGraph, build_host
-from .spectral import density_matrix, xy_point
+from .spectral import density_matrices, xy_point
 
 __all__ = [
     "random_regular_graph",
@@ -196,7 +196,6 @@ def pipeline_cross_check(
     family: GadgetFamily,
     r: int,
     gadget_index: int = 0,
-    method: str = "sweep",
     max_nodes: int | None = None,
 ) -> dict:
     """Full tournament pipeline versus the adjacency-spectrum closed form.
@@ -209,7 +208,7 @@ def pipeline_cross_check(
     multiplicities = [1] * family.s
     multiplicities[gadget_index] = r
     host, atlas = build_host(G, family, multiplicities)
-    dm = density_matrix(family.doubled[gadget_index], host, method=method, max_nodes=max_nodes)
+    [dm] = density_matrices([family.doubled[gadget_index]], host, max_nodes)
     pt = xy_point(dm)
     eigs = adjacency_spectrum(G)
     cx, cy = closed_form_xy(eigs, r)

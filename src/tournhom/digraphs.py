@@ -255,74 +255,90 @@ def is_acyclic(g: Digraph) -> bool:
     return seen == g.n
 
 
-# -- isomorphism (for quantum-term merging; terms stay small) --------------
+# -- isomorphism (for quantum-term merging) -----------------------------------
 
 
-def _degree_profile(g: Digraph) -> list[tuple[int, int]]:
-    return sorted((g.out_degree(v), g.in_degree(v)) for v in range(g.n))
+def _profiles(g: Digraph) -> list[tuple[int, int]]:
+    return [(g.out_degree(v), g.in_degree(v)) for v in range(g.n)]
 
 
 def are_isomorphic(a: Digraph, b: Digraph, max_nodes: int = 10**6) -> bool:
-    """Exhaustive isomorphism test with degree pruning."""
+    """Exhaustive isomorphism test on candidate bitmasks.
+
+    a's vertices are placed in an order that starts at a vertex of the
+    rarest (out, in) degree profile and grows breadth-first, one weakly
+    connected component after another.  A vertex's candidates are the
+    unused vertices of b with its profile that lie in the out-mask of the
+    image of each placed in-neighbour and the in-mask of the image of each
+    placed out-neighbour.  So every full placement is an injective,
+    arc-preserving map, and with equal arc counts that is an isomorphism.
+    The search backtracks on an explicit stack; `max_nodes` bounds the
+    number of placements.
+    """
     if a.n != b.n or len(a.arcs) != len(b.arcs):
         return False
-    if _degree_profile(a) != _degree_profile(b):
+    prof_a, prof_b = _profiles(a), _profiles(b)
+    if sorted(prof_a) != sorted(prof_b):
         return False
     if a.arcs == b.arcs:
         return True
     n = a.n
-    # order a's vertices by connectivity to already-ordered ones
+    by_profile: dict[tuple[int, int], int] = {}
+    for v, p in enumerate(prof_b):
+        by_profile[p] = by_profile.get(p, 0) | 1 << v
     order: list[int] = []
-    left = set(range(n))
-    while left:
-        best = max(
-            left,
-            key=lambda v: (
-                sum(1 for u in order if a.has_arc(u, v) or a.has_arc(v, u)),
-                a.degree(v),
-                -v,
-            ),
-        )
-        order.append(best)
-        left.remove(best)
+    seen = 0
+    for start in sorted(range(n), key=lambda v: (by_profile[prof_a[v]].bit_count(), v)):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            new = (a.out_mask(v) | a.in_mask(v)) & ~seen
+            seen |= new
+            order.extend(sorted(_bits_to_set(new)))
+    outm, inm = b.out_masks, b.in_masks
+    placed = 0
+    steps = []  # per position: the profile mask, then (u, b's masks to read at u's image)
+    for v in order:
+        placed |= 1 << v
+        back = [(u, outm) for u in _bits_to_set(a.in_mask(v) & placed)]
+        back += [(u, inm) for u in _bits_to_set(a.out_mask(v) & placed)]
+        steps.append((by_profile[prof_a[v]], back))
     images = [-1] * n
-    used = 0
-    nodes = 0
+    cands = [0] * n
+    used = nodes = i = 0
 
-    def extend(i: int) -> bool:
-        nonlocal used, nodes
+    def candidates(i: int) -> int:
+        mask, back = steps[i]
+        mask &= ~used
+        for u, masks in back:
+            mask &= masks[images[u]]
+        return mask
+
+    cands[0] = candidates(0)
+    while True:
+        c = cands[i]
+        if not c:
+            i -= 1
+            if i < 0:
+                return False
+            used ^= 1 << images[order[i]]
+            continue
+        bit = c & -c
+        cands[i] = c ^ bit
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError("isomorphism search budget exceeded")
+        images[order[i]] = bit.bit_length() - 1
+        used |= bit
+        i += 1
         if i == n:
             return True
-        v = order[i]
-        dv = (a.out_degree(v), a.in_degree(v))
-        for cand in range(n):
-            if used >> cand & 1:
-                continue
-            if (b.out_degree(cand), b.in_degree(cand)) != dv:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if a.has_arc(u, v) != b.has_arc(images[u], cand):
-                    ok = False
-                    break
-                if a.has_arc(v, u) != b.has_arc(cand, images[u]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError("isomorphism search budget exceeded")
-            images[v] = cand
-            used |= 1 << cand
-            if extend(i + 1):
-                return True
-            used ^= 1 << cand
-            images[v] = -1
-        return False
-
-    return extend(0)
+        cands[i] = candidates(i)
 
 
 # -- text format -----------------------------------------------------------

@@ -51,7 +51,6 @@ __all__ = [
     "count_hom",
     "count_hom_bruteforce",
     "count_hom_rooted",
-    "count_hom_rooted_bruteforce",
     "density",
     "conditional_density",
     "disjoint_union_density_check",
@@ -355,36 +354,28 @@ def count_hom_rooted(
     return _count(F.graph, T, {z: x, w: y}, max_nodes)
 
 
-def count_hom_bruteforce(F: Digraph, T: Digraph, budget: int = BRUTE_FORCE_BUDGET) -> int:
-    """Oracle: enumerate all |V(T)|^|V(F)| maps."""
-    if F.n == 0:
-        return 1
-    if T.n == 0:
-        return 0
-    if T.n**F.n > budget:
-        raise BudgetExceededError(f"{T.n}^{F.n} maps exceed budget {budget}")
-    arcs = list(F.arcs)
-    total = 0
-    for images in itertools.product(range(T.n), repeat=F.n):
-        if all(T.has_arc(images[u], images[v]) for u, v in arcs):
-            total += 1
-    return total
-
-
-def count_hom_rooted_bruteforce(
-    F: RootedDigraph, T: Digraph, x: int, y: int, budget: int = BRUTE_FORCE_BUDGET
+def count_hom_bruteforce(
+    F: Digraph,
+    T: Digraph,
+    pins: dict[int, int] | None = None,
+    budget: int = BRUTE_FORCE_BUDGET,
 ) -> int:
-    z, w = F.roots
-    free = [v for v in range(F.graph.n) if v not in (z, w)]
-    if T.n == 0:
-        return 0
+    """Oracle: enumerate all |V(T)|^k maps of the k vertices of F not in `pins`.
+
+    `pins` fixes the images of some vertices (the roots of a rooted count).
+    """
+    pins = pins or {}
+    for v, g in pins.items():
+        if not (0 <= v < F.n and 0 <= g < T.n):
+            raise ValueError("pinned image out of range")
+    free = [v for v in range(F.n) if v not in pins]
     if T.n ** len(free) > budget:
         raise BudgetExceededError(f"{T.n}^{len(free)} maps exceed budget {budget}")
-    arcs = list(F.graph.arcs)
+    arcs = list(F.arcs)
+    images = [-1] * F.n
+    for v, g in pins.items():
+        images[v] = g
     total = 0
-    images = [-1] * F.graph.n
-    images[z] = x
-    images[w] = y
     for assignment in itertools.product(range(T.n), repeat=len(free)):
         for v, g in zip(free, assignment):
             images[v] = g

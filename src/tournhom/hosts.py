@@ -30,7 +30,6 @@ __all__ = [
     "CellAtlas",
     "BlockAtlas",
     "HostAtlas",
-    "build_host_block",
     "build_host",
 ]
 
@@ -257,17 +256,6 @@ def _block_arcs(G: SimpleGraph, dg: DoubledGadget, offset: int) -> tuple[list, B
         cells=tuple(cells),
     )
     return arcs, atlas
-
-
-def build_host_block(G: SimpleGraph, dg: DoubledGadget) -> tuple[Tournament, HostAtlas]:
-    """One block: base graph G carrying one doubled-gadget copy per edge."""
-    arcs, block = _block_arcs(G, dg, 0)
-    n_host = G.n + G.edge_count * 2 * dg.m
-    host = Tournament(n_host, arcs)
-    atlas = HostAtlas(
-        m=dg.m, blocks=(block,), edge_order=tuple(sorted(G.edges, key=edge_sort_key))
-    )
-    return host, atlas
 
 
 def build_host(

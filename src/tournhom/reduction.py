@@ -407,22 +407,26 @@ def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
 
 
 def load_reduced(path: str | Path) -> ReducedQuantum:
+    """Read a file written by `save_reduced`; a missing field raises ValueError naming it."""
     doc = json.loads(Path(path).read_text())
-    meta = doc["meta"]
-    base_graph, _ = parse_digraph(meta["base"])
-    base = Tournament(base_graph.n, base_graph.arcs)
-    family = build_family(base, k_values=list(meta["k"]), enforce_interval=False)
-    pbar = PenalizedPolynomial(
-        s=int(meta["s"]),
-        M=int(meta["M"]),
-        poly=poly_from_json(meta["penalized"]),
-        degenerate=int(meta["M"]) == 0,
-    )
-    terms = tuple(
-        ReducedTerm(coef=int(t["coef"]), alpha=tuple(t["alpha"]), beta=tuple(t["beta"]))
-        for t in meta["terms"]
-    )
-    return ReducedQuantum(family=family, penalized=pbar, E=tuple(meta["E"]), terms=terms)
+    try:
+        meta = doc["meta"]
+        base_graph, _ = parse_digraph(meta["base"])
+        base = Tournament(base_graph.n, base_graph.arcs)
+        family = build_family(base, k_values=list(meta["k"]), enforce_interval=False)
+        pbar = PenalizedPolynomial(
+            s=int(meta["s"]),
+            M=int(meta["M"]),
+            poly=poly_from_json(meta["penalized"]),
+            degenerate=int(meta["M"]) == 0,
+        )
+        terms = tuple(
+            ReducedTerm(coef=int(t["coef"]), alpha=tuple(t["alpha"]), beta=tuple(t["beta"]))
+            for t in meta["terms"]
+        )
+        return ReducedQuantum(family=family, penalized=pbar, E=tuple(meta["E"]), terms=terms)
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks the field {exc.args[0]!r}") from None
 
 
 # -- sign report --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Sequence
 from .digraphs import Tournament
 from .errors import DegenerateHostError
 from .gadgets import DoubledGadget
-from .spectral import density_matrix, xy_point
+from .spectral import density_matrices, xy_point
 
 __all__ = [
     "in_region",
@@ -173,7 +173,7 @@ def verify_region_on_hosts(
     skipped = 0
     failures = []
     for idx, host in enumerate(hosts):
-        dm = density_matrix(dg, host)
+        [dm] = density_matrices([dg], host)
         try:
             pt = xy_point(dm)
         except DegenerateHostError:

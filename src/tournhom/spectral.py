@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraphs import Tournament
+from .digraphs import RootedDigraph, Tournament
 from .errors import DegenerateHostError
 from .gadgets import DoubledGadget, build_necklace
 from .homcount import count_hom, count_hom_rooted, rooted_count_matrices, rooted_count_matrix
@@ -99,12 +99,13 @@ def density_matrix(
     method: str = "sweep",
     max_nodes: int | None = None,
 ) -> DensityMatrix:
-    """All conditional counts of the doubled gadget in the host.
+    """All conditional counts of the doubled gadget in the host, by an
+    independent route: the check of `density_matrices`.
 
     method "pairs" runs one rooted count per unordered vertex pair and
     mirrors it; "sweep" enumerates each half-gadget once over the whole
-    host and multiplies the two root-pair matrices.  Both are exact, and
-    "pairs" serves as an independent check of the sweep.
+    host and multiplies the two root-pair matrices, so it checks the mirror
+    identity R = L^T that `density_matrices` rests on.
     """
     n = T.n
     if method == "pairs":
@@ -123,20 +124,40 @@ def density_matrix(
     return DensityMatrix(order=n, m=dg.m, counts=tuple(tuple(r) for r in rows))
 
 
-def density_matrices(doubled: Sequence[DoubledGadget], T: Tournament) -> list[DensityMatrix]:
-    """The density matrix of each doubled gadget, from one sweep of all their halves.
+def density_matrices(
+    doubled: Sequence[DoubledGadget], T: Tournament, max_nodes: int | None = None
+) -> list[DensityMatrix]:
+    """The density matrix of each doubled gadget, from one sweep of their left halves.
 
-    The halves of a family's doubled gadgets share the base tournament as
-    their non-root part, so one search over the host places it for all of
-    them (`rooted_count_matrices`).  Gadgets with different bases raise
-    ValueError.
+    The right half of a doubled gadget is its left half with the roots
+    swapped, so its root-pair matrix is the transpose of the left half's
+    L, and the matrix is H = L o L^T.  The left halves of a family share
+    the base tournament as their non-root part, so one search over the
+    host places it for all of them (`rooted_count_matrices`); `max_nodes`
+    bounds that search.  Gadgets with different bases, or whose right half
+    is not the mirror of the left, raise ValueError.
     """
-    halves = [h for dg in doubled for h in (dg.left_pattern(), dg.right_pattern())]
-    mats = rooted_count_matrices(halves, T)
-    return [_glued(dg, mats[2 * i], mats[2 * i + 1]) for i, dg in enumerate(doubled)]
+    lefts = []
+    for dg in doubled:
+        left = dg.left_pattern()
+        if not _mirrored(left, dg.right_pattern()):
+            raise ValueError("the right half is not the mirror of the left half")
+        lefts.append(left)
+    mats = rooted_count_matrices(lefts, T, max_nodes)
+    return [_glued(dg, L, list(zip(*L))) for dg, L in zip(doubled, mats)]
 
 
-def _glued(dg: DoubledGadget, left: list[list[int]], right: list[list[int]]) -> DensityMatrix:
+def _mirrored(left: RootedDigraph, right: RootedDigraph) -> bool:
+    z, w = left.roots
+    swap = {z: w, w: z}
+    return (
+        right.graph.n == left.graph.n
+        and right.roots == left.roots
+        and right.graph.arcs == {(swap.get(u, u), swap.get(v, v)) for u, v in left.graph.arcs}
+    )
+
+
+def _glued(dg: DoubledGadget, left, right) -> DensityMatrix:
     """The parallel gluing of the two halves: their root-pair matrices multiplied entrywise."""
     counts = tuple(
         tuple(a * b for a, b in zip(lrow, rrow)) for lrow, rrow in zip(left, right)

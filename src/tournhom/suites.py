@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +31,6 @@ from .homcount import (
     count_hom,
     count_hom_bruteforce,
     count_hom_rooted,
-    count_hom_rooted_bruteforce,
     disjoint_union_density_check,
     iter_homs,
 )
@@ -54,7 +54,7 @@ from .region import (
     verify_region_on_hosts,
 )
 from .spectral import (
-    density_matrix,
+    density_matrices,
     graphon_pattern_check,
     necklace_density_direct,
     necklace_density_spectral,
@@ -137,6 +137,13 @@ class RunReport:
     def check(self, item_id: str, name: str, ok: bool, details: str = "") -> None:
         self.items.append(SuiteItem(item_id, name, bool(ok), details))
 
+    @contextmanager
+    def timed(self, name: str):
+        """Record the wall time of the block, by time.perf_counter, as timings[name]."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
     def failures(self) -> list[SuiteItem]:
         return [i for i in self.items if not i.passed]
 
@@ -184,56 +191,54 @@ def _random_digraph(rng: random.Random, n: int, arc_prob: float = 0.5) -> Digrap
 
 def run_core(config: ExperimentConfig) -> RunReport:
     report = RunReport("core", {"seed": config.seed})
-    t0 = time.time()
-    rng = random.Random(config.seed)
-    bad = []
-    for trial in range(50):
-        F = _random_digraph(rng, rng.randint(1, 4))
-        T = random_tournament(rng.randint(1, 6), rng.randrange(2**30))
-        if count_hom(F, T) != count_hom_bruteforce(F, T):
-            bad.append(trial)
-    report.check(
-        "core.oracle",
-        "pruned count equals brute force on 50 random pattern/host pairs",
-        not bad,
-        f"disagreements at trials {bad}" if bad else "",
-    )
-    bad = []
-    done = 0
-    while done < 30:
-        n_f = rng.randint(2, 4)
-        F = _random_digraph(rng, n_f)
-        if F.has_arc(0, 1) or F.has_arc(1, 0):
-            continue
-        rooted = RootedDigraph(F, (0, 1))
-        T = random_tournament(rng.randint(1, 6), rng.randrange(2**30))
-        x, y = rng.randrange(T.n), rng.randrange(T.n)
-        if count_hom_rooted(rooted, T, x, y) != count_hom_rooted_bruteforce(rooted, T, x, y):
-            bad.append(done)
-        done += 1
-    report.check(
-        "core.oracle_rooted",
-        "rooted count equals brute force on 30 random conditional instances",
-        not bad,
-        f"disagreements {bad}" if bad else "",
-    )
-    report.timings["oracle"] = time.time() - t0
+    with report.timed("oracle"):
+        rng = random.Random(config.seed)
+        bad = []
+        for trial in range(50):
+            F = _random_digraph(rng, rng.randint(1, 4))
+            T = random_tournament(rng.randint(1, 6), rng.randrange(2**30))
+            if count_hom(F, T) != count_hom_bruteforce(F, T):
+                bad.append(trial)
+        report.check(
+            "core.oracle",
+            "pruned count equals brute force on 50 random pattern/host pairs",
+            not bad,
+            f"disagreements at trials {bad}" if bad else "",
+        )
+        bad = []
+        done = 0
+        while done < 30:
+            n_f = rng.randint(2, 4)
+            F = _random_digraph(rng, n_f)
+            if F.has_arc(0, 1) or F.has_arc(1, 0):
+                continue
+            rooted = RootedDigraph(F, (0, 1))
+            T = random_tournament(rng.randint(1, 6), rng.randrange(2**30))
+            x, y = rng.randrange(T.n), rng.randrange(T.n)
+            if count_hom_rooted(rooted, T, x, y) != count_hom_bruteforce(F, T, {0: x, 1: y}):
+                bad.append(done)
+            done += 1
+        report.check(
+            "core.oracle_rooted",
+            "rooted count equals brute force on 30 random conditional instances",
+            not bad,
+            f"disagreements {bad}" if bad else "",
+        )
 
-    t0 = time.time()
-    bad = []
-    for trial in range(20):
-        F1 = _random_digraph(rng, rng.randint(1, 4))
-        F2 = _random_digraph(rng, rng.randint(1, 4))
-        T = random_tournament(rng.randint(2, 7), rng.randrange(2**30))
-        if not disjoint_union_density_check(F1, F2, T):
-            bad.append(trial)
-    report.check(
-        "core.multiplicativity",
-        "density of a disjoint union equals the product, 20 exact cases",
-        not bad,
-        f"failures {bad}" if bad else "",
-    )
-    report.timings["multiplicativity"] = time.time() - t0
+    with report.timed("multiplicativity"):
+        bad = []
+        for trial in range(20):
+            F1 = _random_digraph(rng, rng.randint(1, 4))
+            F2 = _random_digraph(rng, rng.randint(1, 4))
+            T = random_tournament(rng.randint(2, 7), rng.randrange(2**30))
+            if not disjoint_union_density_check(F1, F2, T):
+                bad.append(trial)
+        report.check(
+            "core.multiplicativity",
+            "density of a disjoint union equals the product, 20 exact cases",
+            not bad,
+            f"failures {bad}" if bad else "",
+        )
     return report
 
 
@@ -245,42 +250,41 @@ def run_spectral(config: ExperimentConfig) -> RunReport:
     fam = toy_family(3, (2,))
     dg = fam.doubled[0]
     rng = random.Random(config.seed + 1)
-    t0 = time.time()
-    trace_bad = []
-    spectral_bad = []
-    # the stated sizes 4 and 5 are provably all degenerate for the toy
-    # gadget (exhausted over every labeled host), so larger deterministic
-    # and random hosts are added to exercise the identity nontrivially
-    hosts = [random_tournament(rng.choice((4, 5)), rng.randrange(2**30)) for _ in range(20)]
-    hosts += [rotational_tournament(7), rotational_tournament(9)]
-    hosts += [random_tournament(rng.choice((6, 7)), rng.randrange(2**30)) for _ in range(10)]
-    nontrivial = 0
-    for idx, T in enumerate(hosts):
-        dm = density_matrix(dg, T)
-        if not dm.is_zero():
-            nontrivial += 1
-        for ell in (3, 4):
-            direct = necklace_density_direct(dg, T, ell, max_nodes=config.node_budget)
-            trace = necklace_density_trace(dm, ell)
-            if direct != trace:
-                trace_bad.append((idx, ell))
-            spec = necklace_density_spectral(dm, ell)
-            gap = abs(spec - float(trace))
-            if gap > config.rel_tol * max(1.0, abs(float(trace))):
-                spectral_bad.append((idx, ell, gap))
-    report.check(
-        "spectral.trace",
-        "necklace hom count equals the exact count-matrix trace, lengths 3 and 4",
-        not trace_bad,
-        f"mismatches {trace_bad}" if trace_bad else f"{nontrivial} nondegenerate hosts",
-    )
-    report.check(
-        "spectral.powersum",
-        "eigenvalue power sums match the exact traces within 1e-9 relative",
-        not spectral_bad,
-        f"gaps {spectral_bad}" if spectral_bad else "",
-    )
-    report.timings["spectral"] = time.time() - t0
+    with report.timed("spectral"):
+        trace_bad = []
+        spectral_bad = []
+        # the stated sizes 4 and 5 are provably all degenerate for the toy
+        # gadget (exhausted over every labeled host), so larger deterministic
+        # and random hosts are added to exercise the identity nontrivially
+        hosts = [random_tournament(rng.choice((4, 5)), rng.randrange(2**30)) for _ in range(20)]
+        hosts += [rotational_tournament(7), rotational_tournament(9)]
+        hosts += [random_tournament(rng.choice((6, 7)), rng.randrange(2**30)) for _ in range(10)]
+        nontrivial = 0
+        for idx, T in enumerate(hosts):
+            [dm] = density_matrices([dg], T)
+            if not dm.is_zero():
+                nontrivial += 1
+            for ell in (3, 4):
+                direct = necklace_density_direct(dg, T, ell, max_nodes=config.node_budget)
+                trace = necklace_density_trace(dm, ell)
+                if direct != trace:
+                    trace_bad.append((idx, ell))
+                spec = necklace_density_spectral(dm, ell)
+                gap = abs(spec - float(trace))
+                if gap > config.rel_tol * max(1.0, abs(float(trace))):
+                    spectral_bad.append((idx, ell, gap))
+        report.check(
+            "spectral.trace",
+            "necklace hom count equals the exact count-matrix trace, lengths 3 and 4",
+            not trace_bad,
+            f"mismatches {trace_bad}" if trace_bad else f"{nontrivial} nondegenerate hosts",
+        )
+        report.check(
+            "spectral.powersum",
+            "eigenvalue power sums match the exact traces within 1e-9 relative",
+            not spectral_bad,
+            f"gaps {spectral_bad}" if spectral_bad else "",
+        )
     return report
 
 
@@ -331,70 +335,66 @@ def run_claims(config: ExperimentConfig) -> RunReport:
             "s": config.s,
         },
     )
-    t0 = time.time()
-    fam = _full_family(config)
-    report.params["k"] = list(fam.k)
-    report.timings["family"] = time.time() - t0
+    with report.timed("family"):
+        fam = _full_family(config)
+        report.params["k"] = list(fam.k)
 
     # (a) self-homomorphisms are root-preserving bijections
-    t0 = time.time()
-    for i, gadget in enumerate(fam.gadgets, start=1):
-        graph = gadget.rooted.graph
-        homs = list(iter_homs(graph, graph, cap=config.enumeration_cap))
-        ok = bool(homs)
-        details = f"{len(homs)} homomorphisms"
-        for images in homs:
-            if len(set(images)) != graph.n:
-                ok = False
-                details = f"non-bijective map {images[:6]}..."
-                break
-            if {images[gadget.z], images[gadget.w]} != {gadget.z, gadget.w}:
-                ok = False
-                details = f"roots map to {(images[gadget.z], images[gadget.w])}"
-                break
-        report.check(
-            f"claims.self_homs_{i}",
-            f"every self-homomorphism of gadget {i} is a root-preserving bijection",
-            ok,
-            details,
-        )
-    report.timings["self_homs"] = time.time() - t0
+    with report.timed("self_homs"):
+        for i, gadget in enumerate(fam.gadgets, start=1):
+            graph = gadget.rooted.graph
+            homs = list(iter_homs(graph, graph, cap=config.enumeration_cap))
+            ok = bool(homs)
+            details = f"{len(homs)} homomorphisms"
+            for images in homs:
+                if len(set(images)) != graph.n:
+                    ok = False
+                    details = f"non-bijective map {images[:6]}..."
+                    break
+                if {images[gadget.z], images[gadget.w]} != {gadget.z, gadget.w}:
+                    ok = False
+                    details = f"roots map to {(images[gadget.z], images[gadget.w])}"
+                    break
+            report.check(
+                f"claims.self_homs_{i}",
+                f"every self-homomorphism of gadget {i} is a root-preserving bijection",
+                ok,
+                details,
+            )
 
     # (b) no homomorphism between gadgets with different thresholds
-    t0 = time.time()
-    g1 = fam.gadgets[0].rooted.graph
-    g2 = fam.gadgets[1].rooted.graph
-    n12 = count_hom(g1, g2, max_nodes=config.node_budget)
-    n21 = count_hom(g2, g1, max_nodes=config.node_budget)
-    report.check(
-        "claims.cross_empty",
-        "exhausted search finds no homomorphism between distinct gadgets",
-        n12 == 0 and n21 == 0,
-        f"counts {n12}, {n21}",
-    )
-    report.timings["cross_empty"] = time.time() - t0
+    with report.timed("cross_empty"):
+        g1 = fam.gadgets[0].rooted.graph
+        g2 = fam.gadgets[1].rooted.graph
+        n12 = count_hom(g1, g2, max_nodes=config.node_budget)
+        n21 = count_hom(g2, g1, max_nodes=config.node_budget)
+        report.check(
+            "claims.cross_empty",
+            "exhausted search finds no homomorphism between distinct gadgets",
+            n12 == 0 and n21 == 0,
+            f"counts {n12}, {n21}",
+        )
 
     # (c) sampled homomorphisms into tournaments are injective
-    t0 = time.time()
-    rng = random.Random(config.seed + 2)
-    total = 0
-    non_injective = 0
-    hosts_used = 0
-    while total < config.hom_samples:
-        gadget = fam.gadgets[hosts_used % fam.s]
-        host = _twin_planted_host(gadget, dups=5, extras=3, rng=rng)
-        hosts_used += 1
-        for images in iter_homs(gadget.rooted.graph, host, cap=config.enumeration_cap):
-            total += 1
-            if len(set(images)) != len(images):
-                non_injective += 1
-    report.check(
-        "claims.injective",
-        f"{config.hom_samples} enumerated homomorphisms into tournaments are injective",
-        non_injective == 0,
-        f"{total} homomorphisms over {hosts_used} hosts, {non_injective} non-injective",
-    )
-    report.timings["injective"] = time.time() - t0
+    with report.timed("injective"):
+        rng = random.Random(config.seed + 2)
+        total = 0
+        non_injective = 0
+        hosts_used = 0
+        while total < config.hom_samples:
+            gadget = fam.gadgets[hosts_used % fam.s]
+            host = _twin_planted_host(gadget, dups=5, extras=3, rng=rng)
+            hosts_used += 1
+            for images in iter_homs(gadget.rooted.graph, host, cap=config.enumeration_cap):
+                total += 1
+                if len(set(images)) != len(images):
+                    non_injective += 1
+        report.check(
+            "claims.injective",
+            f"{config.hom_samples} enumerated homomorphisms into tournaments are injective",
+            non_injective == 0,
+            f"{total} homomorphisms over {hosts_used} hosts, {non_injective} non-injective",
+        )
     return report
 
 
@@ -412,9 +412,8 @@ def _graphon_one_host(
     node_budget: int,
 ) -> None:
     host, atlas = build_host(G, fam, [r])
-    t0 = time.time()
-    dm = density_matrix(fam.doubled[0], host, method="sweep", max_nodes=node_budget)
-    report.timings[f"{tag}.matrix"] = time.time() - t0
+    with report.timed(f"{tag}.matrix"):
+        [dm] = density_matrices(fam.doubled[:1], host, node_budget)
     verdict = graphon_pattern_check(dm, atlas, 1)
     details = (
         f"N={host.n}, b={verdict.b}, a={verdict.a}"
@@ -428,27 +427,26 @@ def _graphon_one_host(
         details,
     )
     # independent per-pair recounts: all base pairs plus sampled pairs
-    t0 = time.time()
-    pairs = sorted(atlas.base_edge_pairs(1))
-    seen = set(pairs)
-    target = min(len(pairs) + sample_pairs, host.n * host.n)
-    while len(pairs) < target:
-        x = rng.randrange(host.n)
-        y = rng.randrange(host.n)
-        if (x, y) not in seen:
-            seen.add((x, y))
-            pairs.append((x, y))
-    bad = []
-    for x, y in pairs:
-        if count_hom_rooted(fam.doubled[0].rooted, host, x, y, node_budget) != dm.count(x, y):
-            bad.append((x, y))
-    report.check(
-        f"{tag}.recount",
-        f"{len(pairs)} independent per-pair recounts match the full matrix",
-        not bad,
-        f"mismatches {bad[:4]}" if bad else "",
-    )
-    report.timings[f"{tag}.recount"] = time.time() - t0
+    with report.timed(f"{tag}.recount"):
+        pairs = sorted(atlas.base_edge_pairs(1))
+        seen = set(pairs)
+        target = min(len(pairs) + sample_pairs, host.n * host.n)
+        while len(pairs) < target:
+            x = rng.randrange(host.n)
+            y = rng.randrange(host.n)
+            if (x, y) not in seen:
+                seen.add((x, y))
+                pairs.append((x, y))
+        bad = []
+        for x, y in pairs:
+            if count_hom_rooted(fam.doubled[0].rooted, host, x, y, node_budget) != dm.count(x, y):
+                bad.append((x, y))
+        report.check(
+            f"{tag}.recount",
+            f"{len(pairs)} independent per-pair recounts match the full matrix",
+            not bad,
+            f"mismatches {bad[:4]}" if bad else "",
+        )
 
 
 def run_graphon(config: ExperimentConfig) -> RunReport:
@@ -493,49 +491,48 @@ def run_graphon(config: ExperimentConfig) -> RunReport:
 def _block_landing_check(report: RunReport, config: ExperimentConfig) -> None:
     """Enumerate every gadget homomorphism into a two-gadget host and check
     it lands inside a single cell of the single block with matching index."""
-    t0 = time.time()
-    fam = _full_family(config, s=2)
-    host, atlas = build_host(single_edge_graph(), fam, [1, 1])
-    vertex_block: dict[int, BlockAtlas] = {}
-    vertex_cell: dict[int, tuple] = {}
-    for block in atlas.blocks:
-        for v in block.base:
-            vertex_block[v] = block
-        for cell in block.cells:
-            for v in cell.left + cell.right:
+    with report.timed("landing"):
+        fam = _full_family(config, s=2)
+        host, atlas = build_host(single_edge_graph(), fam, [1, 1])
+        vertex_block: dict[int, BlockAtlas] = {}
+        vertex_cell: dict[int, tuple] = {}
+        for block in atlas.blocks:
+            for v in block.base:
                 vertex_block[v] = block
-                vertex_cell[v] = cell.edge
-    for i, gadget in enumerate(fam.gadgets, start=1):
-        homs = list(
-            iter_homs(gadget.rooted.graph, host, cap=config.enumeration_cap)
-        )
-        bad = ""
-        for images in homs:
-            blocks_touched = {vertex_block[v] for v in images}
-            if len(blocks_touched) != 1:
-                bad = f"image spans {len(blocks_touched)} blocks"
-                break
-            block = blocks_touched.pop()
-            if block.i != i:
-                bad = f"gadget {i} landed in block index {block.i}"
-                break
-            roots = {images[gadget.z], images[gadget.w]}
-            cells_touched = {
-                vertex_cell[v] for v in images if v not in roots and v in vertex_cell
-            }
-            if len(cells_touched) > 1:
-                bad = f"non-root image spans cells {sorted(cells_touched)}"
-                break
-            if cells_touched and roots != set(next(iter(cells_touched))):
-                bad = f"roots {sorted(roots)} off the cell edge"
-                break
-        report.check(
-            f"graphon.landing_{i}",
-            f"all gadget-{i} homomorphisms land in one cell of a matching block",
-            bool(homs) and not bad,
-            bad or f"{len(homs)} homomorphisms, all confined",
-        )
-    report.timings["landing"] = time.time() - t0
+            for cell in block.cells:
+                for v in cell.left + cell.right:
+                    vertex_block[v] = block
+                    vertex_cell[v] = cell.edge
+        for i, gadget in enumerate(fam.gadgets, start=1):
+            homs = list(
+                iter_homs(gadget.rooted.graph, host, cap=config.enumeration_cap)
+            )
+            bad = ""
+            for images in homs:
+                blocks_touched = {vertex_block[v] for v in images}
+                if len(blocks_touched) != 1:
+                    bad = f"image spans {len(blocks_touched)} blocks"
+                    break
+                block = blocks_touched.pop()
+                if block.i != i:
+                    bad = f"gadget {i} landed in block index {block.i}"
+                    break
+                roots = {images[gadget.z], images[gadget.w]}
+                cells_touched = {
+                    vertex_cell[v] for v in images if v not in roots and v in vertex_cell
+                }
+                if len(cells_touched) > 1:
+                    bad = f"non-root image spans cells {sorted(cells_touched)}"
+                    break
+                if cells_touched and roots != set(next(iter(cells_touched))):
+                    bad = f"roots {sorted(roots)} off the cell edge"
+                    break
+            report.check(
+                f"graphon.landing_{i}",
+                f"all gadget-{i} homomorphisms land in one cell of a matching block",
+                bool(homs) and not bad,
+                bad or f"{len(homs)} homomorphisms, all confined",
+            )
 
 
 # -- region: containment of the (x, y) statistics ----------------------------------------
@@ -547,40 +544,38 @@ def run_region(config: ExperimentConfig) -> RunReport:
     rng = random.Random(config.seed + 4)
     tol = Fraction(1, 10**9)
 
-    t0 = time.time()
-    hosts = [random_tournament(rng.randint(3, 7), rng.randrange(2**30)) for _ in range(200)]
-    hosts += [rotational_tournament(7), rotational_tournament(9)]
-    if config.hosts_dir:
-        from .digraphs import load_tournament
+    with report.timed("containment"):
+        hosts = [random_tournament(rng.randint(3, 7), rng.randrange(2**30)) for _ in range(200)]
+        hosts += [rotational_tournament(7), rotational_tournament(9)]
+        if config.hosts_dir:
+            from .digraphs import load_tournament
 
-        for path in sorted(Path(config.hosts_dir).glob("*.txt")):
-            hosts.append(load_tournament(path))
-    containment = verify_region_on_hosts(dg, hosts, tol)
-    report.check(
-        "region.containment",
-        "every nondegenerate host point lies in the hull within 1e-9",
-        containment.ok,
-        f"checked {containment.checked}, skipped {containment.skipped_degenerate} degenerate"
-        + (f", outside {list(containment.failures[:3])}" if containment.failures else ""),
-    )
-    report.timings["containment"] = time.time() - t0
+            for path in sorted(Path(config.hosts_dir).glob("*.txt")):
+                hosts.append(load_tournament(path))
+        containment = verify_region_on_hosts(dg, hosts, tol)
+        report.check(
+            "region.containment",
+            "every nondegenerate host point lies in the hull within 1e-9",
+            containment.ok,
+            f"checked {containment.checked}, skipped {containment.skipped_degenerate} degenerate"
+            + (f", outside {list(containment.failures[:3])}" if containment.failures else ""),
+        )
 
-    t0 = time.time()
-    bad_vertex = next(
-        (
-            r
-            for r in range(1, 10**6 + 1)
-            if not in_region(Fraction(1, r), Fraction(1, r * r))
-        ),
-        None,
-    )
-    report.check(
-        "region.hull_vertices",
-        "all hull vertices up to r = 10^6 are members, exact arithmetic",
-        bad_vertex is None,
-        f"first failure at r={bad_vertex}" if bad_vertex else "",
-    )
-    report.timings["hull_vertices"] = time.time() - t0
+    with report.timed("hull_vertices"):
+        bad_vertex = next(
+            (
+                r
+                for r in range(1, 10**6 + 1)
+                if not in_region(Fraction(1, r), Fraction(1, r * r))
+            ),
+            None,
+        )
+        report.check(
+            "region.hull_vertices",
+            "all hull vertices up to r = 10^6 are members, exact arithmetic",
+            bad_vertex is None,
+            f"first failure at r={bad_vertex}" if bad_vertex else "",
+        )
 
     bad_chord = []
     for r in range(1, 1001):
@@ -627,38 +622,37 @@ def run_reduction(config: ExperimentConfig) -> RunReport:
         ("x1^2 - 3", fam1),
     ]
     for text, fam in cases:
-        t0 = time.time()
-        p = parse_poly_text(text, s=fam.s)
-        rq = build_reduction(p, fam, mode="minimal")
-        hosts = [random_tournament(rng.randint(4, 7), rng.randrange(2**30)) for _ in range(18)]
-        hosts += [rotational_tournament(7), rotational_tournament(9)]
-        mismatches = []
-        degenerate_bad = []
-        nondegenerate = 0
-        for idx, T in enumerate(hosts):
-            value, rhs = identity_sides(rq, T)
-            if rhs is None:
-                if value != 0:
-                    degenerate_bad.append(idx)
-                continue
-            nondegenerate += 1
-            if value != rhs:
-                mismatches.append(idx)
         tag = text.replace(" ", "")
-        report.check(
-            f"reduction.identity[{tag}]",
-            f"evaluation identity exact on 20 hosts for p = {text}",
-            not mismatches,
-            f"nondegenerate {nondegenerate}"
-            + (f", mismatches {mismatches}" if mismatches else ""),
-        )
-        report.check(
-            f"reduction.divisible[{tag}]",
-            f"value vanishes exactly on degenerate hosts for p = {text}",
-            not degenerate_bad,
-            f"violations {degenerate_bad}" if degenerate_bad else "",
-        )
-        report.timings[f"identity[{tag}]"] = time.time() - t0
+        with report.timed(f"identity[{tag}]"):
+            p = parse_poly_text(text, s=fam.s)
+            rq = build_reduction(p, fam, mode="minimal")
+            hosts = [random_tournament(rng.randint(4, 7), rng.randrange(2**30)) for _ in range(18)]
+            hosts += [rotational_tournament(7), rotational_tournament(9)]
+            mismatches = []
+            degenerate_bad = []
+            nondegenerate = 0
+            for idx, T in enumerate(hosts):
+                value, rhs = identity_sides(rq, T)
+                if rhs is None:
+                    if value != 0:
+                        degenerate_bad.append(idx)
+                    continue
+                nondegenerate += 1
+                if value != rhs:
+                    mismatches.append(idx)
+            report.check(
+                f"reduction.identity[{tag}]",
+                f"evaluation identity exact on 20 hosts for p = {text}",
+                not mismatches,
+                f"nondegenerate {nondegenerate}"
+                + (f", mismatches {mismatches}" if mismatches else ""),
+            )
+            report.check(
+                f"reduction.divisible[{tag}]",
+                f"value vanishes exactly on degenerate hosts for p = {text}",
+                not degenerate_bad,
+                f"violations {degenerate_bad}" if degenerate_bad else "",
+            )
     return report
 
 
@@ -674,10 +668,9 @@ def run_convergence(config: ExperimentConfig) -> RunReport:
             "r": list(config.converge_r),
         },
     )
-    t0 = time.time()
-    rows = convergence_study(list(config.sizes), list(config.converge_r), seed=config.seed)
-    report.params["rows"] = [row.as_dict() for row in rows]
-    report.timings["study"] = time.time() - t0
+    with report.timed("study"):
+        rows = convergence_study(list(config.sizes), list(config.converge_r), seed=config.seed)
+        report.params["rows"] = [row.as_dict() for row in rows]
     for r in config.converge_r:
         sub = [row for row in rows if row.r == r]
         decreasing = all(
@@ -707,28 +700,26 @@ def run_convergence(config: ExperimentConfig) -> RunReport:
         )
 
     # the pipeline identity on a host whose spectrum is not just +-1
-    t0 = time.time()
-    r0 = config.converge_r[0]
-    fam36 = _full_family(config, s=1)
-    res = pipeline_cross_check(cycle_graph(5), fam36, r=r0, max_nodes=config.node_budget)
-    report.check(
-        "converge.crosscheck_literal",
-        f"full-gadget pipeline on the 5-cycle host (r={r0}) matches the closed form to 1e-9",
-        res["gap_x"] <= config.rel_tol and res["gap_y"] <= config.rel_tol,
-        f"host {res['host_size']}, gaps ({res['gap_x']:.2e}, {res['gap_y']:.2e})",
-    )
-    report.timings["crosscheck_literal"] = time.time() - t0
+    with report.timed("crosscheck_literal"):
+        r0 = config.converge_r[0]
+        fam36 = _full_family(config, s=1)
+        res = pipeline_cross_check(cycle_graph(5), fam36, r=r0, max_nodes=config.node_budget)
+        report.check(
+            "converge.crosscheck_literal",
+            f"full-gadget pipeline on the 5-cycle host (r={r0}) matches the closed form to 1e-9",
+            res["gap_x"] <= config.rel_tol and res["gap_y"] <= config.rel_tol,
+            f"host {res['host_size']}, gaps ({res['gap_x']:.2e}, {res['gap_y']:.2e})",
+        )
 
     # the same identity on the edge host
-    t0 = time.time()
-    res = pipeline_cross_check(single_edge_graph(), fam36, r=2)
-    report.check(
-        "converge.crosscheck_full_gadget",
-        "full-gadget pipeline on the edge host matches the closed form to 1e-9",
-        res["gap_x"] <= config.rel_tol and res["gap_y"] <= config.rel_tol,
-        f"host {res['host_size']}, gaps ({res['gap_x']:.2e}, {res['gap_y']:.2e})",
-    )
-    report.timings["crosscheck_full_gadget"] = time.time() - t0
+    with report.timed("crosscheck_full_gadget"):
+        res = pipeline_cross_check(single_edge_graph(), fam36, r=2)
+        report.check(
+            "converge.crosscheck_full_gadget",
+            "full-gadget pipeline on the edge host matches the closed form to 1e-9",
+            res["gap_x"] <= config.rel_tol and res["gap_y"] <= config.rel_tol,
+            f"host {res['host_size']}, gaps ({res['gap_x']:.2e}, {res['gap_y']:.2e})",
+        )
     return report
 
 

@@ -170,6 +170,28 @@ class TestReduce:
         result = json.loads(capsys.readouterr().out)
         assert Fraction(result["value"]) >= 0
 
+    def test_missing_fields_exit_2(self, tmp_path, capsys):
+        fam_dir = tmp_path / "family"
+        fam_dir.mkdir()
+        save_digraph(fam_dir / "f0.txt", toy_family(3, (2,)).base)
+        (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt"}))
+        poly = tmp_path / "p.txt"
+        poly.write_text("x1")
+        out = tmp_path / "fp.json"
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 2
+        assert "lacks the field 'k'" in capsys.readouterr().err
+
+        (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": [2]}))
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        del doc["meta"]["base"]
+        out.write_text(json.dumps(doc))
+        host = tmp_path / "host.txt"
+        save_digraph(host, rotational_tournament(7))
+        capsys.readouterr()
+        assert run(["eval-quantum", "--quantum", out, "--host", host]) == 2
+        assert "lacks the field 'base'" in capsys.readouterr().err
+
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
         quantum.write_text(json.dumps({

@@ -22,7 +22,6 @@ from tournhom.homcount import (
     count_hom,
     count_hom_bruteforce,
     count_hom_rooted,
-    count_hom_rooted_bruteforce,
     density,
     eval_quantum,
     is_hom,
@@ -99,11 +98,20 @@ class TestCountHom:
         with pytest.raises(BudgetExceededError):
             count_hom_bruteforce(random_tournament(8, 0), random_tournament(12, 1), budget=10)
 
+    def test_pins_fix_images_and_shrink_the_enumeration(self):
+        T = random_tournament(12, 1)
+        with pytest.raises(BudgetExceededError):
+            count_hom_bruteforce(CYCLE3, T, budget=12**2)
+        by_x = [count_hom_bruteforce(CYCLE3, T, {0: x}, budget=12**2) for x in range(12)]
+        assert sum(by_x) == count_hom(CYCLE3, T)
+        with pytest.raises(ValueError, match="out of range"):
+            count_hom_bruteforce(CYCLE3, T, {0: 12})
+
 
 class TestRootedCounts:
     def test_path_gadget_forced_middle(self):
         assert count_hom_rooted(PATH_GADGET, CYCLE3_REV, 0, 1) == 1
-        assert count_hom_rooted_bruteforce(PATH_GADGET, CYCLE3_REV, 0, 1) == 1
+        assert count_hom_bruteforce(PATH_GADGET.graph, CYCLE3_REV, {0: 0, 1: 1}) == 1
 
     def test_path_gadget_equal_roots(self):
         assert count_hom_rooted(PATH_GADGET, CYCLE3_REV, 0, 0) == 0
@@ -131,8 +139,8 @@ class TestRootedCounts:
             rooted = RootedDigraph(F, tuple(roots))
             T = random_tournament(rng.randint(1, 5), rng.randrange(2**30))
             x, y = rng.randrange(T.n), rng.randrange(T.n)
-            assert count_hom_rooted(rooted, T, x, y) == count_hom_rooted_bruteforce(
-                rooted, T, x, y
+            assert count_hom_rooted(rooted, T, x, y) == count_hom_bruteforce(
+                F, T, {roots[0]: x, roots[1]: y}
             )
 
     def test_conditional_sum_equals_total(self):
@@ -259,7 +267,7 @@ class TestRootedCountMatrices:
             if n <= 6:
                 for F, S in zip(halves, mats):
                     assert S == [
-                        [count_hom_rooted_bruteforce(F, T, x, y) for y in range(n)]
+                        [count_hom_bruteforce(F.graph, T, {F.z: x, F.w: y}) for y in range(n)]
                         for x in range(n)
                     ]
 
@@ -411,7 +419,7 @@ class TestSearchEngine:
             seen_adjacent += not rooted.roots_nonadjacent()
             seen_bare += F.n == 2
             count = count_hom_rooted(rooted, T, x, y)
-            assert count == count_hom_rooted_bruteforce(rooted, T, x, y)
+            assert count == count_hom_bruteforce(F, T, {z: x, w: y})
             pinned_maps = all_maps(F, T, {z: x, w: y})
             assert count == len(pinned_maps)
             assert set(iter_homs(F, T, root_images={z: x, w: y})) == pinned_maps
@@ -440,7 +448,7 @@ class TestSearchEngine:
             T = random_host(rng)
             S = rooted_count_matrix(rooted, T)
             assert S == [
-                [count_hom_rooted_bruteforce(rooted, T, x, y) for y in range(T.n)]
+                [count_hom_bruteforce(F, T, {z: x, w: y}) for y in range(T.n)]
                 for x in range(T.n)
             ]
             done += 1
@@ -451,7 +459,7 @@ class TestSearchEngine:
             count_hom(CYCLE3, T, max_nodes=0)
         # roots 0, 1 joined by the path 0 -> 2 -> 3 -> 1: two free vertices
         long_gadget = RootedDigraph(Digraph(4, [(0, 2), (2, 3), (3, 1)]), (0, 1))
-        expected = count_hom_rooted_bruteforce(long_gadget, T, 0, 1)
+        expected = count_hom_bruteforce(long_gadget.graph, T, {0: 0, 1: 1})
         assert count_hom_rooted(long_gadget, T, 0, 1) == expected
         with pytest.raises(BudgetExceededError):
             count_hom_rooted(long_gadget, T, 0, 1, max_nodes=0)

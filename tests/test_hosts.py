@@ -2,12 +2,11 @@
 
 import pytest
 
-from tournhom.digraphs import Tournament, transitive_tournament
+from tournhom.digraphs import Tournament, induced_subdigraph, transitive_tournament
 from tournhom.gadgets import toy_family
 from tournhom.hosts import (
     HostAtlas,
     build_host,
-    build_host_block,
     cycle_graph,
     edge_order_succ,
     parse_simple_graph,
@@ -54,24 +53,27 @@ class TestSimpleGraphFormat:
 
 
 class TestBlock:
+    """One block: build_host with a one-gadget family and multiplicity 1."""
+
+    @staticmethod
+    def block(G):
+        return build_host(G, toy_family(3, (2,)), [1])
+
     def test_single_edge_size_and_validity(self):
-        dg = toy_family(3, (2,)).doubled[0]
-        host, atlas = build_host_block(single_edge_graph(), dg)
+        host, atlas = self.block(single_edge_graph())
         assert isinstance(host, Tournament) and host.n == 2 + 6
         cell = atlas.blocks[0].cells[0]
         assert cell.edge == (0, 1)
         assert cell.left == (2, 3, 4) and cell.right == (5, 6, 7)
 
     def test_edgeless_graph_gives_transitive_base(self):
-        dg = toy_family(3, (2,)).doubled[0]
-        host, atlas = build_host_block(SimpleGraph(4, frozenset()), dg)
+        host, atlas = self.block(SimpleGraph(4, frozenset()))
         assert host == transitive_tournament(4)
         assert atlas.blocks[0].cells == ()
 
     def test_path_cell_order(self):
         # edges (0,1) and (1,2): the (1,2) cell beats the (0,1) cell
-        dg = toy_family(3, (2,)).doubled[0]
-        host, atlas = build_host_block(path_graph(3), dg)
+        host, atlas = self.block(path_graph(3))
         assert host.n == 3 + 2 * 6
         cells = {c.edge: c for c in atlas.blocks[0].cells}
         low = cells[(0, 1)].left + cells[(0, 1)].right
@@ -81,15 +83,13 @@ class TestBlock:
                 assert host.has_arc(u, v)
 
     def test_base_points_at_foreign_cells(self):
-        dg = toy_family(3, (2,)).doubled[0]
-        host, atlas = build_host_block(path_graph(3), dg)
+        host, atlas = self.block(path_graph(3))
         cells = {c.edge: c for c in atlas.blocks[0].cells}
         for v in cells[(1, 2)].left + cells[(1, 2)].right:
             assert host.has_arc(0, v)  # base vertex 0 is not an endpoint of (1,2)
 
     def test_left_beats_right_within_cell(self):
-        dg = toy_family(3, (2,)).doubled[0]
-        host, atlas = build_host_block(single_edge_graph(), dg)
+        host, atlas = self.block(single_edge_graph())
         cell = atlas.blocks[0].cells[0]
         for u in cell.left:
             for v in cell.right:
@@ -98,11 +98,14 @@ class TestBlock:
 
 class TestHost:
     def test_single_block_equals_block(self):
+        # each block of a stacked host is the one-block host, shifted
         fam = toy_family(3, (2,))
-        block, _ = build_host_block(single_edge_graph(), fam.doubled[0])
-        host, atlas = build_host(single_edge_graph(), fam, [1])
-        assert host == block
+        block, atlas = build_host(path_graph(3), fam, [1])
         assert atlas.blocks[0].i == 1 and atlas.blocks[0].k == 1
+        host, _ = build_host(path_graph(3), fam, [2])
+        size = block.n
+        for start in (0, size):
+            assert induced_subdigraph(host, range(start, start + size)) == block
 
     def test_two_copies_cross_arcs(self):
         fam = toy_family(3, (2,))

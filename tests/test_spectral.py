@@ -6,10 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tournhom.digraphs import random_tournament, transitive_tournament
-from tournhom.errors import DegenerateHostError
-from tournhom.gadgets import toy_family
-from tournhom.homcount import count_hom_rooted_bruteforce
+from tournhom.digraphs import (
+    Digraph,
+    RootedDigraph,
+    random_tournament,
+    transitive_tournament,
+)
+from tournhom.errors import BudgetExceededError, DegenerateHostError
+from tournhom.gadgets import (
+    DoubledGadget,
+    build_gadget,
+    rotational_tournament,
+    symmetrize,
+    toy_family,
+)
+from tournhom.homcount import count_hom_bruteforce, rooted_count_matrix
 from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
@@ -38,7 +49,8 @@ class TestDensityMatrix:
         dm = density_matrix(TOY, t, method="pairs")
         for x in range(4):
             for y in range(4):
-                assert dm.count(x, y) == count_hom_rooted_bruteforce(TOY.rooted, t, x, y)
+                pins = {TOY.z: x, TOY.w: y}
+                assert dm.count(x, y) == count_hom_bruteforce(TOY.rooted.graph, t, pins)
 
     def test_sweep_matches_pairs(self):
         for seed in range(6):
@@ -51,11 +63,39 @@ class TestDensityMatrix:
     def test_one_sweep_for_the_family_matches_each_gadget(self, m, ks):
         doubled = toy_family(m, ks).doubled
         rng = random.Random(m)
-        for n in (5, 7, 9):
+        for n in (5, 6, 7, 8, 9):
             t = random_tournament(n, rng.randrange(2**30))
             dms = density_matrices(doubled, t)
+            for dg, dm in zip(doubled, dms):
+                # the right half's matrix is the left half's transposed: H = L o L^T
+                L = rooted_count_matrix(dg.left_pattern(), t)
+                R = rooted_count_matrix(dg.right_pattern(), t)
+                assert R == [list(col) for col in zip(*L)]
+                assert dm.counts == tuple(
+                    tuple(L[x][y] * L[y][x] for y in range(n)) for x in range(n)
+                )
             assert dms == [density_matrix(dg, t, method="sweep") for dg in doubled]
             assert dms == [density_matrix(dg, t, method="pairs") for dg in doubled]
+
+    def test_one_sweep_needs_mirrored_halves(self):
+        # left copy from the k = 2 gadget, right copy from the k = 1 gadget's mirror
+        base = toy_family(3, (2,)).base
+        dg2, dg1 = (symmetrize(build_gadget(base, k)) for k in (2, 1))
+        keep2 = set(dg2.left) | {dg2.z, dg2.w}
+        keep1 = set(dg1.right) | {dg1.z, dg1.w}
+        arcs = [(u, v) for u, v in dg2.rooted.graph.arcs if u in keep2 and v in keep2]
+        arcs += [(u, v) for u, v in dg1.rooted.graph.arcs if u in keep1 and v in keep1]
+        rooted = RootedDigraph(Digraph(dg2.rooted.graph.n, arcs), dg2.rooted.roots)
+        glued = DoubledGadget(rooted, dg2.m, dg2.k, dg2.left, dg1.right)
+        with pytest.raises(ValueError, match="mirror"):
+            density_matrices([glued], random_tournament(5, 0))
+
+    def test_one_sweep_budget(self):
+        doubled = toy_family(3, (2, 1)).doubled
+        t = rotational_tournament(9)
+        with pytest.raises(BudgetExceededError):
+            density_matrices(doubled, t, max_nodes=1)
+        assert density_matrices(doubled, t, max_nodes=10**6) == density_matrices(doubled, t)
 
     def test_one_sweep_needs_one_base(self):
         t = random_tournament(5, 0)
@@ -93,7 +133,6 @@ class TestTraceIdentity:
                     )
 
     def test_bare_arc_necklace_is_cycle_density(self):
-        from tournhom.digraphs import Digraph, RootedDigraph
         from tournhom.gadgets import build_necklace
         from tournhom.homcount import density
 
