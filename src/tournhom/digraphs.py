@@ -428,14 +428,17 @@ def load_quantum(path: str | Path) -> QuantumDigraph:
 def load_quantum_with_meta(path: str | Path) -> tuple[QuantumDigraph, dict | None]:
     path = Path(path)
     doc = json.loads(path.read_text())
+    try:
+        specs = [(t["coef"], t["graph"]) for t in doc["terms"]]
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks the field {exc.args[0]!r}") from None
     terms = []
-    for t in doc["terms"]:
-        spec = t["graph"]
+    for coef, spec in specs:
         if spec.lstrip().startswith("digraph"):
             g, _ = parse_digraph(spec)
         else:
             g = load_digraph(path.parent / spec)
-        terms.append((_coef_from_str(t["coef"]), g))
+        terms.append((_coef_from_str(coef), g))
     return QuantumDigraph(tuple(terms)), doc.get("meta")
 
 

@@ -9,10 +9,19 @@ for every unplaced pattern vertex.  Placing a vertex ANDs the host out- or
 in-mask of its image into the mask of every unplaced neighbour (a digon
 gets both), restores the old masks on backtrack, and prunes as soon as a
 mask is empty: forward checking in the sense of Haralick and Elliott
-(1980).  Maps need not be injective, so there is no all-different
-constraint.  The next vertex is one with the smallest mask; ties break by
+(1980).  The next vertex is one with the smallest mask; ties break by
 the plan's rank, so renaming the host's vertices changes no search
 decision and no node count.
+
+Maps need not be injective, but adjacent pattern vertices take distinct
+images, since no digraph has a loop.  So before a node opens on a vertex
+with mask M, the search counts the unplaced vertices of its part whose
+mask is exactly M.  If there are more than |M| of them and they are
+pairwise adjacent, the part has no map and the node is not opened: a
+pigeonhole cut, the simplest case of counting for an all-different
+constraint (Regin 1994).  Non-adjacent vertices may share an image, so
+they never trigger it.  The test reuses the masks that the choice of the
+branching vertex reads, so it costs one list count when it does not fire.
 
 Counting multiplies the counts of independent parts: the components of the
 free vertices, and the components the unplaced vertices fall into after a
@@ -31,9 +40,10 @@ size is bounded by memory, not by the interpreter's recursion limit.
 `max_nodes` bounds the number of search nodes.  A node is one free
 pattern vertex chosen for branching: the search then tries each host
 vertex left in its mask.  Pinned vertices are not nodes, nor are the
-one-vertex parts whose count is read off their mask, so a count that the
-pinned vertices' forward checks settle takes no node.  Counts are exact
-Python integers; densities exact Fractions.
+one-vertex parts whose count is read off their mask, nor the parts that
+the pigeonhole cut empties, so a count that the pinned vertices' forward
+checks settle takes no node.  Counts are exact Python integers;
+densities exact Fractions.
 """
 
 from __future__ import annotations
@@ -160,6 +170,13 @@ def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
     return dom, images
 
 
+def _clique(M: int, masks: list[int], verts: Sequence[int], adj: Sequence[int]) -> bool:
+    """Whether the vertices whose mask is M are pairwise adjacent."""
+    group = [u for u, m in zip(verts, masks) if m == M]
+    bits = sum(1 << u for u in group)
+    return all(adj[u] & bits == bits ^ 1 << u for u in group)
+
+
 def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
     """The search loop, on an explicit stack of frames.
 
@@ -201,17 +218,27 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
     get = dom.__getitem__
 
     def open_part(verts, mask):
-        # a node: the first vertex in rank order with the smallest mask
+        """A node on the first vertex in rank order with the smallest mask;
+        None, and no node, when the pigeonhole cut shows the part has no map."""
         nonlocal nodes
+        masks = list(map(get, verts))
+        sizes = list(map(size, masks))
+        s = min(sizes)
+        i = sizes.index(s)
+        M = masks[i]
+        if s < len(verts) and masks.count(M) > s and _clique(M, masks, verts, adj):
+            return None
         nodes += 1
         if nodes > limit:
             raise BudgetExceededError("homomorphism search budget exceeded")
-        sizes = list(map(size, map(get, verts)))
-        i = sizes.index(min(sizes))
         v = verts[i]
-        return [False, verts[:i] + verts[i + 1 :], mask & ~(1 << v), v, dom[v], 0, dom[:]]
+        return [False, verts[:i] + verts[i + 1 :], mask & ~(1 << v), v, M, 0, dom[:]]
 
-    stack = [[True, parts, 0, 1]] if counting else [open_part(*parts[0])]
+    if counting:
+        stack = [[True, parts, 0, 1]]
+    else:
+        first = open_part(*parts[0])
+        stack = [first] if first else []
     ret = None  # what the frame just popped hands to the one below
     while stack:
         fr = stack[-1]
@@ -225,11 +252,14 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
                 acc *= dom[prts[i][0][0]].bit_count()
                 i += 1
             if acc and i < len(prts):
-                fr[2], fr[3] = i, acc
-                stack.append(open_part(*prts[i]))
-            else:
-                stack.pop()
-                ret = acc
+                child = open_part(*prts[i])
+                if child:
+                    fr[2], fr[3] = i, acc
+                    stack.append(child)
+                    continue
+                acc = 0
+            stack.pop()
+            ret = acc
             continue
 
         _, rest, rest_mask, v, cands, acc, saved = fr

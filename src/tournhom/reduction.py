@@ -154,11 +154,14 @@ def parse_poly_text(text: str, s: int | None = None) -> IntPolynomial:
 def poly_from_json(doc: dict | str) -> IntPolynomial:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    s = int(doc["s"])
     mapping: dict[tuple[int, ...], int] = {}
-    for t in doc["terms"]:
-        exps = tuple(int(e) for e in t["exps"])
-        mapping[exps] = mapping.get(exps, 0) + int(t["coef"])
+    try:
+        s = int(doc["s"])
+        for t in doc["terms"]:
+            exps = tuple(int(e) for e in t["exps"])
+            mapping[exps] = mapping.get(exps, 0) + int(t["coef"])
+    except KeyError as exc:
+        raise ValueError(f"polynomial lacks the field {exc.args[0]!r}") from None
     return IntPolynomial.of(s, mapping)
 
 

@@ -80,15 +80,6 @@ class DensityMatrix:
             eig[: len(H)] = np.linalg.eigvalsh(np.array(H, dtype=float))
         return eig[np.argsort(-np.abs(eig), kind="stable")]
 
-    def kernel_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the density matrix seen as a step kernel.
-
-        Matrix eigenvalues of the rational density matrix, divided by the
-        host order; their power sums are the necklace densities.
-        """
-        scale = float(Fraction(1, self.order ** (2 * self.m + 1)))
-        return self.eigenvalues() * scale
-
     def is_zero(self) -> bool:
         return all(not any(row) for row in self.counts)
 
@@ -276,12 +267,30 @@ def necklace_density_direct(
     return Fraction(count_hom(necklace, T, max_nodes), T.n**necklace.n)
 
 
-def necklace_density_spectral(dm: DensityMatrix, ell: int) -> float:
-    """Power sum of the kernel eigenvalues; float image of the necklace density."""
+def _scaled_eigenvalues(H: list[list[int]]) -> tuple[np.ndarray, int]:
+    """Eigenvalues of a symmetric integer matrix divided exactly by its
+    largest |entry|, and that entry (1 for an empty or zero matrix).
+
+    The scaled entries lie in [-1, 1], so none overflows a float, and the
+    power sums stay near the scale of the largest entry, far from underflow.
+    """
+    top = max((abs(c) for row in H for c in row), default=0) or 1
+    scaled = np.array([[c / top for c in row] for row in H], dtype=float).reshape(len(H), len(H))
+    return np.linalg.eigvalsh(scaled), top
+
+
+def necklace_density_spectral(dm: DensityMatrix, ell: int) -> Fraction:
+    """Float image of the necklace density, from the eigenvalues of the support.
+
+    The float power sum of the eigenvalues of the support divided by its
+    largest entry t, times the exact (t / N^(2m+1))^l: neither factor
+    underflows or overflows, so the result is never a vacuous zero.
+    """
     if ell < 3:
         raise ValueError("necklace length must be at least 3")
-    lam = dm.kernel_eigenvalues()
-    return float(np.sum(lam**ell))
+    lam, top = _scaled_eigenvalues(_support_matrix(dm.counts))
+    scale = Fraction(top, dm.order ** (2 * dm.m + 1))
+    return Fraction(float(np.sum(lam**ell))) * scale**ell
 
 
 # -- (x, y) statistics ----------------------------------------------------------------
@@ -310,8 +319,7 @@ def _xy(H: list[list[int]], unit: int) -> XYPoint:
     traces = _power_traces(H, [4, 8, 12])
     if traces[4] == 0:
         raise DegenerateHostError("fourth power sum vanishes: the matrix is zero")
-    top = max(abs(c) for row in H for c in row)
-    lam = np.linalg.eigvalsh(np.array([[float(c / top) for c in row] for row in H]))
+    lam, _ = _scaled_eigenvalues(H)
     s4 = float(np.sum(lam**4))
     s8 = float(np.sum(lam**8))
     s12 = float(np.sum(lam**12))

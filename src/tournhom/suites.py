@@ -264,14 +264,17 @@ def run_spectral(config: ExperimentConfig) -> RunReport:
             [dm] = density_matrices([dg], T)
             if not dm.is_zero():
                 nontrivial += 1
+            # relative gaps, taken where the largest count is 1; a trace that
+            # vanishes exactly (only an odd length can) is compared to that 1
+            unit = Fraction(dm.order ** (2 * dm.m + 1), max(map(max, dm.counts)) or 1)
             for ell in (3, 4):
                 direct = necklace_density_direct(dg, T, ell, max_nodes=config.node_budget)
                 trace = necklace_density_trace(dm, ell)
                 if direct != trace:
                     trace_bad.append((idx, ell))
                 spec = necklace_density_spectral(dm, ell)
-                gap = abs(spec - float(trace))
-                if gap > config.rel_tol * max(1.0, abs(float(trace))):
+                gap = float(abs(spec - trace) * unit**ell)
+                if gap > config.rel_tol * (float(abs(trace) * unit**ell) or 1.0):
                     spectral_bad.append((idx, ell, gap))
         report.check(
             "spectral.trace",

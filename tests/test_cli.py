@@ -192,6 +192,25 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", out, "--host", host]) == 2
         assert "lacks the field 'base'" in capsys.readouterr().err
 
+    def test_poly_without_s_exit_2(self, tmp_path, capsys):
+        fam_dir = tmp_path / "family"
+        fam_dir.mkdir()
+        save_digraph(fam_dir / "f0.txt", toy_family(3, (2,)).base)
+        (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": [2]}))
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({"terms": [{"coef": 1, "exps": [1]}]}))
+        out = tmp_path / "fp.json"
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 2
+        assert "lacks the field 's'" in capsys.readouterr().err
+
+    def test_term_without_graph_exit_2(self, tmp_path, capsys):
+        quantum = tmp_path / "q.json"
+        quantum.write_text(json.dumps({"terms": [{"coef": "1/1"}]}))
+        host = tmp_path / "host.txt"
+        save_digraph(host, rotational_tournament(5))
+        assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
+        assert "lacks the field 'graph'" in capsys.readouterr().err
+
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
         quantum.write_text(json.dumps({

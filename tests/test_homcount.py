@@ -320,6 +320,19 @@ class TestRootedCountMatrices:
         # without the fan the roots cannot prune, and the same core takes more nodes
         assert nodes_needed(lambda b: rooted_count_matrix(bare, T, max_nodes=b)) > 245
 
+    def test_family_sweep_node_count_is_pinned(self):
+        # two gadgets on their 40-vertex single-edge host: forward checking
+        # alone took 699 nodes, and the pigeonhole cut leaves 339
+        from tournhom.hosts import build_host, single_edge_graph
+        from tournhom.spectral import density_matrices
+
+        fam = toy_family(9, (7, 6))
+        host, _ = build_host(single_edge_graph(), fam, [1, 1])
+        expected = density_matrices(fam.doubled, host)
+        assert density_matrices(fam.doubled, host, max_nodes=339) == expected
+        with pytest.raises(BudgetExceededError):
+            density_matrices(fam.doubled, host, max_nodes=338)
+
 
 # -- the search engine ---------------------------------------------------------------
 
@@ -494,6 +507,68 @@ class TestSearchEngine:
                 assert first == second > 100
                 count = count_hom_rooted(rooted, T, x, y)
                 assert count == count_hom_rooted(rooted, T2, perm[x], perm[y]) > 0
+
+
+class TestPigeonholeCut:
+    """Pairwise-adjacent vertices that share a mask M need |M| or more host vertices."""
+
+    TT3 = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+
+    def test_non_adjacent_sharers_are_not_cut(self):
+        # once a -> 0, b and c share the mask {1}, but may both map to 1
+        star = Digraph(3, [(0, 1), (0, 2)])
+        assert count_hom(star, ARC) == 1
+        assert list(iter_homs(star, ARC)) == [(0, 1, 1)]
+        leaves = RootedDigraph(star, (1, 2))
+        assert count_hom_rooted(leaves, ARC, 1, 1) == 1
+        assert rooted_count_matrix(leaves, ARC) == [[0, 0], [0, 1]]
+
+    def test_adjacent_sharers_are_cut_without_a_node(self):
+        # in 0 -> 1 <- 2, placing a at 0 or 2 leaves b -> c the mask {1};
+        # forward checking alone opens a node at b each time, 3 nodes in all
+        host = Digraph(3, [(0, 1), (2, 1)])
+        assert count_hom(self.TT3, host, max_nodes=1) == 0
+        assert list(iter_homs(self.TT3, host, max_nodes=1)) == []
+        with pytest.raises(BudgetExceededError):
+            count_hom(self.TT3, host, max_nodes=0)
+        # the same two placements leave b and c of the out-star apart: both count
+        star = Digraph(3, [(0, 1), (0, 2)])
+        assert count_hom(star, host) == 2
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=50, deadline=None)
+    def test_counts_agree_with_oracle(self, seed):
+        # a tournament core of 2 to 4 vertices, then vertices joined to it by
+        # random arcs and digons (parts that are not cliques), sometimes a
+        # second component; hosts are random digraphs, digons included
+        rng = random.Random(seed)
+        core = random_tournament(rng.randint(2, 4), rng.randrange(2**30))
+        n = core.n + rng.randint(0, 2)
+        arcs = set(core.arcs)
+        for v in range(core.n, n):
+            for u in range(v):
+                kind = rng.randrange(5)
+                arcs |= [set(), set(), {(u, v)}, {(v, u)}, {(u, v), (v, u)}][kind]
+        F = Digraph(n, arcs)
+        if n < 6 and rng.random() < 0.3:
+            F = disjoint_union(F, random_digraph(1, 1, 2, 0))
+        T = random_digraph(rng.randint(1, 5), 1, 2, rng.randrange(2**30))
+        count = count_hom(F, T)
+        assert count == count_hom_bruteforce(F, T)
+        maps = list(iter_homs(F, T))
+        assert len(maps) == len(set(maps)) == count
+        assert all(is_hom(F, T, images) for images in maps)
+        z, w = rng.sample(range(F.n), 2)
+        x, y = rng.randrange(T.n), rng.randrange(T.n)
+        rooted = RootedDigraph(F, (z, w))
+        assert count_hom_rooted(rooted, T, x, y) == count_hom_bruteforce(F, T, {z: x, w: y})
+        if rooted.roots_nonadjacent():
+            assert rooted_count_matrices([rooted], T) == [
+                [
+                    [count_hom_bruteforce(F, T, {z: a, w: b}) for b in range(T.n)]
+                    for a in range(T.n)
+                ]
+            ]
 
 
 class TestLongPattern:

@@ -161,6 +161,19 @@ class TestTraceIdentity:
                 approx = necklace_density_spectral(dm, ell)
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize("ell", [3, 4, 12])
+    def test_spectral_density_does_not_underflow(self, ell):
+        # full-scale sizes: N^-(2m+1) is about 10^-158, so (N^-(2m+1))^l
+        # underflows a float, and the exact density is below 10^-470
+        counts = [[0] * 148 for _ in range(148)]
+        for i, j, c in ((0, 1, 5), (1, 2, 7), (0, 2, 3), (2, 2, 1)):
+            counts[i][j] = counts[j][i] = c
+        dm = synthetic(counts, m=36)
+        exact = necklace_density_trace(dm, ell)
+        approx = necklace_density_spectral(dm, ell)
+        assert 0 < exact < Fraction(1, 10**470)
+        assert abs(Fraction(approx) - exact) <= Fraction(1, 10**9) * exact
+
 
 def object_traces(H, ells):
     """tr H^l by numpy's matrix_power on Python integers, the full matrix."""
