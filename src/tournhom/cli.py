@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .digraphs import (
     load_digraph,
-    load_quantum_with_meta,
+    load_quantum,
     load_rooted,
     load_tournament,
     parse_digraph,
@@ -48,7 +49,7 @@ from .reduction import (
     save_reduced,
 )
 from .region import in_region
-from .spectral import density_matrix, xy_from_matrix
+from .spectral import density_matrices, xy_from_matrix
 from .suites import ExperimentConfig, run_convergence, run_suite, SUITES
 
 
@@ -154,7 +155,7 @@ def _write_matrix_csv(path: str, rows, as_fraction: bool) -> None:
 def cmd_density_matrix(args) -> int:
     doubled = load_doubled(args.gadget)
     host = load_tournament(args.host)
-    dm = density_matrix(doubled, host, method=args.method)
+    [dm] = density_matrices([doubled], host)
     _write_matrix_csv(args.out, dm.counts, as_fraction=False)
     denom = dm.density_denominator()
     density_rows = [
@@ -240,14 +241,46 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _exact_text(value: Fraction) -> str:
+    """str(value), also past the interpreter's limit on the digits of an int."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _scientific(value: Fraction) -> str:
+    """value as "<mantissa>e<exponent>" with 1 <= |mantissa| < 10.
+
+    The decimal exponent is exact, from integer arithmetic, so a value far
+    below the float range keeps its leading digits instead of reading 0.0.
+    """
+    if value == 0:
+        return "0.0e0"
+    size = abs(value)
+    # within 2 of log10 |value|, from the bit lengths; the loops settle it
+    exp = int((size.numerator.bit_length() - size.denominator.bit_length()) * math.log10(2))
+    while size < Fraction(10) ** exp:
+        exp -= 1
+    while size >= Fraction(10) ** (exp + 1):
+        exp += 1
+    mantissa = float(size / Fraction(10) ** exp)
+    if mantissa == 10.0:  # rounded up to the next power of ten
+        mantissa, exp = 1.0, exp + 1
+    return f"{'-' if value < 0 else ''}{mantissa!r}e{exp}"
+
+
 def cmd_eval_quantum(args) -> int:
     host = load_tournament(args.host)
-    quantum, meta = load_quantum_with_meta(args.quantum)
-    if meta and meta.get("kind") == "necklace-reduction":
-        value = eval_reduced(load_reduced(args.quantum), host)
+    doc = json.loads(Path(args.quantum).read_text())
+    meta = doc.get("meta") if isinstance(doc, dict) else None
+    if isinstance(meta, dict) and meta.get("kind") == "necklace-reduction":
+        value = eval_reduced(load_reduced(doc), host)
     else:
-        value = eval_quantum(quantum, host, max_nodes=args.budget)
-    print(json.dumps({"value": str(value), "float": float(value)}))
+        value = eval_quantum(load_quantum(args.quantum), host, max_nodes=args.budget)
+    print(json.dumps({"value": _exact_text(value), "float": _scientific(value)}))
     return 0
 
 
@@ -364,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--atlas", help="atlas JSON; when given, the block pattern is checked")
     p.add_argument("--pattern-index", type=int, default=1)
-    p.add_argument("--method", default="sweep", choices=["pairs", "sweep"])
     p.add_argument("--out", required=True, help="integer count matrix CSV")
     p.add_argument("--out-density", required=True, help="exact density matrix CSV")
     p.set_defaults(func=cmd_density_matrix)

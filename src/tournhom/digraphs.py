@@ -82,10 +82,10 @@ class Digraph:
         return self._in
 
     def out_neighbors(self, v: int) -> set[int]:
-        return _bits_to_set(self._out[v])
+        return set(_bits(self._out[v]))
 
     def in_neighbors(self, v: int) -> set[int]:
-        return _bits_to_set(self._in[v])
+        return set(_bits(self._in[v]))
 
     def out_degree(self, v: int) -> int:
         return self._out[v].bit_count()
@@ -219,10 +219,15 @@ def _draw_tournament(rng: random.Random, n: int) -> Tournament:
     return Tournament(n, arcs)
 
 
-def disjoint_union(a: Digraph, b: Digraph) -> Digraph:
-    """Concatenate vertex sets, shifting b's labels by a.n."""
-    shifted = ((u + a.n, v + a.n) for u, v in b.arcs)
-    return Digraph(a.n + b.n, list(a.arcs) + list(shifted))
+def disjoint_union(*graphs: Digraph) -> Digraph:
+    """Concatenate vertex sets in order, shifting each graph's labels by the
+    vertex count of the graphs before it."""
+    arcs = []
+    n = 0
+    for g in graphs:
+        arcs += [(u + n, v + n) for u, v in g.arcs]
+        n += g.n
+    return Digraph(n, arcs)
 
 
 def induced_subdigraph(g: Digraph, vertices: Iterable[int]) -> Digraph:
@@ -244,11 +249,7 @@ def is_acyclic(g: Digraph) -> bool:
     while stack:
         v = stack.pop()
         seen += 1
-        m = g.out_mask(v)
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
+        for u in _bits(g.out_mask(v)):
             indeg[u] -= 1
             if indeg[u] == 0:
                 stack.append(u)
@@ -299,14 +300,14 @@ def are_isomorphic(a: Digraph, b: Digraph, max_nodes: int = 10**6) -> bool:
             head += 1
             new = (a.out_mask(v) | a.in_mask(v)) & ~seen
             seen |= new
-            order.extend(sorted(_bits_to_set(new)))
+            order.extend(_bits(new))
     outm, inm = b.out_masks, b.in_masks
     placed = 0
     steps = []  # per position: the profile mask, then (u, b's masks to read at u's image)
     for v in order:
         placed |= 1 << v
-        back = [(u, outm) for u in _bits_to_set(a.in_mask(v) & placed)]
-        back += [(u, inm) for u in _bits_to_set(a.out_mask(v) & placed)]
+        back = [(u, outm) for u in _bits(a.in_mask(v) & placed)]
+        back += [(u, inm) for u in _bits(a.out_mask(v) & placed)]
         steps.append((by_profile[prof_a[v]], back))
     images = [-1] * n
     cands = [0] * n
@@ -421,11 +422,6 @@ def save_quantum(path: str | Path, q: QuantumDigraph, meta: dict | None = None) 
 
 
 def load_quantum(path: str | Path) -> QuantumDigraph:
-    q, _ = load_quantum_with_meta(path)
-    return q
-
-
-def load_quantum_with_meta(path: str | Path) -> tuple[QuantumDigraph, dict | None]:
     path = Path(path)
     doc = json.loads(path.read_text())
     try:
@@ -439,13 +435,14 @@ def load_quantum_with_meta(path: str | Path) -> tuple[QuantumDigraph, dict | Non
         else:
             g = load_digraph(path.parent / spec)
         terms.append((_coef_from_str(coef), g))
-    return QuantumDigraph(tuple(terms)), doc.get("meta")
+    return QuantumDigraph(tuple(terms))
 
 
-def _bits_to_set(mask: int) -> set[int]:
-    out = set()
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    out = []
     while mask:
         b = mask & -mask
-        out.add(b.bit_length() - 1)
+        out.append(b.bit_length() - 1)
         mask ^= b
-    return out
+    return tuple(out)

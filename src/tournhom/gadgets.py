@@ -15,7 +15,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .digraphs import Digraph, RootedDigraph, Tournament, _draw_tournament, induced_subdigraph
+from .digraphs import (
+    Digraph,
+    RootedDigraph,
+    Tournament,
+    _bits,
+    _draw_tournament,
+    induced_subdigraph,
+)
 from .errors import BudgetExceededError, SamplingError
 
 __all__ = [
@@ -70,13 +77,7 @@ def find_one_way_biclique(
         if size == a:
             avail = C & ~a1_mask
             if avail.bit_count() >= a:
-                a2 = []
-                m = avail
-                while len(a2) < a:
-                    b = m & -m
-                    m ^= b
-                    a2.append(b.bit_length() - 1)
-                return tuple(_mask_to_sorted(a1_mask)), tuple(a2)
+                return _bits(a1_mask), _bits(avail)[:a]
             return None
         for v in range(start, n - (a - size) + 1):
             C2 = C & T.out_mask(v)
@@ -91,15 +92,6 @@ def find_one_way_biclique(
         return None
 
     return rec(0, 0, 0, full)
-
-
-def _mask_to_sorted(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
 
 
 def find_transitive_subtournament(
@@ -242,31 +234,21 @@ def sample_base_tournament(
     if a < 1 or t3 < 3:
         raise ValueError("need a >= 1 and t3 >= 3")
     rng = random.Random(seed)
-    bound = (2 * n) // 3
     failures = {"degree": 0, "biclique": 0, "transitive": 0}
     last_details: dict = {}
     for attempt in range(1, max_tries + 1):
         T = _draw_tournament(rng, n)
-        ok1, witness = check_degree_bound(T, bound)
-        if not ok1:
-            failures["degree"] += 1
-            last_details = {"degree_witness": witness}
-            continue
-        biclique = find_one_way_biclique(T, a, max_nodes)
-        if biclique is not None:
-            failures["biclique"] += 1
-            last_details = {"biclique_witness": biclique}
-            continue
-        trans = find_transitive_subtournament(T, t3, max_nodes)
-        if trans is not None:
-            failures["transitive"] += 1
-            last_details = {"transitive_witness": trans}
+        ok, details = check_base_conditions(T, a, t3, max_nodes)
+        if not ok:
+            [witness] = [key for key in details if key.endswith("_witness")]
+            failures[witness.removesuffix("_witness")] += 1
+            last_details = {witness: details[witness]}
             continue
         report = BaseReport(
             n=n,
             a=a,
             t3=t3,
-            degree_bound=bound,
+            degree_bound=details["degree_bound"],
             max_out_degree=T.max_out_degree(),
             max_in_degree=T.max_in_degree(),
             largest_one_way_biclique=_largest_biclique_size(T, a, max_nodes),

@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .digraphs import Digraph, QuantumDigraph, RootedDigraph
+from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits
 from .errors import BudgetExceededError, EnumerationCapError
 
 __all__ = [
@@ -75,15 +75,6 @@ BRUTE_FORCE_BUDGET = 10**8
 
 
 # -- search plan -----------------------------------------------------------------
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
 
 
 def _split(mask: int, adj: Sequence[int]) -> list[int]:

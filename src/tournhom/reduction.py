@@ -25,7 +25,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .digraphs import Digraph, QuantumDigraph, Tournament, disjoint_union, parse_digraph, format_digraph
+from .digraphs import (
+    Digraph,
+    QuantumDigraph,
+    Tournament,
+    disjoint_union,
+    format_digraph,
+    parse_digraph,
+    save_quantum,
+)
 from .gadgets import GadgetFamily, build_family, build_necklace
 from .spectral import _power_traces, density_matrices
 
@@ -205,10 +213,6 @@ def build_penalized(p: IntPolynomial) -> PenalizedPolynomial:
 # -- monomials to digraphs -------------------------------------------------------------
 
 
-def _necklace_for(family: GadgetFamily, i: int, ell: int) -> Digraph:
-    return build_necklace(family.doubled[i].rooted, ell)
-
-
 def monomial_to_quantum(
     exps_x: Sequence[int],
     exps_y: Sequence[int],
@@ -218,7 +222,7 @@ def monomial_to_quantum(
     """Disjoint union of necklaces whose density is x^a * y^b * prod t4^E."""
     if not (len(exps_x) == len(exps_y) == family.s == len(E)):
         raise ValueError("exponent vectors must match the family size")
-    union = Digraph(0, [])
+    parts = []
     for i in range(family.s):
         fillers = E[i] - 2 * exps_x[i] - 3 * exps_y[i]
         if fillers < 0:
@@ -226,13 +230,10 @@ def monomial_to_quantum(
                 f"clearing exponent too small for gadget {i + 1}: "
                 f"need {2 * exps_x[i] + 3 * exps_y[i]}, have {E[i]}"
             )
-        for _ in range(exps_x[i]):
-            union = disjoint_union(union, _necklace_for(family, i, 8))
-        for _ in range(exps_y[i]):
-            union = disjoint_union(union, _necklace_for(family, i, 12))
-        for _ in range(fillers):
-            union = disjoint_union(union, _necklace_for(family, i, 4))
-    return union
+        for ell, copies in ((8, exps_x[i]), (12, exps_y[i]), (4, fillers)):
+            if copies:
+                parts += [build_necklace(family.doubled[i].rooted, ell)] * copies
+    return disjoint_union(*parts)
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,9 @@ def necklace_densities(
     by all the half-gadgets of the family (`density_matrices`).
     """
     out = []
-    for dg, dm in zip(family.doubled, density_matrices(family.doubled, T)):
-        traces = _power_traces(dm.counts, lengths)
-        unit = T.n ** (2 * dg.m + 1)
+    for dm in density_matrices(family.doubled, T):
+        traces = _power_traces(dm.support, lengths)
+        unit = dm.necklace_unit()
         out.append({ell: Fraction(traces[ell], unit**ell) for ell in lengths})
     return out
 
@@ -384,7 +385,6 @@ def _rhs(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction | None
 
 def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
     """Write the standard quantum JSON plus a meta block for exact re-evaluation."""
-    quantum = rq.quantum()
     meta = {
         "kind": "necklace-reduction",
         "m": rq.family.m,
@@ -399,19 +399,16 @@ def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
         "M": rq.penalized.M,
         "s": rq.penalized.s,
     }
-    doc = {
-        "terms": [
-            {"coef": f"{c.numerator}/{c.denominator}", "graph": format_digraph(g)}
-            for c, g in quantum.terms
-        ],
-        "meta": meta,
-    }
-    Path(path).write_text(json.dumps(doc))
+    save_quantum(path, rq.quantum(), meta)
 
 
-def load_reduced(path: str | Path) -> ReducedQuantum:
-    """Read a file written by `save_reduced`; a missing field raises ValueError naming it."""
-    doc = json.loads(Path(path).read_text())
+def load_reduced(source: str | Path | dict) -> ReducedQuantum:
+    """Read a file written by `save_reduced`, or its parsed JSON document.
+
+    Only the meta block is read, never the term digraphs; a missing field
+    raises ValueError naming it.
+    """
+    doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
     try:
         meta = doc["meta"]
         base_graph, _ = parse_digraph(meta["base"])
@@ -429,7 +426,7 @@ def load_reduced(path: str | Path) -> ReducedQuantum:
         )
         return ReducedQuantum(family=family, penalized=pbar, E=tuple(meta["E"]), terms=terms)
     except KeyError as exc:
-        raise ValueError(f"{path} lacks the field {exc.args[0]!r}") from None
+        raise ValueError(f"the reduction lacks the field {exc.args[0]!r}") from None
 
 
 # -- sign report --------------------------------------------------------------------------

@@ -12,13 +12,15 @@ whose row and column both hold a nonzero entry.  A closed walk leaves an
 index through its row and enters it through its column, so it stays on
 the support, and tr H^l (l >= 1) of the compressed matrix equals that of
 the full one.  For a symmetric H the indices off the support carry zero
-rows and columns, so the nonzero eigenvalues agree as well.
+rows and columns, so the nonzero eigenvalues agree as well.  A
+`DensityMatrix` finds its support once, when it is built, and owns the
+two host-size scales that turn its counts and traces into densities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Sequence
@@ -49,39 +51,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Symmetric conditional-count matrix of a doubled gadget in a host."""
+    """Symmetric conditional-count matrix of a doubled gadget in a host.
+
+    `support` is the count matrix restricted to its support, found by the
+    same pass that checks symmetry; every trace and spectrum reads it.
+    """
 
     order: int
     m: int
     counts: tuple[tuple[int, ...], ...]
+    support: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        bad = _scan(self.counts)[1]
+        support, bad = _scan(self.counts)
         if bad is not None:
             raise ValueError(f"count matrix not symmetric at {bad}")
+        object.__setattr__(self, "support", support)
 
     def count(self, x: int, y: int) -> int:
         return self.counts[x][y]
 
     def density(self, x: int, y: int) -> Fraction:
-        return Fraction(self.counts[x][y], self.order ** (2 * self.m))
+        return Fraction(self.counts[x][y], self.density_denominator())
 
     def density_denominator(self) -> int:
+        """N^(2m): a count over it is a conditional density."""
         return self.order ** (2 * self.m)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the count matrix, by descending magnitude.
-
-        Computed on the support; the indices off it add exact zeros.
-        """
-        H = _support_matrix(self.counts)
-        eig = np.zeros(self.order)
-        if H:
-            eig[: len(H)] = np.linalg.eigvalsh(np.array(H, dtype=float))
-        return eig[np.argsort(-np.abs(eig), kind="stable")]
+    def necklace_unit(self) -> int:
+        """N^(2m+1): the length-l necklace density is tr H^l / necklace_unit()^l."""
+        return self.order ** (2 * self.m + 1)
 
     def is_zero(self) -> bool:
-        return all(not any(row) for row in self.counts)
+        return not self.support
 
 
 def density_matrix(
@@ -159,8 +161,8 @@ def _glued(dg: DoubledGadget, left, right) -> DensityMatrix:
 # -- the support, and exact traces on it ------------------------------------------------
 
 
-def _scan(rows) -> tuple[list[int], tuple[int, int] | None]:
-    """The support of a square matrix and its first asymmetry, in one pass.
+def _scan(rows) -> tuple[tuple[tuple, ...], tuple[int, int] | None]:
+    """A square matrix restricted to its support, and its first asymmetry, in one pass.
 
     The support is the indices whose row and column both hold a nonzero
     entry.  The first asymmetry is the first (i, j), j < i in row-major
@@ -182,16 +184,8 @@ def _scan(rows) -> tuple[list[int], tuple[int, int] | None]:
                 pair = (max(i, j), min(i, j))
                 if bad is None or pair < bad:
                     bad = pair
-    return [i for i in nonzero_rows if i in nonzero_cols], bad
-
-
-def _restrict(rows, support: list[int]) -> list[list]:
-    return [[rows[i][j] for j in support] for i in support]
-
-
-def _support_matrix(rows) -> list[list]:
-    """The square matrix restricted to the indices whose row and column are nonzero."""
-    return _restrict(rows, _scan(rows)[0])
+    support = [i for i in nonzero_rows if i in nonzero_cols]
+    return tuple(tuple(rows[i][j] for j in support) for i in support), bad
 
 
 def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -209,52 +203,40 @@ def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _power_traces(rows, ells) -> dict[int, int]:
-    """Exact traces of H^l (l >= 1) for each requested l, on the support of
-    the square matrix H.
+def _power_traces(H, ells) -> dict[int, int]:
+    """Exact traces of H^l (l >= 1) for each requested l, for a symmetric H.
 
-    When the support is symmetric, an even l = 2k takes tr H^l as the sum
-    of the squared entries of the symmetric H^k, so l = 4, 8, 12 need only
-    H^2, H^4 = H^2 H^2 and H^6 = H^4 H^2.  Odd powers, and every power of a
-    matrix that is not symmetric, come from repeated squaring.
+    tr H^l is the sum of the entries of H^a o H^(l-a), a = floor(l/2), as
+    H^(l-a) is symmetric (H^0, the identity, serves l = 1).  Each power is
+    the largest one already at hand times the rest, so l = 4, 8, 12 take
+    H^2, H^4 = H^2 H^2 and H^6 = H^4 H^2: three products.
     """
     if any(ell < 1 for ell in ells):
         raise ValueError("trace powers must be at least 1")
-    H = _support_matrix(rows)
-    symmetric = _scan(H)[1] is None
-    powers: dict[int, list[list[int]]] = {1: H}
+    n = len(H)
+    powers = {0: [[int(i == j) for j in range(n)] for i in range(n)], 1: H}
 
-    def get(e: int) -> list[list[int]]:
-        if e in powers:
-            return powers[e]
-        half = e // 2
-        if e % 2:
-            M = _mat_mul(get(e - 1), H)
-        elif symmetric and half not in powers and e - 2 in powers:
-            M = _mat_mul(powers[e - 2], get(2))
-        else:
-            M = _mat_mul(get(half), get(half))
-        powers[e] = M
-        return M
+    def get(e: int):
+        if e not in powers:
+            p = max(k for k in powers if k < e)
+            powers[e] = _mat_mul(powers[p], get(e - p))
+        return powers[e]
 
     out = {}
     for ell in sorted(ells):
-        if symmetric and ell % 2 == 0:
-            out[ell] = sum(c * c for row in get(ell // 2) for c in row)
-        else:
-            M = get(ell)
-            out[ell] = sum(M[i][i] for i in range(len(H)))
+        A, B = get(ell // 2), get(ell - ell // 2)
+        out[ell] = sum(a * b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
     return {ell: out[ell] for ell in ells}
 
 
 def necklace_count_trace(dm: DensityMatrix, ell: int) -> int:
     """hom of the length-l necklace, as trace(H^l) in exact integers."""
-    return _power_traces(dm.counts, [ell])[ell]
+    return _power_traces(dm.support, [ell])[ell]
 
 
 def necklace_density_trace(dm: DensityMatrix, ell: int) -> Fraction:
     """Necklace density via the exact trace; denominator N^(l(2m+1))."""
-    return Fraction(necklace_count_trace(dm, ell), dm.order ** (ell * (2 * dm.m + 1)))
+    return Fraction(necklace_count_trace(dm, ell), dm.necklace_unit() ** ell)
 
 
 def necklace_density_direct(
@@ -267,9 +249,10 @@ def necklace_density_direct(
     return Fraction(count_hom(necklace, T, max_nodes), T.n**necklace.n)
 
 
-def _scaled_eigenvalues(H: list[list[int]]) -> tuple[np.ndarray, int]:
+def _scaled_eigenvalues(H) -> tuple[np.ndarray, int]:
     """Eigenvalues of a symmetric integer matrix divided exactly by its
     largest |entry|, and that entry (1 for an empty or zero matrix).
+    This is the one float spectrum: every power sum is taken from it.
 
     The scaled entries lie in [-1, 1], so none overflows a float, and the
     power sums stay near the scale of the largest entry, far from underflow.
@@ -288,8 +271,8 @@ def necklace_density_spectral(dm: DensityMatrix, ell: int) -> Fraction:
     """
     if ell < 3:
         raise ValueError("necklace length must be at least 3")
-    lam, top = _scaled_eigenvalues(_support_matrix(dm.counts))
-    scale = Fraction(top, dm.order ** (2 * dm.m + 1))
+    lam, top = _scaled_eigenvalues(dm.support)
+    scale = Fraction(top, dm.necklace_unit())
     return Fraction(float(np.sum(lam**ell))) * scale**ell
 
 
@@ -307,7 +290,7 @@ class XYPoint:
     p12: Fraction
 
 
-def _xy(H: list[list[int]], unit: int) -> XYPoint:
+def _xy(H, unit: int) -> XYPoint:
     """The (x, y) statistics of a symmetric integer support matrix whose
     traces are p_l * unit^l.
 
@@ -346,10 +329,9 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    support, bad = _scan(rows)
+    H, bad = _scan(rows)
     if bad is not None:
         raise ValueError(f"matrix not symmetric at {bad}")
-    H = _restrict(rows, support)
     den = math.lcm(*(c.denominator for row in H for c in row))
     H = [[int(c.numerator) * (den // int(c.denominator)) for c in row] for row in H]
     return _xy(H, den)
@@ -361,7 +343,7 @@ def xy_point(dm: DensityMatrix) -> XYPoint:
     Degeneracy (p4 = 0, equivalently a zero count matrix) is detected
     exactly, never by a float threshold.
     """
-    return _xy(_support_matrix(dm.counts), dm.order ** (2 * dm.m + 1))
+    return _xy(dm.support, dm.necklace_unit())
 
 
 # -- block pattern check ----------------------------------------------------------------
@@ -407,11 +389,12 @@ def graphon_pattern_check(
         return PatternVerdict(not violations, None, None, tuple(violations))
     if violations or common is None:
         return PatternVerdict(False, None, None, tuple(violations))
+    a = Fraction(common, dm.density_denominator())
     b = _exact_isqrt(common)
     if b is None:
         violations.append((-1, -1, f"common entry {common} is not a perfect square"))
-        return PatternVerdict(False, Fraction(common, n ** (2 * dm.m)), None, tuple(violations))
-    return PatternVerdict(True, Fraction(common, n ** (2 * dm.m)), b, ())
+        return PatternVerdict(False, a, None, tuple(violations))
+    return PatternVerdict(True, a, b, ())
 
 
 def _exact_isqrt(c: int) -> int | None:

@@ -266,7 +266,7 @@ def run_spectral(config: ExperimentConfig) -> RunReport:
                 nontrivial += 1
             # relative gaps, taken where the largest count is 1; a trace that
             # vanishes exactly (only an odd length can) is compared to that 1
-            unit = Fraction(dm.order ** (2 * dm.m + 1), max(map(max, dm.counts)) or 1)
+            unit = Fraction(dm.necklace_unit(), max(map(max, dm.support), default=1))
             for ell in (3, 4):
                 direct = necklace_density_direct(dg, T, ell, max_nodes=config.node_budget)
                 trace = necklace_density_trace(dm, ell)

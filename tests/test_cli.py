@@ -1,11 +1,12 @@
 """End-to-end CLI coverage over temp files."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from tournhom.cli import main
+from tournhom.cli import _scientific, main
 from tournhom.digraphs import (
     Digraph,
     load_digraph,
@@ -14,6 +15,7 @@ from tournhom.digraphs import (
 )
 from tournhom.gadgets import rotational_tournament, toy_family
 from tournhom.hosts import save_simple_graph, single_edge_graph
+from tournhom.reduction import build_reduction, eval_reduced, parse_poly_text, save_reduced
 
 
 @pytest.fixture
@@ -169,6 +171,41 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", out, "--host", host]) == 0
         result = json.loads(capsys.readouterr().out)
         assert Fraction(result["value"]) >= 0
+
+    def test_eval_prints_values_beyond_the_float_range(self, tmp_path, capsys):
+        # x1 with 300 clearing 4-necklaces: the exact value's denominator has
+        # more digits than str() of an int allows, and the value lies far
+        # below the smallest float
+        rq = build_reduction(parse_poly_text("x1"), toy_family(3, (2,)), "explicit", [300])
+        out = tmp_path / "fp.json"
+        save_reduced(out, rq)
+        T = rotational_tournament(7)
+        host = tmp_path / "host.txt"
+        save_digraph(host, T)
+        assert run(["eval-quantum", "--quantum", out, "--host", host]) == 0
+        result = json.loads(capsys.readouterr().out)
+        exact = eval_reduced(rq, T)
+        assert exact.denominator > 10**4300 and float(exact) == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(result["value"]) == exact
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert 1 <= abs(float(result["float"].split("e")[0])) < 10
+        assert abs(Fraction(result["float"]) - exact) <= abs(exact) * Fraction(1, 10**15)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(0), "0.0e0"),
+            (Fraction(-3, 7), "-4.285714285714286e-1"),
+            (Fraction(10**20 - 1, 10**19), "1.0e1"),  # the mantissa rounds up to 10
+            (Fraction(5, 10**400), "5.0e-400"),
+        ],
+    )
+    def test_scientific_twin(self, value, text):
+        assert _scientific(value) == text
 
     def test_missing_fields_exit_2(self, tmp_path, capsys):
         fam_dir = tmp_path / "family"

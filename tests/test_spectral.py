@@ -25,6 +25,7 @@ from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
     _power_traces,
+    _scaled_eigenvalues,
     density_matrices,
     density_matrix,
     graphon_pattern_check,
@@ -145,9 +146,9 @@ class TestTraceIdentity:
         for seed in range(5):
             t = random_tournament(5, seed + 100)
             dm = density_matrix(TOY, t)
-            lam = dm.eigenvalues()
+            lam, top = _scaled_eigenvalues(dm.support)
             for ell in range(3, 13):
-                spectral = float(np.sum(lam**ell))
+                spectral = float(np.sum(lam**ell)) * top**ell
                 H = np.array(dm.counts, dtype=float)
                 trace = float(np.trace(np.linalg.matrix_power(H, ell)))
                 assert abs(spectral - trace) <= 1e-9 * max(1.0, abs(trace))
@@ -206,28 +207,7 @@ class TestSupport:
             dm = synthetic(H)
             expected = object_traces(H, self.ELLS)
             assert {ell: necklace_count_trace(dm, ell) for ell in self.ELLS} == expected
-
-    def test_nonsymmetric_traces_match_full_matrix_power(self):
-        # row 0 is nonzero but column 0 is zero, row 3 is zero but column 3
-        # is not: neither index lies on a closed walk
-        H = [
-            [0, 5, 7, 2, 0],
-            [0, 1, 3, 4, 2],
-            [0, 2, 0, 9, 1],
-            [0, 0, 0, 0, 0],
-            [0, 6, 1, 8, 3],
-        ]
-        assert _power_traces(H, self.ELLS) == object_traces(H, self.ELLS)
-        rng = random.Random(8)
-        for trial in range(30):
-            n = rng.randint(2, 10)
-            H = [[rng.choice([0, 0, rng.randint(-5, 9)]) for _ in range(n)] for _ in range(n)]
-            for i in rng.sample(range(n), rng.randint(0, n)):
-                H[i] = [0] * n
-            for j in rng.sample(range(n), rng.randint(0, n)):
-                for row in H:
-                    row[j] = 0
-            assert _power_traces(H, self.ELLS) == object_traces(H, self.ELLS)
+            assert _power_traces(H, self.ELLS) == expected
 
     def test_symmetric_support_takes_three_products(self, monkeypatch):
         import tournhom.spectral as spectral
@@ -235,24 +215,30 @@ class TestSupport:
         products = []
         real = spectral._mat_mul
         monkeypatch.setattr(spectral, "_mat_mul", lambda A, B: products.append(1) or real(A, B))
-        H = random_symmetric(random.Random(5), 9, [2, 7])
-        # asymmetric off the support only: row 2 is nonzero, column 2 is zero
-        off_support = [row[:] for row in H]
-        off_support[2][0] = 4
-        i, j = next((i, j) for i in range(9) for j in range(i + 1, 9) if H[i][j])
-        on_support = [row[:] for row in H]
-        on_support[i][j] += 1
-        for rows, symmetric in ((H, True), (off_support, True), (on_support, False)):
-            # products for l = 4, 8, 12 in either order, and for l = 2
-            for ells, wanted in (
-                ((4, 8, 12), 3 if symmetric else 6),
-                ((12, 8, 4), 3 if symmetric else 6),
-                ((2,), 0 if symmetric else 1),
-            ):
-                products.clear()
-                assert _power_traces(rows, ells) == object_traces(rows, ells)
-                assert len(products) == wanted
-            assert _power_traces(rows, self.ELLS) == object_traces(rows, self.ELLS)
+        H = synthetic(random_symmetric(random.Random(5), 9, [2, 7])).support
+        for ells, wanted in (((4, 8, 12), 3), ((12, 8, 4), 3), ((2,), 0), ((3,), 1)):
+            products.clear()
+            assert _power_traces(H, ells) == object_traces(H, ells)
+            assert len(products) == wanted
+
+    def test_support_is_scanned_once_per_matrix(self, monkeypatch):
+        import tournhom.spectral as spectral
+        from tournhom.reduction import necklace_densities
+
+        scans = []
+        real = spectral._scan
+        monkeypatch.setattr(spectral, "_scan", lambda rows: scans.append(1) or real(rows))
+        dm = density_matrix(TOY, rotational_tournament(7))
+        assert len(scans) == 1
+        xy_point(dm)
+        for ell in (3, 4):
+            necklace_count_trace(dm, ell)
+            necklace_density_trace(dm, ell)
+            necklace_density_spectral(dm, ell)
+        assert len(scans) == 1
+        family = toy_family(3, (2, 2))
+        necklace_densities(family, rotational_tournament(7))
+        assert len(scans) == 1 + len(family.doubled)
 
     def test_rational_traces_scale_to_integers(self):
         # p_l = tr H^l exactly, though the traces run on den * H in integers
@@ -291,26 +277,29 @@ class TestSupport:
                 necklace_count_trace(dm, ell)
 
     def test_eigenvalues_padded_with_exact_zeros(self):
+        # the support's spectrum, padded with one zero per index off the
+        # support, is the spectrum of the full matrix
         rng = random.Random(4)
         for trial in range(20):
             n = rng.randint(2, 12)
             zero_rows = rng.sample(range(n), rng.randint(1, n - 1))
             H = random_symmetric(rng, n, zero_rows)
-            lam = synthetic(H).eigenvalues()
-            assert len(lam) == n
-            assert np.count_nonzero(lam == 0) >= len(zero_rows)
-            assert np.all(np.abs(lam[:-1]) >= np.abs(lam[1:]))
+            lam, top = _scaled_eigenvalues(synthetic(H).support)
+            assert len(lam) <= n - len(zero_rows)
+            assert top == (max(abs(c) for row in H for c in row) or 1)
+            padded = np.concatenate([lam * top, np.zeros(n - len(lam))])
             full = np.linalg.eigvalsh(np.array(H, dtype=float))
             scale = max(1.0, float(np.max(np.abs(full))))
-            assert np.allclose(np.sort(lam), np.sort(full), atol=1e-9 * scale, rtol=0)
+            assert np.allclose(np.sort(padded), np.sort(full), atol=1e-9 * scale, rtol=0)
 
 
 class TestSyntheticSpectra:
     def test_two_by_two_closed_form(self):
         dm = synthetic([[0, 3], [3, 0]])
-        lam = dm.eigenvalues()
-        assert np.allclose(sorted(lam), [-3, 3])
-        assert float(np.sum(lam**4)) == pytest.approx(2 * 3**4)
+        lam, top = _scaled_eigenvalues(dm.support)
+        assert top == 3
+        assert np.allclose(sorted(lam * top), [-3, 3])
+        assert float(np.sum(lam**4)) * top**4 == pytest.approx(2 * 3**4)
 
     def test_zero_matrix(self):
         dm = synthetic([[0, 0], [0, 0]])
