@@ -131,14 +131,15 @@ class Tournament(Digraph):
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         super().__init__(n, arcs)
-        for u in range(n):
-            for v in range(u + 1, n):
-                fwd = self.has_arc(u, v)
-                bwd = self.has_arc(v, u)
-                if fwd and bwd:
-                    raise ValueError(f"double orientation on pair ({u}, {v})")
-                if not fwd and not bwd:
-                    raise ValueError(f"missing arc on pair ({u}, {v})")
+        full = (1 << n) - 1
+        for u, (o, i) in enumerate(zip(self._out, self._in)):
+            # v in both masks: a digon; v in neither: no arc.  The first u with
+            # a bad pair has none with a smaller v, which would have failed first
+            bad = (o & i) | (full ^ 1 << u) & ~(o | i)
+            if bad:
+                v = (bad & -bad).bit_length() - 1
+                kind = "double orientation" if (o & i) >> v & 1 else "missing arc"
+                raise ValueError(f"{kind} on pair ({u}, {v})")
 
 
 @dataclass(frozen=True)
@@ -424,10 +425,18 @@ def save_quantum(path: str | Path, q: QuantumDigraph, meta: dict | None = None) 
 def load_quantum(path: str | Path) -> QuantumDigraph:
     path = Path(path)
     doc = json.loads(path.read_text())
+    shape = (
+        "an object whose 'terms' lists objects with a number or string 'coef'"
+        " and a string 'graph'"
+    )
     try:
         specs = [(t["coef"], t["graph"]) for t in doc["terms"]]
     except KeyError as exc:
         raise ValueError(f"{path} lacks the field {exc.args[0]!r}") from None
+    except TypeError:  # a list or a scalar where an object belongs
+        raise ValueError(f"{path} must hold {shape}") from None
+    if not all(isinstance(c, (str, int, float)) and isinstance(g, str) for c, g in specs):
+        raise ValueError(f"{path} must hold {shape}")
     terms = []
     for coef, spec in specs:
         if spec.lstrip().startswith("digraph"):

@@ -3,15 +3,17 @@
 One search engine serves counting, root-pair sweeps and enumeration.  A
 pattern is compiled once per set of pinned vertices into a plan: the arc
 lists of every pattern vertex, a tie-break rank that depends on the
-pattern only, and the weakly connected components of the free (unpinned)
-vertices.  The executor keeps a candidate bitmask over the host's vertices
-for every unplaced pattern vertex.  Placing a vertex ANDs the host out- or
-in-mask of its image into the mask of every unplaced neighbour (a digon
-gets both), restores the old masks on backtrack, and prunes as soon as a
-mask is empty: forward checking in the sense of Haralick and Elliott
-(1980).  The next vertex is one with the smallest mask; ties break by
-the plan's rank, so renaming the host's vertices changes no search
-decision and no node count.
+pattern only, the weakly connected components of the free (unpinned)
+vertices, and one clique per component: its vertices in rank order, each
+kept when it is adjacent to every vertex kept before it.  The executor
+keeps a candidate bitmask over the host's vertices for every unplaced
+pattern vertex.  Placing a vertex ANDs the host out- or in-mask of its
+image into the mask of every unplaced neighbour (a digon gets both),
+restores the old masks on backtrack, and prunes as soon as a mask is
+empty: forward checking in the sense of Haralick and Elliott (1980).  The
+next vertex is one with the smallest mask; ties break by the plan's rank,
+so renaming the host's vertices changes no search decision and no node
+count.
 
 Maps need not be injective, but adjacent pattern vertices take distinct
 images, since no digraph has a loop.  So before a node opens on a vertex
@@ -20,19 +22,21 @@ mask is exactly M.  If there are more than |M| of them and they are
 pairwise adjacent, the part has no map and the node is not opened: a
 pigeonhole cut, the simplest case of counting for an all-different
 constraint (Regin 1994).  Non-adjacent vertices may share an image, so
-they never trigger it.  The test reuses the masks that the choice of the
-branching vertex reads, so it costs one list count when it does not fire.
+they never trigger it.  Sharers inside the clique of the branching
+vertex's part are pairwise adjacent by construction, so the sharers are
+tested pair by pair only when one of them lies outside that clique.
 
 Counting multiplies the counts of independent parts: the components of the
 free vertices, and the components the unplaced vertices fall into after a
 placement (the doubled gadget splits into its two halves once its roots
-are pinned).  A part of one vertex counts as the size of its mask.  The
-sweep serves several rooted patterns that share their non-root part (the
-core): it walks each component of the core in one depth-first search,
-keeps two forward-checked root masks per pattern, and adds the outer
-product of each pattern's root masks to that pattern's matrix at every
-full placement.  A branch is cut when a core mask empties, or when every
-pattern has an empty root mask.  Enumeration
+are pinned).  Unplaced vertices that all lie in one clique cannot fall
+apart, so they are not searched for components.  A part of one vertex
+counts as the size of its mask.  The sweep serves several rooted patterns
+that share their non-root part (the core): it walks each component of the
+core in one depth-first search, keeps two forward-checked root masks per
+pattern, and adds the outer product of each pattern's root masks to that
+pattern's matrix at every full placement.  A branch is cut when a core
+mask empties, or when every pattern has an empty root mask.  Enumeration
 walks all free vertices in one depth-first search.  The search runs on an
 explicit stack, and the plan builder does not recurse either, so pattern
 size is bounded by memory, not by the interpreter's recursion limit.
@@ -107,6 +111,7 @@ class _Plan(NamedTuple):
     by_rank: tuple[int, ...]  # tie-break among equal masks: earlier goes first
     free: int  # mask of the unpinned vertices
     parts: tuple[tuple[tuple[int, ...], int], ...]  # components of the free vertices
+    clique: tuple[int, ...]  # clique[v]: the greedy clique of v's part; 0 if v is pinned
 
 
 @lru_cache(maxsize=512)
@@ -117,13 +122,24 @@ def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
     free = (1 << n) - 1
     for p in pinned:
         free &= ~(1 << p)
+    parts = tuple(_parts(_split(free, adj), by_rank))
+    clique = [0] * n
+    for verts, _ in parts:
+        # greedy in rank order; any clique is sound, a tournament core is whole
+        kept = 0
+        for v in verts:
+            if adj[v] & kept == kept:
+                kept |= 1 << v
+        for v in verts:
+            clique[v] = kept
     return _Plan(
         outs=tuple(_bits(F.out_mask(v)) for v in range(n)),
         ins=tuple(_bits(F.in_mask(v)) for v in range(n)),
         adj=adj,
         by_rank=by_rank,
         free=free,
-        parts=tuple(_parts(_split(free, adj), by_rank)),
+        parts=parts,
+        clique=tuple(clique),
     )
 
 
@@ -198,7 +214,7 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
     """
     dom, images = state
     outm, inm = T.out_masks, T.in_masks
-    outs, ins, adj = plan.outs, plan.ins, plan.adj
+    outs, ins, adj, clique = plan.outs, plan.ins, plan.adj, plan.clique
     counting = mode == _COUNT
     sweeping = mode == _SWEEP
     if sweeping:
@@ -213,16 +229,20 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
         None, and no node, when the pigeonhole cut shows the part has no map."""
         nonlocal nodes
         masks = list(map(get, verts))
-        sizes = list(map(size, masks))
-        s = min(sizes)
-        i = sizes.index(s)
-        M = masks[i]
-        if s < len(verts) and masks.count(M) > s and _clique(M, masks, verts, adj):
-            return None
+        M = min(masks, key=size)
+        i = masks.index(M)
+        v = verts[i]
+        s = size(M)
+        if s < len(verts) and masks.count(M) > s:
+            # sharers of M inside the clique of v's part are pairwise adjacent;
+            # test them pair by pair only when v or another sharer lies outside
+            out = mask & ~clique[v]
+            inside = not out >> v & 1 and M not in map(get, _bits(out))
+            if inside or _clique(M, masks, verts, adj):
+                return None
         nodes += 1
         if nodes > limit:
             raise BudgetExceededError("homomorphism search budget exceeded")
-        v = verts[i]
         return [False, verts[:i] + verts[i + 1 :], mask & ~(1 << v), v, M, 0, dom[:]]
 
     if counting:
@@ -318,8 +338,9 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
                         acc += dom[rest[0]].bit_count()
                     else:
                         near = adj[v] & rest_mask
-                        if near & (near - 1):
-                            # v had two or more unplaced neighbours: rest may split
+                        if near & (near - 1) and rest_mask & ~clique[v]:
+                            # v had two or more unplaced neighbours and rest is
+                            # not inside the clique of v's part: rest may split
                             comps = _split(rest_mask, adj)
                             if len(comps) > 1:
                                 child = [True, _parts(comps, rest), 0, 1]

@@ -248,6 +248,15 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
         assert "lacks the field 'graph'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[], {"terms": [1]}])
+    def test_eval_of_a_malformed_file_exits_2(self, tmp_path, capsys, doc):
+        quantum = tmp_path / "q.json"
+        quantum.write_text(json.dumps(doc))
+        host = tmp_path / "host.txt"
+        save_digraph(host, rotational_tournament(5))
+        assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
+        assert "must hold an object whose 'terms' lists objects" in capsys.readouterr().err
+
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
         quantum.write_text(json.dumps({

@@ -148,6 +148,25 @@ class TestMakeTournament:
         with pytest.raises(ValueError, match=r"missing arc on pair \(0, 2\)"):
             make_tournament({(0, 1), (1, 2)}, 3)
 
+    @pytest.mark.parametrize(
+        "digons, missing, message",
+        [
+            ([(4, 2)], [(3, 1)], "missing arc on pair (1, 3)"),
+            ([(4, 0)], [(0, 2), (1, 3)], "missing arc on pair (0, 2)"),
+            ([(2, 1), (4, 3)], [(1, 4)], "double orientation on pair (1, 2)"),
+            ([(3, 2), (4, 0)], [(2, 4)], "double orientation on pair (0, 4)"),
+            ([(4, 3)], [], "double orientation on pair (3, 4)"),
+        ],
+    )
+    def test_first_bad_pair_in_lexicographic_order(self, digons, missing, message):
+        # the transitive tournament on 5 vertices with arcs added and removed
+        arcs = {(u, v) for u in range(5) for v in range(u + 1, 5)}
+        arcs |= set(digons)
+        arcs -= {(min(p), max(p)) for p in missing}
+        with pytest.raises(ValueError) as err:
+            Tournament(5, arcs)
+        assert str(err.value) == message
+
 
 class TestTransitiveTournament:
     def test_n1_empty(self):

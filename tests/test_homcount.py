@@ -1,13 +1,16 @@
 """Homomorphism counting engine against the brute-force oracle."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tournhom import homcount
 from tournhom.digraphs import (
     Digraph,
     QuantumDigraph,
@@ -509,6 +512,61 @@ class TestSearchEngine:
                 assert count == count_hom_rooted(rooted, T2, perm[x], perm[y]) > 0
 
 
+def cut_case(rng):
+    """A tournament core of 2 to 4 vertices, then vertices joined to it by
+    random arcs and digons (parts that are not cliques), sometimes a second
+    component; the host is a random digraph, digons included."""
+    core = random_tournament(rng.randint(2, 4), rng.randrange(2**30))
+    n = core.n + rng.randint(0, 2)
+    arcs = set(core.arcs)
+    for v in range(core.n, n):
+        for u in range(v):
+            kind = rng.randrange(5)
+            arcs |= [set(), set(), {(u, v)}, {(v, u)}, {(u, v), (v, u)}][kind]
+    F = Digraph(n, arcs)
+    if n < 6 and rng.random() < 0.3:
+        F = disjoint_union(F, random_digraph(1, 1, 2, 0))
+    return F, random_digraph(rng.randint(1, 5), 1, 2, rng.randrange(2**30))
+
+
+@contextlib.contextmanager
+def exact_cut_and_split():
+    """Plans whose cliques are empty, so that every pigeonhole cut and every
+    split is decided by the exact `_clique` and `_split`."""
+    plan = homcount._plan
+
+    def no_cliques(F, pinned):
+        p = plan(F, pinned)
+        return p._replace(clique=(0,) * len(p.clique))
+
+    with mock.patch.object(homcount, "_plan", no_cliques), mock.patch.object(
+        homcount, "_sweep_plan", homcount._sweep_plan.__wrapped__
+    ):
+        yield
+
+
+def finish_nodes(run):
+    """run(None) and the nodes its count and sweep searches report to `_finish`."""
+    nodes = []
+    finish = homcount._finish
+
+    def counted(search):
+        out = finish(search)
+        nodes.append(out[1])
+        return out
+
+    with mock.patch.object(homcount, "_finish", counted):
+        return run(None), sum(nodes)
+
+
+def assert_budget(run, result, k):
+    """run finishes with result at max_nodes=k and raises at k - 1."""
+    assert run(k) == result
+    if k:
+        with pytest.raises(BudgetExceededError):
+            run(k - 1)
+
+
 class TestPigeonholeCut:
     """Pairwise-adjacent vertices that share a mask M need |M| or more host vertices."""
 
@@ -538,21 +596,8 @@ class TestPigeonholeCut:
     @given(st.integers(0, 2**30))
     @settings(max_examples=50, deadline=None)
     def test_counts_agree_with_oracle(self, seed):
-        # a tournament core of 2 to 4 vertices, then vertices joined to it by
-        # random arcs and digons (parts that are not cliques), sometimes a
-        # second component; hosts are random digraphs, digons included
         rng = random.Random(seed)
-        core = random_tournament(rng.randint(2, 4), rng.randrange(2**30))
-        n = core.n + rng.randint(0, 2)
-        arcs = set(core.arcs)
-        for v in range(core.n, n):
-            for u in range(v):
-                kind = rng.randrange(5)
-                arcs |= [set(), set(), {(u, v)}, {(v, u)}, {(u, v), (v, u)}][kind]
-        F = Digraph(n, arcs)
-        if n < 6 and rng.random() < 0.3:
-            F = disjoint_union(F, random_digraph(1, 1, 2, 0))
-        T = random_digraph(rng.randint(1, 5), 1, 2, rng.randrange(2**30))
+        F, T = cut_case(rng)
         count = count_hom(F, T)
         assert count == count_hom_bruteforce(F, T)
         maps = list(iter_homs(F, T))
@@ -569,6 +614,58 @@ class TestPigeonholeCut:
                     for a in range(T.n)
                 ]
             ]
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_cliques_change_no_decision(self, seed):
+        # the plan's cliques only skip the exact tests: with empty cliques every
+        # count, map, matrix and node count is the same
+        rng = random.Random(seed)
+        F, T = cut_case(rng)
+        z, w = rng.sample(range(F.n), 2)
+        x, y = rng.randrange(T.n), rng.randrange(T.n)
+        rooted = RootedDigraph(F, (z, w))
+        runs = {
+            "count": lambda b: count_hom(F, T, max_nodes=b),
+            "rooted": lambda b: count_hom_rooted(rooted, T, x, y, max_nodes=b),
+            "maps": lambda b: list(iter_homs(F, T, max_nodes=b)),
+        }
+        if rooted.roots_nonadjacent():
+            runs["sweep"] = lambda b: rooted_count_matrices([rooted], T, max_nodes=b)
+        results = {}
+        for name, run in runs.items():
+            result, k = finish_nodes(run)
+            if name == "maps":  # enumeration does not go through _finish
+                k = nodes_needed(run)
+            assert_budget(run, result, k)
+            with exact_cut_and_split():
+                assert finish_nodes(run) == (result, 0 if name == "maps" else k)
+                assert_budget(run, result, k)
+            results[name] = result
+        maps = results["maps"]
+        assert results["count"] == count_hom_bruteforce(F, T) == len(maps)
+        assert len(set(maps)) == len(maps) and all(is_hom(F, T, m) for m in maps)
+        assert results["rooted"] == count_hom_bruteforce(F, T, {z: x, w: y})
+        if "sweep" in results:
+            assert results["sweep"] == [
+                [
+                    [count_hom_bruteforce(F, T, {z: a, w: b}) for b in range(T.n)]
+                    for a in range(T.n)
+                ]
+            ]
+
+    def test_enumeration_node_count_is_pinned(self):
+        # a gadget with its roots free: the root left out of the plan's clique
+        # sends the cut to the exact test (65 times in the enumeration)
+        from tournhom.suites import _twin_planted_host
+
+        gadget = toy_family(7, (4,)).gadgets[0]
+        F = gadget.rooted.graph
+        host = _twin_planted_host(gadget, dups=3, extras=2, rng=random.Random(0))
+        maps = list(iter_homs(F, host))
+        assert len(maps) == 30
+        assert_budget(lambda b: list(iter_homs(F, host, max_nodes=b)), maps, 198)
+        assert_budget(lambda b: count_hom(F, host, max_nodes=b), 30, 176)
 
 
 class TestLongPattern:
