@@ -141,27 +141,25 @@ def cmd_build_host(args) -> int:
     return 0
 
 
-def _write_matrix_csv(path: str, rows, as_fraction: bool) -> None:
+def _write_matrix_csv(path: str, rows) -> None:
     n = len(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vertex"] + list(range(n)))
-        for x in range(n):
-            row = rows[x]
-            values = [str(Fraction(v)) if as_fraction else str(v) for v in row]
-            writer.writerow([x] + values)
+        for x, row in enumerate(rows):
+            writer.writerow([x] + [str(v) for v in row])
 
 
 def cmd_density_matrix(args) -> int:
     doubled = load_doubled(args.gadget)
     host = load_tournament(args.host)
     [dm] = density_matrices([doubled], host)
-    _write_matrix_csv(args.out, dm.counts, as_fraction=False)
+    _write_matrix_csv(args.out, dm.counts)
     denom = dm.density_denominator()
     density_rows = [
         [Fraction(c, denom) for c in row] for row in dm.counts
     ]
-    _write_matrix_csv(args.out_density, density_rows, as_fraction=True)
+    _write_matrix_csv(args.out_density, density_rows)
     print(f"{dm.order} x {dm.order} matrix; zero: {dm.is_zero()}")
     if args.atlas:
         from .hosts import HostAtlas
@@ -237,7 +235,7 @@ def cmd_reduce(args) -> int:
     )
     rq = build_reduction(p, family, mode=args.mode)
     save_reduced(args.out, rq)
-    print(json.dumps({"E": list(rq.E), "terms": len(rq.terms)}))
+    print(json.dumps({"E": list(rq.E), "terms": len(rq.penalized.poly.terms)}))
     return 0
 
 
@@ -279,7 +277,7 @@ def cmd_eval_quantum(args) -> int:
     if isinstance(meta, dict) and meta.get("kind") == "necklace-reduction":
         value = eval_reduced(load_reduced(doc), host)
     else:
-        value = eval_quantum(load_quantum(args.quantum), host, max_nodes=args.budget)
+        value = eval_quantum(load_quantum(args.quantum, doc), host, max_nodes=args.budget)
     print(json.dumps({"value": _exact_text(value), "float": _scientific(value)}))
     return 0
 

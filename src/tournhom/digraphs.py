@@ -422,9 +422,11 @@ def save_quantum(path: str | Path, q: QuantumDigraph, meta: dict | None = None) 
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def load_quantum(path: str | Path) -> QuantumDigraph:
+def load_quantum(path: str | Path, doc: object = None) -> QuantumDigraph:
+    """Read a quantum digraph file, or `doc`, its parsed JSON, if given."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    if doc is None:
+        doc = json.loads(path.read_text())
     shape = (
         "an object whose 'terms' lists objects with a number or string 'coef'"
         " and a string 'graph'"

@@ -1,12 +1,15 @@
 """Polynomial to quantum-digraph reduction.
 
 A polynomial p in s variables lifts to a penalized polynomial in 2s
-variables, whose monomials then turn into disjoint unions of necklaces:
+variables, whose monomials then turn into disjoint unions of necklaces
+by one rule (`_necklace_powers`), which both builds and evaluates them:
 one length-8 necklace per x power, one length-12 necklace per y power,
 padded with length-4 necklaces so every monomial consumes the same
-per-gadget clearing exponent.  Evaluating the resulting quantum digraph
+per-gadget clearing exponent E.  Evaluating the resulting quantum digraph
 on any tournament equals the penalized polynomial at that tournament's
 (x, y) statistics times the cleared powers of the 4-necklace density.
+A saved reduction keeps its inputs (base, thresholds, p, E), and
+`load_reduced` rebuilds it through `build_reduction`, checks included.
 
 The literal clearing exponent 3*deg(p) only clears denominators once
 deg(p) >= 12, so the default mode uses the minimal sufficient exponent.
@@ -46,7 +49,6 @@ __all__ = [
     "build_penalized",
     "monomial_to_quantum",
     "ReducedQuantum",
-    "ReducedTerm",
     "build_reduction",
     "necklace_densities",
     "eval_reduced",
@@ -82,11 +84,6 @@ class IntPolynomial:
     @staticmethod
     def zero(s: int) -> "IntPolynomial":
         return IntPolynomial(s, ())
-
-    @staticmethod
-    def variable(s: int, index: int) -> "IntPolynomial":
-        exps = tuple(1 if j == index else 0 for j in range(s))
-        return IntPolynomial.of(s, {exps: 1})
 
     def deg(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
@@ -170,6 +167,9 @@ def poly_from_json(doc: dict | str) -> IntPolynomial:
             mapping[exps] = mapping.get(exps, 0) + int(t["coef"])
     except KeyError as exc:
         raise ValueError(f"polynomial lacks the field {exc.args[0]!r}") from None
+    except TypeError:  # a list or a scalar where an object or a list belongs
+        shape = "{'s': int, 'terms': [{'coef': int, 'exps': [int, ...]}, ...]}"
+        raise ValueError(f"a polynomial must be an object {shape}") from None
     return IntPolynomial.of(s, mapping)
 
 
@@ -187,7 +187,11 @@ class PenalizedPolynomial:
     s: int
     M: int
     poly: IntPolynomial  # 2s variables
-    degenerate: bool  # M = 0, the penalty vanished
+
+    @property
+    def degenerate(self) -> bool:
+        """M = 0: the penalty vanished."""
+        return self.M == 0
 
     def evaluate(self, xs: Sequence, ys: Sequence) -> Fraction:
         return self.poly.evaluate(list(xs) + list(ys))
@@ -205,12 +209,29 @@ def build_penalized(p: IntPolynomial) -> PenalizedPolynomial:
         mapping[y_exps] = mapping.get(y_exps, 0) + M
         x2_exps = tuple(2 if j == i else 0 for j in range(s)) + (0,) * s
         mapping[x2_exps] = mapping.get(x2_exps, 0) - M
-    return PenalizedPolynomial(
-        s=s, M=M, poly=IntPolynomial.of(2 * s, mapping), degenerate=(M == 0)
-    )
+    return PenalizedPolynomial(s=s, M=M, poly=IntPolynomial.of(2 * s, mapping))
 
 
 # -- monomials to digraphs -------------------------------------------------------------
+
+
+def _necklace_powers(exps: Sequence[int], E: Sequence[int]) -> list[tuple]:
+    """Per gadget i, the (length, copies) necklaces of x^alpha y^beta, exps = alpha + beta.
+
+    Length 8 alpha_i times, 12 beta_i times and 4 E_i - 2 alpha_i - 3 beta_i times.
+    """
+    s = len(E)
+    powers = []
+    for i in range(s):
+        alpha, beta = exps[i], exps[s + i]
+        fillers = E[i] - 2 * alpha - 3 * beta
+        if fillers < 0:
+            raise ValueError(
+                f"clearing exponent too small for gadget {i + 1}: "
+                f"need {2 * alpha + 3 * beta}, have {E[i]}"
+            )
+        powers.append(((8, alpha), (12, beta), (4, fillers)))
+    return powers
 
 
 def monomial_to_quantum(
@@ -223,39 +244,28 @@ def monomial_to_quantum(
     if not (len(exps_x) == len(exps_y) == family.s == len(E)):
         raise ValueError("exponent vectors must match the family size")
     parts = []
-    for i in range(family.s):
-        fillers = E[i] - 2 * exps_x[i] - 3 * exps_y[i]
-        if fillers < 0:
-            raise ValueError(
-                f"clearing exponent too small for gadget {i + 1}: "
-                f"need {2 * exps_x[i] + 3 * exps_y[i]}, have {E[i]}"
-            )
-        for ell, copies in ((8, exps_x[i]), (12, exps_y[i]), (4, fillers)):
+    powers = _necklace_powers([*exps_x, *exps_y], E)
+    for dg, gadget_powers in zip(family.doubled, powers):
+        for ell, copies in gadget_powers:
             if copies:
-                parts += [build_necklace(family.doubled[i].rooted, ell)] * copies
+                parts += [build_necklace(dg.rooted, ell)] * copies
     return disjoint_union(*parts)
 
 
 @dataclass(frozen=True)
-class ReducedTerm:
-    coef: int
-    alpha: tuple[int, ...]  # x exponents per gadget
-    beta: tuple[int, ...]  # y exponents per gadget
-
-
-@dataclass(frozen=True)
 class ReducedQuantum:
-    """Structured form of the reduction output, alongside the plain terms."""
+    """The reduction of `source` over `family`: its penalized lift, cleared by E."""
 
     family: GadgetFamily
+    source: IntPolynomial
     penalized: PenalizedPolynomial
     E: tuple[int, ...]
-    terms: tuple[ReducedTerm, ...]
 
     def quantum(self) -> QuantumDigraph:
+        s = self.family.s
         return QuantumDigraph.of(
-            (t.coef, monomial_to_quantum(t.alpha, t.beta, self.family, self.E))
-            for t in self.terms
+            (coef, monomial_to_quantum(exps[:s], exps[s:], self.family, self.E))
+            for exps, coef in self.penalized.poly.terms
         )
 
 
@@ -277,39 +287,30 @@ def build_reduction(
     """Quantum digraph realizing the penalized polynomial times cleared powers.
 
     mode "minimal" picks the smallest per-gadget exponent that clears every
-    monomial; "paper" uses 3*deg(p) uniformly, which requires deg(p) >= 12.
+    monomial; "paper" uses 3*deg(p) uniformly, which requires deg(p) >= 12;
+    "explicit" takes explicit_E.  Each mode must clear every monomial.
     """
     if p.s != family.s:
         raise ValueError(f"polynomial has {p.s} variables, family {family.s} gadgets")
     pbar = build_penalized(p)
     required = _required_exponents(pbar)
     if mode == "minimal":
-        E = list(required)
+        E = required
     elif mode == "paper":
         E = [3 * p.deg()] * p.s
-        for i, need in enumerate(required):
-            if E[i] < need:
-                raise ValueError(
-                    f"literal exponent 3*deg(p) = {E[i]} cannot clear gadget "
-                    f"{i + 1} (needs {need}); minimal exponents are {required}"
-                )
     elif mode == "explicit":
         if explicit_E is None or len(explicit_E) != p.s:
             raise ValueError("explicit mode needs one exponent per variable")
         E = list(explicit_E)
-        for i, need in enumerate(required):
-            if E[i] < need:
-                raise ValueError(
-                    f"explicit exponent {E[i]} cannot clear gadget {i + 1} "
-                    f"(needs {need})"
-                )
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    terms = tuple(
-        ReducedTerm(coef=coef, alpha=exps[: p.s], beta=exps[p.s :])
-        for exps, coef in pbar.poly.terms
-    )
-    return ReducedQuantum(family=family, penalized=pbar, E=tuple(E), terms=terms)
+    for i, need in enumerate(required):
+        if E[i] < need:
+            raise ValueError(
+                f"{mode} exponent {E[i]} cannot clear gadget {i + 1} "
+                f"(needs {need}); minimal exponents are {required}"
+            )
+    return ReducedQuantum(family=family, source=p, penalized=pbar, E=tuple(E))
 
 
 # -- evaluation --------------------------------------------------------------------------
@@ -355,13 +356,11 @@ def identity_sides(rq: ReducedQuantum, T: Tournament) -> tuple[Fraction, Fractio
 def _eval_terms(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction:
     """`eval_reduced` from the host's necklace densities at lengths 4, 8 and 12."""
     total = Fraction(0)
-    for term in rq.terms:
-        value = Fraction(term.coef)
-        for i in range(rq.family.s):
-            fillers = rq.E[i] - 2 * term.alpha[i] - 3 * term.beta[i]
-            value *= dens[i][8] ** term.alpha[i]
-            value *= dens[i][12] ** term.beta[i]
-            value *= dens[i][4] ** fillers
+    for exps, coef in rq.penalized.poly.terms:
+        value = Fraction(coef)
+        for d, gadget_powers in zip(dens, _necklace_powers(exps, rq.E)):
+            for ell, copies in gadget_powers:
+                value *= d[ell] ** copies
             if value == 0:
                 break
         total += value
@@ -384,49 +383,43 @@ def _rhs(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction | None
 
 
 def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
-    """Write the standard quantum JSON plus a meta block for exact re-evaluation."""
+    """Write the standard quantum JSON plus a meta block of the reduction's inputs."""
     meta = {
         "kind": "necklace-reduction",
-        "m": rq.family.m,
-        "k": list(rq.family.k),
-        "E": list(rq.E),
         "base": format_digraph(rq.family.base),
-        "terms": [
-            {"coef": t.coef, "alpha": list(t.alpha), "beta": list(t.beta)}
-            for t in rq.terms
-        ],
-        "penalized": poly_to_json(rq.penalized.poly),
-        "M": rq.penalized.M,
-        "s": rq.penalized.s,
+        "k": list(rq.family.k),
+        "poly": poly_to_json(rq.source),
+        "E": list(rq.E),
     }
     save_quantum(path, rq.quantum(), meta)
+
+
+def _int_list(meta: dict, key: str) -> list[int]:
+    values = meta[key]
+    if not (isinstance(values, list) and all(type(v) is int for v in values)):
+        raise ValueError(f"the reduction's field {key!r} must be a list of integers")
+    return values
 
 
 def load_reduced(source: str | Path | dict) -> ReducedQuantum:
     """Read a file written by `save_reduced`, or its parsed JSON document.
 
-    Only the meta block is read, never the term digraphs; a missing field
-    raises ValueError naming it.
+    Only the meta block is read, never the term digraphs; `build_reduction`
+    rebuilds and checks the reduction.  A bad field raises ValueError naming it.
     """
     doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
     try:
         meta = doc["meta"]
+        if not isinstance(meta["base"], str):
+            raise ValueError("the reduction's field 'base' must be a digraph string")
         base_graph, _ = parse_digraph(meta["base"])
         base = Tournament(base_graph.n, base_graph.arcs)
-        family = build_family(base, k_values=list(meta["k"]), enforce_interval=False)
-        pbar = PenalizedPolynomial(
-            s=int(meta["s"]),
-            M=int(meta["M"]),
-            poly=poly_from_json(meta["penalized"]),
-            degenerate=int(meta["M"]) == 0,
-        )
-        terms = tuple(
-            ReducedTerm(coef=int(t["coef"]), alpha=tuple(t["alpha"]), beta=tuple(t["beta"]))
-            for t in meta["terms"]
-        )
-        return ReducedQuantum(family=family, penalized=pbar, E=tuple(meta["E"]), terms=terms)
+        family = build_family(base, k_values=_int_list(meta, "k"), enforce_interval=False)
+        p = poly_from_json(meta["poly"])
+        E = _int_list(meta, "E")
     except KeyError as exc:
         raise ValueError(f"the reduction lacks the field {exc.args[0]!r}") from None
+    return build_reduction(p, family, "explicit", E)
 
 
 # -- sign report --------------------------------------------------------------------------
@@ -444,10 +437,6 @@ class NonnegativityReport:
     def consistent(self) -> bool:
         """The falsifiable direction: p >= 0 on the grid forbids negative values."""
         return not (self.grid_nonnegative and self.negative_hosts)
-
-    @property
-    def found_negative(self) -> bool:
-        return bool(self.negative_hosts)
 
 
 def nonnegativity_report(
@@ -471,15 +460,13 @@ def nonnegativity_report(
     degenerate = []
     negative = []
     for idx, T in enumerate(hosts):
-        dens = necklace_densities(rq.family, T)
-        val = _eval_terms(rq, dens)
+        val, rhs = identity_sides(rq, T)
         values.append(val)
-        if any(d[4] == 0 for d in dens):
+        if rhs is None:
             degenerate.append(idx)
             if val != 0:
                 negative.append(idx)  # divisibility violated; flag it
-            continue
-        if val < 0:
+        elif val < 0:
             negative.append(idx)
     return NonnegativityReport(
         grid_nonnegative=grid_min >= 0,

@@ -11,7 +11,9 @@ from tournhom.digraphs import (
     Digraph,
     load_digraph,
     load_rooted,
+    random_tournament,
     save_digraph,
+    transitive_tournament,
 )
 from tournhom.gadgets import rotational_tournament, toy_family
 from tournhom.hosts import save_simple_graph, single_edge_graph
@@ -256,6 +258,91 @@ class TestReduce:
         save_digraph(host, rotational_tournament(5))
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
         assert "must hold an object whose 'terms' lists objects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {"s": 1, "terms": [1]}, {"s": 1, "terms": [{"coef": 1, "exps": 1}]}],
+        ids=["list", "scalar-term", "scalar-exps"],
+    )
+    def test_reduce_of_a_malformed_polynomial_exits_2(self, tmp_path, capsys, doc):
+        fam_dir = tmp_path / "family"
+        fam_dir.mkdir()
+        save_digraph(fam_dir / "f0.txt", toy_family(3, (2,)).base)
+        (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": [2]}))
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps(doc))
+        out = tmp_path / "fp.json"
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 2
+        assert "a polynomial must be an object {'s': int, 'terms'" in capsys.readouterr().err
+
+    @staticmethod
+    def _eval_edited_reduction(tmp_path, edit, host=None):
+        """eval-quantum on the x1 reduction whose meta block `edit` changed."""
+        rq = build_reduction(parse_poly_text("x1"), toy_family(3, (2,)))
+        out = tmp_path / "fp.json"
+        save_reduced(out, rq)
+        doc = json.loads(out.read_text())
+        edit(doc["meta"])
+        out.write_text(json.dumps(doc))
+        host_file = tmp_path / "host.txt"
+        save_digraph(host_file, host if host is not None else rotational_tournament(7))
+        return run(["eval-quantum", "--quantum", out, "--host", host_file])
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("base", 5, "field 'base' must be a digraph string"),
+            ("k", "2", "field 'k' must be a list of integers"),
+            ("k", [2.5], "field 'k' must be a list of integers"),
+            ("E", 14, "field 'E' must be a list of integers"),
+            ("E", ["14"], "field 'E' must be a list of integers"),
+            ("poly", [], "a polynomial must be an object"),
+        ],
+        ids=["base-int", "k-str", "k-float", "E-int", "E-strs", "poly-list"],
+    )
+    def test_eval_of_a_malformed_meta_exits_2(self, tmp_path, capsys, field, value, message):
+        assert self._eval_edited_reduction(
+            tmp_path, lambda meta: meta.update({field: value})
+        ) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "host", [random_tournament(7, 3), transitive_tournament(5)], ids=["random", "transitive"]
+    )
+    def test_eval_with_exponents_below_the_need_exits_2(self, tmp_path, capsys, host):
+        # the parent read E from the file unchecked: exit 0 with a wrong value,
+        # or a ZeroDivisionError on a host without 4-necklaces
+        assert self._eval_edited_reduction(
+            tmp_path, lambda meta: meta.update(E=[0]), host
+        ) == 2
+        assert "minimal exponents are [14]" in capsys.readouterr().err
+
+    def test_eval_of_a_file_in_the_older_format_exits_2(self, tmp_path, capsys):
+        def older(meta):
+            poly = meta.pop("poly")
+            meta.update(m=3, s=poly["s"], M=100, penalized={}, terms=[])
+
+        assert self._eval_edited_reduction(tmp_path, older) == 2
+        assert "the reduction lacks the field 'poly'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["generic", "reduction"])
+    def test_eval_reads_the_quantum_file_once(self, tmp_path, capsys, monkeypatch, reduced):
+        import pathlib
+
+        quantum = tmp_path / "q.json"
+        if reduced:
+            save_reduced(quantum, build_reduction(parse_poly_text("x1"), toy_family(3, (2,))))
+        else:
+            quantum.write_text(json.dumps({"terms": [{"coef": "1/1", "graph": "digraph 2\n0 1\n"}]}))
+        host = tmp_path / "host.txt"
+        save_digraph(host, rotational_tournament(5))
+        reads = []
+        real = pathlib.Path.read_text
+        monkeypatch.setattr(
+            pathlib.Path, "read_text", lambda self, *a, **k: reads.append(self) or real(self, *a, **k)
+        )
+        assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 0
+        assert reads.count(quantum) == 1
 
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"

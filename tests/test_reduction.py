@@ -98,12 +98,7 @@ class TestBuildReduction:
     def test_minimal_exponent_for_linear(self):
         rq = build_reduction(parse_poly_text("x1"), FAM1, mode="minimal")
         assert rq.E == (14,)
-        by_sig = {(t.alpha, t.beta): t.coef for t in rq.terms}
-        assert by_sig == {
-            ((7,), (0,)): 1,
-            ((0,), (1,)): 100,
-            ((2,), (0,)): -100,
-        }
+        assert dict(rq.penalized.poly.terms) == {(7, 0): 1, (0, 1): 100, (2, 0): -100}
 
     def test_paper_mode_needs_degree_twelve(self):
         with pytest.raises(ValueError, match="minimal exponents"):
@@ -232,14 +227,26 @@ class TestNecklaceDensities:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        rq = build_reduction(parse_poly_text("x1"), FAM1)
-        save_reduced(tmp_path / "f.json", rq)
-        back = load_reduced(tmp_path / "f.json")
-        assert back.E == rq.E
-        assert back.terms == rq.terms
-        assert back.family.k == rq.family.k
-        T = random_tournament(5, 3)
-        assert eval_reduced(back, T) == eval_reduced(rq, T)
+        from tournhom.gadgets import rotational_tournament
+
+        cases = [  # every mode, over one gadget and over two
+            ("x1", FAM1, "minimal", None),
+            ("x1 - x2", FAM2, "minimal", None),
+            ("x1^12", FAM1, "paper", None),
+            ("x1^12 - 2 x2^3", FAM2, "paper", None),
+            ("x1^2 - 3", FAM1, "explicit", [20]),
+            ("x1 - 2 x2", FAM2, "explicit", [30, 25]),
+        ]
+        hosts = [random_tournament(5, 3), rotational_tournament(7)]
+        for text, fam, mode, E in cases:
+            rq = build_reduction(parse_poly_text(text, s=fam.s), fam, mode, E)
+            save_reduced(tmp_path / "f.json", rq)
+            back = load_reduced(tmp_path / "f.json")
+            assert back.source == rq.source, text
+            assert back.penalized == rq.penalized, text
+            assert back.E == rq.E, text
+            assert back.family.k == rq.family.k, text
+            assert [eval_reduced(back, T) for T in hosts] == [eval_reduced(rq, T) for T in hosts]
 
     def test_json_is_standard_schema(self, tmp_path):
         import json
@@ -249,6 +256,13 @@ class TestPersistence:
         doc = json.loads((tmp_path / "f.json").read_text())
         assert set(doc) == {"terms", "meta"}
         assert all(set(t) == {"coef", "graph"} for t in doc["terms"])
+        meta = doc["meta"]
+        assert set(meta) == {"kind", "base", "k", "poly", "E"}
+        assert meta["kind"] == "necklace-reduction"
+        assert (meta["k"], meta["E"]) == ([2], [14])
+        assert meta["poly"] == poly_to_json(rq.source) == {
+            "s": 1, "terms": [{"coef": 1, "exps": [1]}]
+        }
 
 
 class TestNonnegativityReport:
