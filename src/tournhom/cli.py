@@ -28,6 +28,7 @@ from .errors import (
     DegenerateHostError,
     EnumerationCapError,
     SamplingError,
+    json_field,
 )
 from .gadgets import (
     build_family,
@@ -91,7 +92,7 @@ def cmd_necklace(args) -> int:
     rooted = load_rooted(args.gadget)
     necklace = build_necklace(rooted, args.len)
     save_digraph(args.out, necklace)
-    print(f"necklace with {necklace.n} vertices, {len(necklace.arcs)} arcs")
+    print(f"necklace with {necklace.n} vertices, {necklace.arc_count} arcs")
     return 0
 
 
@@ -224,13 +225,10 @@ def cmd_reduce(args) -> int:
     family_dir = Path(args.family)
     manifest_path = family_dir / "family.json"
     manifest = json.loads(manifest_path.read_text())
-    for key in ("f0", "k"):
-        if key not in manifest:
-            raise ValueError(f"{manifest_path} lacks the field {key!r}")
-    f0 = load_tournament(family_dir / manifest["f0"])
+    f0 = load_tournament(family_dir / json_field(manifest, "f0", str, str(manifest_path)))
     family = build_family(
         f0,
-        k_values=list(manifest["k"]),
+        k_values=json_field(manifest, "k", [int], str(manifest_path)),
         enforce_interval=manifest.get("enforce_interval", False),
     )
     rq = build_reduction(p, family, mode=args.mode)

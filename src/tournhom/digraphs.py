@@ -1,9 +1,13 @@
 """Core digraph, tournament and quantum-digraph types.
 
-Vertices are dense integers 0..n-1.  Adjacency is stored as big-int bit
-masks (bit u of out_mask(v) is set iff the arc (v, u) is present), which
-makes neighborhood intersection the cheap primitive the homomorphism
-search needs.  All types are immutable after construction.
+Vertices are dense integers 0..n-1.  A digraph is stored only as big-int
+bit masks (bit u of out_mask(v) is set iff the arc (v, u) is present),
+which makes neighborhood intersection the cheap primitive the
+homomorphism search needs.  Every constructor ends in one core that checks
+the out-masks and derives the in-masks from them; the builders here and
+in `gadgets` and `hosts` write masks directly.  The arc set `arcs` is
+derived from the masks on first read.  All types are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .errors import BudgetExceededError
+import numpy as np
+
+from .errors import BudgetExceededError, json_field
 
 __all__ = [
     "Digraph",
@@ -29,7 +35,9 @@ __all__ = [
     "induced_subdigraph",
     "is_acyclic",
     "are_isomorphic",
+    "gather_rows",
     "parse_digraph",
+    "read_text_format",
     "format_digraph",
     "load_digraph",
     "save_digraph",
@@ -43,25 +51,48 @@ __all__ = [
 class Digraph:
     """A loopless digraph with at most one arc per ordered pair."""
 
-    __slots__ = ("n", "arcs", "_out", "_in")
+    __slots__ = ("n", "_out", "_in", "_arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
-        out = [0] * n
-        inn = [0] * n
-        for u, v in arc_set:
+        out = [0] * max(n, 0)
+        for u, v in arcs:
+            u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             out[u] |= 1 << v
-            inn[v] |= 1 << u
+        self._build(n, out)
+
+    @classmethod
+    def from_out_masks(cls, n: int, out: Iterable[int]):
+        """The digraph in which bit v of out[u] is set iff (u, v) is an arc."""
+        g = cls.__new__(cls)
+        g._build(n, out)
+        return g
+
+    def _build(self, n: int, out: Iterable[int]) -> None:
+        # the one core every constructor runs: it checks the out-masks and
+        # derives the in-masks, which it never takes from a caller
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        out = tuple(out)
+        if len(out) != n:
+            raise ValueError(f"{n} vertices need {n} out-masks, got {len(out)}")
+        for u, o in enumerate(out):
+            if o >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+            if o >> n:  # also true of a negative mask
+                v = n + (o >> n & -(o >> n)).bit_length() - 1
+                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
         self.n = n
-        self.arcs = arc_set
-        self._out = tuple(out)
-        self._in = tuple(inn)
+        self._out = out
+        self._in = _transpose(n, out)
+        self._arcs = None
+        self._validate()
+
+    def _validate(self) -> None:
+        """Conditions a subclass adds to a loopless digraph's."""
 
     # -- adjacency access -------------------------------------------------
 
@@ -80,6 +111,17 @@ class Digraph:
     def in_masks(self) -> tuple[int, ...]:
         """in_mask(v) for every vertex v, as one tuple."""
         return self._in
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arc set, derived from the masks on first read and kept."""
+        if self._arcs is None:
+            self._arcs = frozenset(self.sorted_arcs())
+        return self._arcs
+
+    @property
+    def arc_count(self) -> int:
+        return sum(m.bit_count() for m in self._out)
 
     def out_neighbors(self, v: int) -> set[int]:
         return set(_bits(self._out[v]))
@@ -107,7 +149,8 @@ class Digraph:
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         """Arcs in ascending (u, v) order; the canonical iteration order."""
-        return sorted(self.arcs)
+        us, vs = _arc_arrays(self.n, self._out)
+        return list(zip(us.tolist(), vs.tolist()))
 
     # -- dunder ------------------------------------------------------------
 
@@ -115,13 +158,13 @@ class Digraph:
         # label-sensitive equality
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self._out))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, arcs={len(self.arcs)})"
+        return f"{type(self).__name__}(n={self.n}, arcs={self.arc_count})"
 
 
 class Tournament(Digraph):
@@ -129,9 +172,8 @@ class Tournament(Digraph):
 
     __slots__ = ()
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        super().__init__(n, arcs)
-        full = (1 << n) - 1
+    def _validate(self) -> None:
+        full = (1 << self.n) - 1
         for u, (o, i) in enumerate(zip(self._out, self._in)):
             # v in both masks: a digon; v in neither: no arc.  The first u with
             # a bad pair has none with a smaller v, which would have failed first
@@ -140,6 +182,33 @@ class Tournament(Digraph):
                 v = (bad & -bad).bit_length() - 1
                 kind = "double orientation" if (o & i) >> v & 1 else "missing arc"
                 raise ValueError(f"{kind} on pair ({u}, {v})")
+
+
+def _arc_arrays(n: int, out: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs (u, v) of the out-masks as two arrays, in ascending order.
+
+    The masks are laid out as rows of 64-bit words; only the nonzero words
+    are unpacked, so a sparse graph costs its words plus its arcs.
+    """
+    words = (n + 63) >> 6
+    rows = np.frombuffer(b"".join(o.to_bytes(8 * words, "little") for o in out), dtype="<u8")
+    where = np.flatnonzero(rows)
+    hits = np.flatnonzero(np.unpackbits(rows[where].view(np.uint8), bitorder="little"))
+    us, word = np.divmod(where[hits >> 6], words)
+    return us, word << 6 | hits & 63
+
+
+def _transpose(n: int, out: tuple[int, ...]) -> tuple[int, ...]:
+    """The in-masks of the out-masks: bit u of the v-th is bit v of out[u]."""
+    us, vs = _arc_arrays(n, out)
+    words = (n + 63) >> 6
+    cols = np.zeros(n * words, dtype="<u8")
+    # arcs into one word of a column set distinct bits, so adding is OR-ing
+    bits = np.left_shift(np.uint64(1), (us & 63).astype(np.uint64))
+    np.add.at(cols, vs * words + (us >> 6), bits)
+    data = memoryview(cols.tobytes())
+    size = 8 * words
+    return tuple(int.from_bytes(data[v * size : (v + 1) * size], "little") for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -204,7 +273,8 @@ def transitive_tournament(n: int) -> Tournament:
     """The tournament with arc (i, j) iff i < j."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Tournament(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    full = (1 << n) - 1
+    return Tournament.from_out_masks(n, [full >> i + 1 << i + 1 for i in range(n)])
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -213,22 +283,24 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
 
 def _draw_tournament(rng: random.Random, n: int) -> Tournament:
-    arcs = []
+    out = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
-            arcs.append((u, v) if rng.getrandbits(1) else (v, u))
-    return Tournament(n, arcs)
+            if rng.getrandbits(1):
+                out[u] |= 1 << v
+            else:
+                out[v] |= 1 << u
+    return Tournament.from_out_masks(n, out)
 
 
 def disjoint_union(*graphs: Digraph) -> Digraph:
     """Concatenate vertex sets in order, shifting each graph's labels by the
     vertex count of the graphs before it."""
-    arcs = []
-    n = 0
+    out: list[int] = []
     for g in graphs:
-        arcs += [(u + n, v + n) for u, v in g.arcs]
-        n += g.n
-    return Digraph(n, arcs)
+        shift = len(out)
+        out += [o << shift for o in g.out_masks]
+    return Digraph.from_out_masks(len(out), out)
 
 
 def induced_subdigraph(g: Digraph, vertices: Iterable[int]) -> Digraph:
@@ -237,9 +309,26 @@ def induced_subdigraph(g: Digraph, vertices: Iterable[int]) -> Digraph:
     for v in sub:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(sub)}
-    arcs = [(index[u], index[v]) for u, v in g.arcs if u in index and v in index]
-    return Digraph(len(sub), arcs)
+    return Digraph.from_out_masks(len(sub), gather_rows(g, sub))
+
+
+def gather_rows(g: Digraph, order: list[int]) -> list[int]:
+    """The out-masks of the vertices in `order`, relabelled so that order[i]
+    becomes i; arcs to vertices outside `order` are dropped.
+
+    The bits move one run of consecutive labels at a time, so a few long
+    runs cost a few shifts per row."""
+    runs: list[list[int]] = []  # [first label, length, new label of the first]
+    for i, v in enumerate(order):
+        if runs and v == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1, i])
+    # the runs land on disjoint bits, so their sum is their union
+    return [
+        sum((g.out_mask(v) >> first & (1 << length) - 1) << at for first, length, at in runs)
+        for v in order
+    ]
 
 
 def is_acyclic(g: Digraph) -> bool:
@@ -277,12 +366,12 @@ def are_isomorphic(a: Digraph, b: Digraph, max_nodes: int = 10**6) -> bool:
     The search backtracks on an explicit stack; `max_nodes` bounds the
     number of placements.
     """
-    if a.n != b.n or len(a.arcs) != len(b.arcs):
+    if a.n != b.n or a.arc_count != b.arc_count:
         return False
     prof_a, prof_b = _profiles(a), _profiles(b)
     if sorted(prof_a) != sorted(prof_b):
         return False
-    if a.arcs == b.arcs:
+    if a == b:
         return True
     n = a.n
     by_profile: dict[tuple[int, int], int] = {}
@@ -357,21 +446,35 @@ def format_digraph(g: Digraph, roots: tuple[int, int] | None = None) -> str:
 
 
 def parse_digraph(text: str) -> tuple[Digraph, tuple[int, int] | None]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("digraph"):
+    n, roots, pairs = read_text_format(text)
+    return Digraph(n, pairs), roots
+
+
+def read_text_format(text: str) -> tuple[int, tuple[int, int] | None, list[list[int]]]:
+    """The vertex count, the roots if given, and the pairs of a digraph text.
+
+    A malformed line raises ValueError naming its number."""
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1][0] != "digraph":
         raise ValueError("expected 'digraph <n>' header")
-    n = int(lines[0].split()[1])
+    (n,) = _int_fields(lines[0], "digraph <n>")
     roots = None
-    body = lines[1:]
-    if body and body[0].startswith("roots"):
-        parts = body[0].split()
-        roots = (int(parts[1]), int(parts[2]))
-        body = body[1:]
-    arcs = []
-    for ln in body:
-        u, v = ln.split()
-        arcs.append((int(u), int(v)))
-    return Digraph(n, arcs), roots
+    if len(lines) > 1 and lines[1][1][0] == "roots":
+        z, w = _int_fields(lines.pop(1), "roots <z> <w>")
+        roots = (z, w)
+    return n, roots, [_int_fields(line, "<u> <v>") for line in lines[1:]]
+
+
+def _int_fields(line: tuple[int, list[str]], form: str) -> list[int]:
+    """The integer fields of a numbered line that must read `form`."""
+    number, tokens = line
+    words = form.split()
+    try:
+        if len(tokens) == len(words):
+            return [int(tok) for tok, word in zip(tokens, words) if word[0] == "<"]
+    except ValueError:
+        pass
+    raise ValueError(f"line {number}: expected {form!r}, got {' '.join(tokens)!r}")
 
 
 def load_digraph(path: str | Path) -> Digraph:
@@ -385,7 +488,7 @@ def save_digraph(path: str | Path, g: Digraph, roots: tuple[int, int] | None = N
 
 def load_tournament(path: str | Path) -> Tournament:
     g = load_digraph(path)
-    return Tournament(g.n, g.arcs)
+    return Tournament.from_out_masks(g.n, g.out_masks)
 
 
 def load_rooted(path: str | Path) -> RootedDigraph:
@@ -427,20 +530,10 @@ def load_quantum(path: str | Path, doc: object = None) -> QuantumDigraph:
     path = Path(path)
     if doc is None:
         doc = json.loads(path.read_text())
-    shape = (
-        "an object whose 'terms' lists objects with a number or string 'coef'"
-        " and a string 'graph'"
-    )
-    try:
-        specs = [(t["coef"], t["graph"]) for t in doc["terms"]]
-    except KeyError as exc:
-        raise ValueError(f"{path} lacks the field {exc.args[0]!r}") from None
-    except TypeError:  # a list or a scalar where an object belongs
-        raise ValueError(f"{path} must hold {shape}") from None
-    if not all(isinstance(c, (str, int, float)) and isinstance(g, str) for c, g in specs):
-        raise ValueError(f"{path} must hold {shape}")
     terms = []
-    for coef, spec in specs:
+    for t in json_field(doc, "terms", [dict], str(path)):
+        coef = json_field(t, "coef", (str, float), f"a term of {path}")
+        spec = json_field(t, "graph", str, f"a term of {path}")
         if spec.lstrip().startswith("digraph"):
             g, _ = parse_digraph(spec)
         else:

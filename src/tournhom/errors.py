@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and a typed reader for the fields of JSON input."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -15,3 +15,48 @@ class DegenerateHostError(ValueError):
 
 class SamplingError(RuntimeError):
     """A randomized sampler exhausted its tries without a success."""
+
+
+# -- typed fields of JSON input -------------------------------------------------
+
+_KINDS = {  # a kind's name in the singular and the plural
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+    type(None): ("null", "nulls"),
+}
+
+
+def json_field(doc, key: str, kind, owner: str):
+    """doc[key], checked to be of `kind`, else a ValueError naming `owner` and the field.
+
+    `kind` is int, float, str, dict or type(None), a one-element list [kind]
+    for a list of that kind, or a tuple of kinds.  A bool is never a number,
+    and a float is not an int.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{owner} must be an object")
+    if key not in doc:
+        raise ValueError(f"{owner} lacks the field {key!r}")
+    if not _fits(doc[key], kind):
+        raise ValueError(f"{owner}'s field {key!r} must be {_name(kind)}")
+    return doc[key]
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(_fits(value, k) for k in kind)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _name(kind, plural: bool = False) -> str:
+    if isinstance(kind, list):
+        return ("lists of " if plural else "a list of ") + _name(kind[0], plural=True)
+    if isinstance(kind, tuple):
+        return " or ".join(_name(k, plural) for k in kind)
+    return _KINDS[kind][plural]

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .digraphs import (
     Digraph,
@@ -21,6 +22,7 @@ from .digraphs import (
     Tournament,
     _bits,
     _draw_tournament,
+    gather_rows,
     induced_subdigraph,
 )
 from .errors import BudgetExceededError, SamplingError
@@ -43,6 +45,7 @@ __all__ = [
     "build_gadget",
     "symmetrize",
     "build_necklace",
+    "glue",
     "build_family",
 ]
 
@@ -329,15 +332,10 @@ def build_gadget(base: Tournament | BaseTournament, k: int) -> Gadget:
     if not 0 < k < m:
         raise ValueError(f"k={k} out of range (0, {m})")
     z, w = m, m + 1
-    arcs = list(f0.arcs)
-    for v in range(m):
-        if v < k:
-            arcs.append((z, v))
-            arcs.append((v, w))
-        else:
-            arcs.append((v, z))
-            arcs.append((w, v))
-    return Gadget(RootedDigraph(Digraph(m + 2, arcs), (z, w)), m, k)
+    low = (1 << k) - 1  # the base vertices below k
+    out = [o | 1 << (w if v < k else z) for v, o in enumerate(f0.out_masks)]
+    out += [low, (1 << m) - 1 ^ low]  # z and w
+    return Gadget(RootedDigraph(Digraph.from_out_masks(m + 2, out), (z, w)), m, k)
 
 
 def degree_bound_ok(g: Gadget) -> bool:
@@ -407,16 +405,15 @@ def load_doubled(path) -> DoubledGadget:
 def symmetrize(g: Gadget) -> DoubledGadget:
     """Glue a mirror image onto the gadget so root order stops mattering."""
     m, k = g.m, g.k
-    base_arcs = [(u, v) for u, v in g.rooted.graph.arcs if u < m and v < m]
+    base = [o & (1 << m) - 1 for o in g.rooted.graph.out_masks[:m]]
     z, w = 2 * m, 2 * m + 1
-    arcs = list(base_arcs)
-    arcs.extend((u + m, v + m) for u, v in base_arcs)
-    for v in range(m):
-        if v < k:
-            arcs.extend([(z, v), (v, w), (w, m + v), (m + v, z)])
-        else:
-            arcs.extend([(v, z), (w, v), (m + v, w), (z, m + v)])
-    rooted = RootedDigraph(Digraph(2 * m + 2, arcs), (z, w))
+    low = (1 << k) - 1
+    high = (1 << m) - 1 ^ low
+    # below k: z -> v -> w -> m+v -> z; from k on, every one of these arcs reversed
+    out = [o | 1 << (w if v < k else z) for v, o in enumerate(base)]
+    out += [o << m | 1 << (z if v < k else w) for v, o in enumerate(base)]
+    out += [low | high << m, high | low << m]
+    rooted = RootedDigraph(Digraph.from_out_masks(2 * m + 2, out), (z, w))
     return DoubledGadget(rooted, m, k, tuple(range(m)), tuple(range(m, 2 * m)))
 
 
@@ -427,14 +424,28 @@ def build_necklace(F: RootedDigraph, ell: int) -> Digraph:
     z, w = F.roots
     free = [v for v in range(F.graph.n) if v not in (z, w)]
     block = len(free)
-    n = ell * (F.graph.n - 1)
-    arcs = []
+    rows = gather_rows(F.graph, free + [z, w])
+    out = [0] * (ell * (F.graph.n - 1))
     for i in range(ell):
-        mapping = {z: i, w: (i + 1) % ell}
-        for idx, v in enumerate(free):
-            mapping[v] = ell + i * block + idx
-        arcs.extend((mapping[u], mapping[v]) for u, v in F.graph.arcs)
-    return Digraph(n, arcs)
+        start, nxt = ell + i * block, (i + 1) % ell
+        *copy, z_row, w_row = glue(rows, start, i, nxt)
+        out[start : start + block] = copy
+        out[i] |= z_row
+        out[nxt] |= w_row
+    return Digraph.from_out_masks(len(out), out)
+
+
+def glue(rows: Sequence[int], start: int, z_at: int, w_at: int) -> list[int]:
+    """The out-masks of a rooted pattern laid out free vertices first, then z,
+    then w, with its free vertices moved to start, start+1, ... and its roots
+    glued onto the vertices z_at and w_at.  The last two masks are the roots'
+    arcs, which the caller ORs into the rows of z_at and w_at."""
+    block = len(rows) - 2
+    free = (1 << block) - 1
+    return [
+        (o & free) << start | (o >> block & 1) << z_at | (o >> block + 1 & 1) << w_at
+        for o in rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -487,8 +498,11 @@ def rotational_tournament(n: int) -> Tournament:
     """i beats i+1 .. i+(n-1)/2 mod n; defined for odd n, always strongly cyclic."""
     if n % 2 == 0:
         raise ValueError("rotational tournaments need odd n")
-    half = (n - 1) // 2
-    return Tournament(n, [(i, (i + d) % n) for i in range(n) for d in range(1, half + 1)])
+    half = (1 << (n - 1) // 2) - 1
+    full = (1 << n) - 1
+    # i + 1 .. i + (n-1)/2, the bits past n - 1 wrapped round to 0
+    out = [(half << i + 1 | half << i + 1 >> n) & full for i in range(n)]
+    return Tournament.from_out_masks(n, out)
 
 
 @lru_cache(maxsize=16)

@@ -522,19 +522,21 @@ def _sweep_plan(patterns: tuple[RootedDigraph, ...]) -> _SweepPlan:
     n, (z, w) = first.graph.n, first.roots
     core = (1 << n) - 1 & ~(1 << z) & ~(1 << w)
 
-    def core_arcs(F):
-        return {(u, v) for u, v in F.graph.arcs if core >> u & 1 and core >> v & 1}
+    def core_rows(F):
+        return [o & core if core >> u & 1 else 0 for u, o in enumerate(F.graph.out_masks)]
 
-    arcs = core_arcs(first)
+    rows = core_rows(first)
     for F in patterns:
         if not F.roots_nonadjacent():
             raise ValueError("sweep requires non-adjacent roots")
         if F.graph.n != n or F.roots != first.roots:
             raise ValueError("swept patterns need the same vertex count and root labels")
-        if core_arcs(F) != arcs:
+        if core_rows(F) != rows:
             raise ValueError("swept patterns need the same arcs among their non-root vertices")
-    union = Digraph(n, set().union(*(F.graph.arcs for F in patterns)))
-    plan = _plan(union, tuple(sorted(first.roots)))
+    union = [0] * n
+    for F in patterns:
+        union = [a | b for a, b in zip(union, F.graph.out_masks)]
+    plan = _plan(Digraph.from_out_masks(n, union), tuple(sorted(first.roots)))
     routs: list[list[int]] = [[] for _ in range(n)]
     rins: list[list[int]] = [[] for _ in range(n)]
     for p, F in enumerate(patterns):

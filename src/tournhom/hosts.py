@@ -4,8 +4,9 @@ A block glues one doubled-gadget copy onto every edge of the graph over a
 transitive base, orients each cell left-to-right, points the remaining
 base vertices at every cell, and orders distinct cells by the edge order.
 The full host stacks the per-index blocks with all arcs from earlier to
-later blocks.  The tournament constructor re-validates completeness, so a
-missed pair in any step aborts construction.
+later blocks.  Each vertex's out-arcs are written as one bitmask, and the
+tournament constructor re-validates completeness, so a missed pair in any
+step aborts construction.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .digraphs import Tournament
-from .gadgets import DoubledGadget, GadgetFamily
+from .digraphs import Tournament, read_text_format
+from .errors import json_field
+from .gadgets import DoubledGadget, GadgetFamily, glue
 
 __all__ = [
     "SimpleGraph",
@@ -68,13 +70,11 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def parse_simple_graph(text: str) -> SimpleGraph:
     """Digraph text format with one line per undirected edge, u < v."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("digraph"):
-        raise ValueError("expected 'digraph <n>' header")
-    n = int(lines[0].split()[1])
+    n, roots, pairs = read_text_format(text)
+    if roots is not None:
+        raise ValueError("a simple graph has no roots line")
     edges = set()
-    for ln in lines[1:]:
-        u, v = (int(tok) for tok in ln.split())
+    for u, v in pairs:
         if not u < v:
             raise ValueError(f"undirected edge must be written low high, got {u} {v}")
         if (u, v) in edges:
@@ -175,26 +175,31 @@ class HostAtlas:
 
     @staticmethod
     def from_json(doc: dict) -> "HostAtlas":
+        """The atlas of `to_json`; a missing or mistyped field raises ValueError naming it."""
+
+        def ints(d: dict, key: str, owner: str) -> tuple[int, ...]:
+            return tuple(json_field(d, key, [int], owner))
+
         blocks = tuple(
             BlockAtlas(
-                i=b["i"],
-                k=b["k"],
-                base=tuple(b["base"]),
+                i=json_field(b, "i", int, "an atlas block"),
+                k=json_field(b, "k", int, "an atlas block"),
+                base=ints(b, "base", "an atlas block"),
                 cells=tuple(
                     CellAtlas(
-                        edge=tuple(c["edge"]),
-                        left=tuple(c["left"]),
-                        right=tuple(c["right"]),
+                        edge=ints(c, "edge", "an atlas cell"),
+                        left=ints(c, "left", "an atlas cell"),
+                        right=ints(c, "right", "an atlas cell"),
                     )
-                    for c in b["cells"]
+                    for c in json_field(b, "cells", [dict], "an atlas block")
                 ),
             )
-            for b in doc["blocks"]
+            for b in json_field(doc, "blocks", [dict], "the atlas")
         )
         return HostAtlas(
-            m=doc["m"],
+            m=json_field(doc, "m", int, "the atlas"),
             blocks=blocks,
-            edge_order=tuple(tuple(e) for e in doc["edge_order"]),
+            edge_order=tuple(tuple(e) for e in json_field(doc, "edge_order", [[int]], "the atlas")),
         )
 
     def save(self, path: str | Path) -> None:
@@ -208,54 +213,39 @@ class HostAtlas:
 # -- construction -------------------------------------------------------------------
 
 
-def _block_arcs(G: SimpleGraph, dg: DoubledGadget, offset: int) -> tuple[list, BlockAtlas]:
-    """Arcs and atlas of one block, vertex ids shifted by offset."""
-    n = G.n
-    m = dg.m
+def _block_rows(
+    G: SimpleGraph, dg: DoubledGadget, offset: int, i: int, k: int
+) -> tuple[list[int], BlockAtlas]:
+    """Out-masks and atlas of one block, vertex ids shifted by offset.
+
+    The doubled gadget's layout (left copy, right copy, z, w) is the one
+    `glue` takes, so a cell is the gadget's first 2m vertices, shifted."""
+    n, m = G.n, dg.m
     edges = sorted(G.edges)
-    arcs: list[tuple[int, int]] = []
+    cell = (1 << 2 * m) - 1
+    starts = {e: offset + n + idx * 2 * m for idx, e in enumerate(edges)}
+    # step 5: higher-order cells point at lower-order cells (disjoint masks,
+    # so their sum is their union)
+    below = {
+        e1: sum(cell << starts[e2] for e2 in edges if edge_order_succ(e2, e1)) for e1 in edges
+    }
     # step 1: transitive base, low to high
-    for i in range(n):
-        for j in range(i + 1, n):
-            arcs.append((offset + i, offset + j))
-    cell_vertices: dict[tuple[int, int], list[int]] = {}
+    rows = [((1 << n) - 1) >> x + 1 << offset + x + 1 for x in range(n)]
     cells = []
-    gadget_graph = dg.rooted.graph
-    z, w = dg.rooted.roots
-    for idx, (a, b) in enumerate(edges):
-        start = offset + n + idx * 2 * m
-        mapping = {z: offset + a, w: offset + b}
-        for pos, v in enumerate(dg.left):
-            mapping[v] = start + pos
-        for pos, v in enumerate(dg.right):
-            mapping[v] = start + m + pos
+    for (a, b), start in starts.items():
         # step 2: glue the doubled gadget onto the edge
-        arcs.extend((mapping[u], mapping[v]) for u, v in gadget_graph.arcs)
-        left_ids = tuple(start + pos for pos in range(m))
-        right_ids = tuple(start + m + pos for pos in range(m))
-        # step 3: orient the two halves of the cell left to right
-        arcs.extend((u, v) for u in left_ids for v in right_ids)
-        # step 4: every other base vertex points at the whole cell
-        cell = left_ids + right_ids
+        *glued, z_row, w_row = glue(dg.rooted.graph.out_masks, start, offset + a, offset + b)
+        rows[a] |= z_row
+        rows[b] |= w_row
         for x in range(n):
-            if x not in (a, b):
-                arcs.extend((offset + x, v) for v in cell)
-        cell_vertices[(a, b)] = list(cell)
-        cells.append(CellAtlas(edge=(offset + a, offset + b), left=left_ids, right=right_ids))
-    # step 5: higher-order cells point at lower-order cells
-    for e1 in edges:
-        for e2 in edges:
-            if edge_order_succ(e2, e1):  # e1 succeeds e2
-                arcs.extend(
-                    (u, v) for u in cell_vertices[e1] for v in cell_vertices[e2]
-                )
-    atlas = BlockAtlas(
-        i=1,
-        k=1,
-        base=tuple(offset + v for v in range(n)),
-        cells=tuple(cells),
-    )
-    return arcs, atlas
+            if x not in (a, b):  # step 4: every other base vertex points at the whole cell
+                rows[x] |= cell << start
+        right = ((1 << m) - 1) << start + m  # step 3: the left half points at the right half
+        rows += [row | (right if p < m else 0) | below[(a, b)] for p, row in enumerate(glued)]
+        halves = tuple(range(start, start + m)), tuple(range(start + m, start + 2 * m))
+        cells.append(CellAtlas((offset + a, offset + b), *halves))
+    atlas = BlockAtlas(i=i, k=k, base=tuple(range(offset, offset + n)), cells=tuple(cells))
+    return rows, atlas
 
 
 def build_host(
@@ -267,26 +257,17 @@ def build_host(
     if any(ri < 1 for ri in r):
         raise ValueError("multiplicities must be positive")
     block_size = G.n + G.edge_count * 2 * family.m
-    arcs: list[tuple[int, int]] = []
+    full = (1 << block_size * sum(r)) - 1
+    out: list[int] = []
     blocks = []
-    spans = []
-    offset = 0
     for i, dg in enumerate(family.doubled, start=1):
         for k in range(1, r[i - 1] + 1):
-            block_arcs, block = _block_arcs(G, dg, offset)
-            arcs.extend(block_arcs)
-            blocks.append(
-                BlockAtlas(i=i, k=k, base=block.base, cells=block.cells)
-            )
-            spans.append((offset, offset + block_size))
-            offset += block_size
-    # all arcs from earlier blocks to later blocks
-    for b1 in range(len(spans)):
-        for b2 in range(b1 + 1, len(spans)):
-            lo1, hi1 = spans[b1]
-            lo2, hi2 = spans[b2]
-            arcs.extend((u, v) for u in range(lo1, hi1) for v in range(lo2, hi2))
-    host = Tournament(offset, arcs)
+            rows, block = _block_rows(G, dg, len(out), i, k)
+            # all arcs from earlier blocks to later blocks
+            later = full >> len(out) + block_size << len(out) + block_size
+            out += [row | later for row in rows]
+            blocks.append(block)
+    host = Tournament.from_out_masks(len(out), out)
     atlas = HostAtlas(
         m=family.m,
         blocks=tuple(blocks),

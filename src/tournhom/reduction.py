@@ -37,6 +37,7 @@ from .digraphs import (
     parse_digraph,
     save_quantum,
 )
+from .errors import json_field
 from .gadgets import GadgetFamily, build_family, build_necklace
 from .spectral import _power_traces, density_matrices
 
@@ -159,17 +160,11 @@ def parse_poly_text(text: str, s: int | None = None) -> IntPolynomial:
 def poly_from_json(doc: dict | str) -> IntPolynomial:
     if isinstance(doc, str):
         doc = json.loads(doc)
+    s = json_field(doc, "s", int, "a polynomial")
     mapping: dict[tuple[int, ...], int] = {}
-    try:
-        s = int(doc["s"])
-        for t in doc["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
-            mapping[exps] = mapping.get(exps, 0) + int(t["coef"])
-    except KeyError as exc:
-        raise ValueError(f"polynomial lacks the field {exc.args[0]!r}") from None
-    except TypeError:  # a list or a scalar where an object or a list belongs
-        shape = "{'s': int, 'terms': [{'coef': int, 'exps': [int, ...]}, ...]}"
-        raise ValueError(f"a polynomial must be an object {shape}") from None
+    for t in json_field(doc, "terms", [dict], "a polynomial"):
+        exps = tuple(json_field(t, "exps", [int], "a polynomial term"))
+        mapping[exps] = mapping.get(exps, 0) + json_field(t, "coef", int, "a polynomial term")
     return IntPolynomial.of(s, mapping)
 
 
@@ -394,13 +389,6 @@ def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
     save_quantum(path, rq.quantum(), meta)
 
 
-def _int_list(meta: dict, key: str) -> list[int]:
-    values = meta[key]
-    if not (isinstance(values, list) and all(type(v) is int for v in values)):
-        raise ValueError(f"the reduction's field {key!r} must be a list of integers")
-    return values
-
-
 def load_reduced(source: str | Path | dict) -> ReducedQuantum:
     """Read a file written by `save_reduced`, or its parsed JSON document.
 
@@ -408,18 +396,16 @@ def load_reduced(source: str | Path | dict) -> ReducedQuantum:
     rebuilds and checks the reduction.  A bad field raises ValueError naming it.
     """
     doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
-    try:
-        meta = doc["meta"]
-        if not isinstance(meta["base"], str):
-            raise ValueError("the reduction's field 'base' must be a digraph string")
-        base_graph, _ = parse_digraph(meta["base"])
-        base = Tournament(base_graph.n, base_graph.arcs)
-        family = build_family(base, k_values=_int_list(meta, "k"), enforce_interval=False)
-        p = poly_from_json(meta["poly"])
-        E = _int_list(meta, "E")
-    except KeyError as exc:
-        raise ValueError(f"the reduction lacks the field {exc.args[0]!r}") from None
-    return build_reduction(p, family, "explicit", E)
+    meta = json_field(doc, "meta", dict, "the reduction")
+
+    def field(key, kind):
+        return json_field(meta, key, kind, "the reduction")
+
+    base_graph, _ = parse_digraph(field("base", str))
+    base = Tournament.from_out_masks(base_graph.n, base_graph.out_masks)
+    family = build_family(base, k_values=field("k", [int]), enforce_interval=False)
+    p = poly_from_json(field("poly", dict))
+    return build_reduction(p, family, "explicit", field("E", [int]))
 
 
 # -- sign report --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .digraphs import Digraph, RootedDigraph, Tournament, random_tournament
+from .errors import json_field
 from .gadgets import (
     BaseTournament,
     GadgetFamily,
@@ -104,15 +105,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path: str | Path) -> "ExperimentConfig":
+        """Read a config file whose fields each have the type of their default
+        (a list of integers for a tuple, a string or null for None)."""
         doc = json.loads(Path(path).read_text())
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(doc) - known
+        owner = f"the config {path}"
+        if not isinstance(doc, dict):
+            raise ValueError(f"{owner} must be an object")
+        unknown = set(doc) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("r_values", "sizes", "converge_r"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return ExperimentConfig(**doc)
+        fields = {}
+        for key in doc:
+            default = getattr(ExperimentConfig, key)
+            kind = (str, type(None)) if default is None else type(default)
+            value = json_field(doc, key, [int] if kind is tuple else kind, owner)
+            fields[key] = tuple(value) if kind is tuple else value
+        return ExperimentConfig(**fields)
 
 
 @dataclass
@@ -297,34 +305,34 @@ def run_spectral(config: ExperimentConfig) -> RunReport:
 def _twin_planted_host(gadget, dups: int, extras: int, rng: random.Random) -> Tournament:
     """The gadget completed to a tournament, with duplicated base vertices
     (each twin copies its original's orientation pattern) and random extras."""
-    base = gadget.rooted.graph
-    arcs = list(base.arcs)
-    has = set(arcs)
-    arcs.append((gadget.z, gadget.w) if rng.getrandbits(1) else (gadget.w, gadget.z))
-    has.add(arcs[-1])
-    ids = list(range(base.n))
-    n = base.n
+    out = list(gadget.rooted.graph.out_masks)
+    z, w = gadget.z, gadget.w
+    if rng.getrandbits(1):
+        out[z] |= 1 << w
+    else:
+        out[w] |= 1 << z
+    # vertices 0..n-1 now form a tournament, so v's in-neighbours are the rest
     for v in rng.sample(range(gadget.m), dups):
-        for u in ids:
-            if u == v:
-                continue
-            if (v, u) in has:
-                arcs.append((n, u))
-                has.add((n, u))
-            else:
-                arcs.append((u, n))
-                has.add((u, n))
-        pair = (v, n) if rng.getrandbits(1) else (n, v)
-        arcs.append(pair)
-        has.add(pair)
-        ids.append(n)
-        n += 1
+        n = len(out)
+        twin = out[v]
+        for u in range(n):
+            if u != v and not twin >> u & 1:
+                out[u] |= 1 << n
+        if rng.getrandbits(1):
+            out[v] |= 1 << n
+        else:
+            twin |= 1 << v
+        out.append(twin)
     for _ in range(extras):
-        for u in ids:
-            arcs.append((u, n) if rng.getrandbits(1) else (n, u))
-        ids.append(n)
-        n += 1
-    return Tournament(n, arcs)
+        n = len(out)
+        extra = 0
+        for u in range(n):
+            if rng.getrandbits(1):
+                out[u] |= 1 << n
+            else:
+                extra |= 1 << u
+        out.append(extra)
+    return Tournament.from_out_masks(len(out), out)
 
 
 def run_claims(config: ExperimentConfig) -> RunReport:

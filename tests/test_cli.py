@@ -91,6 +91,26 @@ class TestHom:
                     "--root-x", 0, "--root-y", 1]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("digraph\n0 1\n", "line 1: expected 'digraph <n>', got 'digraph'"),
+            ("digraph 3\nroots 0\n0 2\n", "line 2: expected 'roots <z> <w>', got 'roots 0'"),
+            ("digraph 3\n\n0 1\n1 2 0\n", "line 4: expected '<u> <v>', got '1 2 0'"),
+            ("digraph 3\n0 1\n2\n", "line 3: expected '<u> <v>', got '2'"),
+            ("digraph 3\n0 x\n", "line 2: expected '<u> <v>', got '0 x'"),
+        ],
+        ids=["header-without-count", "short-roots", "three-fields", "one-field", "not-an-int"],
+    )
+    def test_malformed_pattern_exits_2(self, tmp_path, capsys, text, message):
+        # the first two raised a bare IndexError, exit 1
+        pat = tmp_path / "p.txt"
+        pat.write_text(text)
+        host = tmp_path / "h.txt"
+        save_digraph(host, rotational_tournament(5))
+        assert run(["hom", "--pattern", pat, "--host", host]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestHostAndMatrix:
     def test_full_pipeline(self, tmp_path, capsys):
@@ -121,6 +141,17 @@ class TestHostAndMatrix:
         out = json.loads(capsys.readouterr().out)
         assert out["x_exact"] == "1/4"
         assert out["y_exact"] == "1/16"
+
+        # a graph file without a vertex count raised a bare IndexError
+        graph.write_text("digraph\n0 1\n")
+        assert run(["build-host", "--graph", graph, "--f0", f0, "--m", 3, "--s", 1, "--k", "2",
+                    "--r", "2", "--toy", "--out", host, "--atlas", atlas]) == 2
+        # an atlas without blocks raised a bare KeyError
+        atlas.write_text("{}")
+        capsys.readouterr()
+        assert run(["density-matrix", "--gadget", fd, "--host", host, "--atlas", atlas,
+                    "--out", counts, "--out-density", dens]) == 2
+        assert "the atlas lacks the field 'blocks'" in capsys.readouterr().err
 
 
 class TestXY:
@@ -219,6 +250,10 @@ class TestReduce:
         out = tmp_path / "fp.json"
         assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 2
         assert "lacks the field 'k'" in capsys.readouterr().err
+        # a scalar k raised a TypeError, exit 1
+        (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": 2}))
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 2
+        assert "field 'k' must be a list of integers" in capsys.readouterr().err
 
         (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": [2]}))
         assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 0
@@ -250,21 +285,65 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
         assert "lacks the field 'graph'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [[], {"terms": [1]}])
-    def test_eval_of_a_malformed_file_exits_2(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "q.json must be an object"),
+            ({"terms": [1]}, "q.json's field 'terms' must be a list of objects"),
+            (
+                {"terms": [{"coef": True, "graph": "digraph 1"}]},
+                "'coef' must be a string or a number",
+            ),
+            ({"terms": [{"coef": 1, "graph": 5}]}, "field 'graph' must be a string"),
+        ],
+        ids=["doc0", "doc1", "bool-coef", "int-graph"],
+    )
+    def test_eval_of_a_malformed_file_exits_2(self, tmp_path, capsys, doc, message):
         quantum = tmp_path / "q.json"
         quantum.write_text(json.dumps(doc))
         host = tmp_path / "host.txt"
         save_digraph(host, rotational_tournament(5))
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
-        assert "must hold an object whose 'terms' lists objects" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "doc",
-        [[], {"s": 1, "terms": [1]}, {"s": 1, "terms": [{"coef": 1, "exps": 1}]}],
-        ids=["list", "scalar-term", "scalar-exps"],
+        "doc, message",
+        [
+            ([], "a polynomial must be an object"),
+            ({"s": 1, "terms": [1]}, "a polynomial's field 'terms' must be a list of objects"),
+            (
+                {"s": 1, "terms": [{"coef": 1, "exps": 1}]},
+                "a polynomial term's field 'exps' must be a list of integers",
+            ),
+            # read as x1^2 with coefficient 1 before, with exit 0
+            (
+                {"s": 1.9, "terms": [{"coef": 1.5, "exps": [2.7]}]},
+                "a polynomial's field 's' must be an integer",
+            ),
+            (
+                {"s": 1, "terms": [{"coef": 1.5, "exps": [2]}]},
+                "a polynomial term's field 'coef' must be an integer",
+            ),
+            (
+                {"s": 1, "terms": [{"coef": 1, "exps": [2.7]}]},
+                "a polynomial term's field 'exps' must be a list of integers",
+            ),
+            ({"s": True, "terms": []}, "a polynomial's field 's' must be an integer"),
+            (
+                {"s": 1, "terms": [{"coef": True, "exps": [1]}]},
+                "a polynomial term's field 'coef' must be an integer",
+            ),
+            (
+                {"s": 1, "terms": [{"coef": 1, "exps": [True]}]},
+                "a polynomial term's field 'exps' must be a list of integers",
+            ),
+        ],
+        ids=[
+            "list", "scalar-term", "scalar-exps", "float-s", "float-coef", "float-exps",
+            "bool-s", "bool-coef", "bool-exps",
+        ],
     )
-    def test_reduce_of_a_malformed_polynomial_exits_2(self, tmp_path, capsys, doc):
+    def test_reduce_of_a_malformed_polynomial_exits_2(self, tmp_path, capsys, doc, message):
         fam_dir = tmp_path / "family"
         fam_dir.mkdir()
         save_digraph(fam_dir / "f0.txt", toy_family(3, (2,)).base)
@@ -273,7 +352,7 @@ class TestReduce:
         poly.write_text(json.dumps(doc))
         out = tmp_path / "fp.json"
         assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 2
-        assert "a polynomial must be an object {'s': int, 'terms'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @staticmethod
     def _eval_edited_reduction(tmp_path, edit, host=None):
@@ -291,12 +370,12 @@ class TestReduce:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("base", 5, "field 'base' must be a digraph string"),
+            ("base", 5, "field 'base' must be a string"),
             ("k", "2", "field 'k' must be a list of integers"),
             ("k", [2.5], "field 'k' must be a list of integers"),
             ("E", 14, "field 'E' must be a list of integers"),
             ("E", ["14"], "field 'E' must be a list of integers"),
-            ("poly", [], "a polynomial must be an object"),
+            ("poly", [], "field 'poly' must be an object"),
         ],
         ids=["base-int", "k-str", "k-float", "E-int", "E-strs", "poly-list"],
     )
@@ -373,6 +452,27 @@ class TestVerify:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3}))
         assert run(["verify", "--suite", "core", "--config", cfg, "--seed", 4]) == 0
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"seed": "a"}, "field 'seed' must be an integer"),  # a TypeError, exit 1
+            ({"seed": 1.5}, "field 'seed' must be an integer"),  # ran on, exit 0
+            ({"seed": True}, "field 'seed' must be an integer"),
+            ([], "cfg.json must be an object"),  # a TypeError, exit 1
+            ({"r_values": 3}, "field 'r_values' must be a list of integers"),
+            ({"sizes": [64, 128.5]}, "field 'sizes' must be a list of integers"),
+            ({"rel_tol": "tiny"}, "field 'rel_tol' must be a number"),
+            ({"hosts_dir": 7}, "field 'hosts_dir' must be a string"),
+        ],
+        ids=["seed-str", "seed-float", "seed-bool", "list", "r-values-int", "sizes-float",
+             "tol-str", "hosts-dir-int"],
+    )
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["verify", "--suite", "region", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
     def test_region_suite_accepts_hosts_dir(self, tmp_path, capsys):
         hosts = tmp_path / "hosts"

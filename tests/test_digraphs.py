@@ -316,3 +316,154 @@ class TestRootedDigraph:
         assert not RootedDigraph(CYCLE3, (0, 1)).roots_nonadjacent()
         g = Digraph(4, [(0, 2), (2, 1), (3, 0)])
         assert RootedDigraph(g, (0, 1)).roots_nonadjacent()
+
+
+# -- the mask store against a reference built from plain sets ---------------------
+
+
+class _Reference:
+    """A digraph kept as a set of arc tuples and successor/predecessor dicts,
+    built with no code of the package."""
+
+    def __init__(self, n, arcs):
+        self.n = n
+        self.arcs = {(u, v) for u, v in arcs}
+        self.succ = {v: set() for v in range(n)}
+        self.pred = {v: set() for v in range(n)}
+        for u, v in self.arcs:
+            self.succ[u].add(v)
+            self.pred[v].add(u)
+
+    def masks(self, side):
+        return tuple(sum(1 << u for u in side[v]) for v in range(self.n))
+
+    def text(self):
+        return "".join(f"{u} {v}\n" for u, v in sorted(self.arcs))
+
+    def first_bad_pair(self):
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                present = ((u, v) in self.arcs) + ((v, u) in self.arcs)
+                if present != 1:
+                    kind = "double orientation" if present else "missing arc"
+                    return f"{kind} on pair ({u}, {v})"
+        return None
+
+
+@st.composite
+def arc_lists(draw, max_n=150):
+    """(n, arcs): loopless arcs on 0..n-1 at a drawn density, in random
+    order, a quarter of them twice; n reaches past two 64-bit words of a mask."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from([0.02, 0.2, 0.5, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    rng.shuffle(arcs)
+    return n, arcs + arcs[: len(arcs) // 4]
+
+
+class TestMaskStoreAgainstReference:
+    @given(arc_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_views_and_text(self, case):
+        n, arcs = case
+        g, ref = Digraph(n, arcs), _Reference(n, arcs)
+        assert g.arcs == ref.arcs and type(g.arcs) is frozenset
+        assert g.out_masks == ref.masks(ref.succ)
+        assert g.in_masks == ref.masks(ref.pred)
+        assert g.sorted_arcs() == sorted(ref.arcs)
+        assert g.arc_count == len(ref.arcs)
+        assert format_digraph(g) == f"digraph {n}\n" + ref.text()
+        assert Digraph.from_out_masks(n, ref.masks(ref.succ)) == g
+
+    @given(arc_lists(max_n=70), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash_under_relabelling(self, case, seed):
+        n, arcs = case
+        rng = random.Random(seed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Digraph(n, arcs)
+        moved_arcs = [(perm[u], perm[v]) for u, v in arcs]
+        moved = Digraph(n, moved_arcs)
+        same = Digraph(n, rng.sample(moved_arcs, len(moved_arcs)))  # another order
+        assert moved == same and hash(moved) == hash(same)
+        assert (moved == g) == (set(moved_arcs) == set(arcs))
+        if moved == g:
+            assert hash(moved) == hash(g)
+
+    @given(arc_lists(max_n=70), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_error_messages(self, case, data):
+        n, arcs = case
+        spot = data.draw(st.integers(0, len(arcs)))
+        v = data.draw(st.integers(0, max(n - 1, 0)))
+        if n:
+            with pytest.raises(ValueError) as err:
+                Digraph(n, arcs[:spot] + [(v, v)] + arcs[spot:])
+            assert str(err.value) == f"self-loop at vertex {v}"
+        far = data.draw(st.integers(max(n, 1), n + 100))  # never equal to v
+        bad = data.draw(st.sampled_from([(v, far), (far, v), (-1, v)]))
+        with pytest.raises(ValueError) as err:
+            Digraph(n, arcs[:spot] + [bad] + arcs[spot:])
+        assert str(err.value) == f"arc ({bad[0]}, {bad[1]}) out of range for n={n}"
+        # the same checks on masks, which skip the arc front
+        ref = _Reference(n, arcs)
+        masks = list(ref.masks(ref.succ))
+        if n:
+            masks_with_loop = masks[:v] + [masks[v] | 1 << v] + masks[v + 1 :]
+            with pytest.raises(ValueError, match=rf"^self-loop at vertex {v}$"):
+                Digraph.from_out_masks(n, masks_with_loop)
+            masks[v] |= 1 << far
+            with pytest.raises(ValueError, match=rf"^arc \({v}, {far}\) out of range for n={n}$"):
+                Digraph.from_out_masks(n, masks)
+
+    @given(st.integers(0, 90), st.integers(0, 2**32), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_tournaments_and_near_tournaments(self, n, seed, data):
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        arcs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        t, ref = Tournament(n, arcs), _Reference(n, arcs)
+        assert t.arcs == ref.arcs and t.in_masks == ref.masks(ref.pred)
+        assert Tournament.from_out_masks(n, ref.masks(ref.succ)) == t
+        if not pairs:
+            return
+        # take some arcs away and add some reversed ones
+        dropped = data.draw(st.sets(st.integers(0, len(arcs) - 1), max_size=3))
+        doubled = data.draw(st.sets(st.integers(0, len(arcs) - 1), max_size=3))
+        near = [a for i, a in enumerate(arcs) if i not in dropped]
+        near += [arcs[i][::-1] for i in doubled]
+        ref = _Reference(n, near)
+        expected = ref.first_bad_pair()
+        near_masks = ref.masks(ref.succ)
+        for build in (lambda: Tournament(n, near), lambda: Tournament.from_out_masks(n, near_masks)):
+            if expected is None:
+                assert build().arcs == ref.arcs
+            else:
+                with pytest.raises(ValueError) as err:
+                    build()
+                assert str(err.value) == expected
+
+    @given(st.lists(arc_lists(max_n=80), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_union(self, cases):
+        shifted, offset = [], 0
+        for n, arcs in cases:
+            shifted += [(u + offset, v + offset) for u, v in arcs]
+            offset += n
+        u = disjoint_union(*(Digraph(n, arcs) for n, arcs in cases))
+        ref = _Reference(offset, shifted)
+        assert u.n == offset and u.arcs == ref.arcs
+        assert u.out_masks == ref.masks(ref.succ) and u.in_masks == ref.masks(ref.pred)
+
+    @given(arc_lists(max_n=130), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_induced_subdigraph(self, case, data):
+        n, arcs = case
+        keep = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        index = {v: i for i, v in enumerate(sorted(keep))}
+        kept = [(index[u], index[v]) for u, v in arcs if u in index and v in index]
+        sub, ref = induced_subdigraph(Digraph(n, arcs), keep), _Reference(len(keep), kept)
+        assert sub.n == len(keep) and sub.arcs == ref.arcs
+        assert sub.out_masks == ref.masks(ref.succ) and sub.in_masks == ref.masks(ref.pred)

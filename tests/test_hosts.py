@@ -158,3 +158,30 @@ class TestAtlas:
         _, atlas = build_host(path_graph(3), fam, [1])
         atlas.save(tmp_path / "atlas.json")
         assert HostAtlas.load(tmp_path / "atlas.json") == atlas
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.clear(), "the atlas lacks the field 'blocks'"),  # a bare KeyError
+            (lambda doc: doc.update(m="3"), "the atlas's field 'm' must be an integer"),
+            (lambda doc: doc.update(blocks={}), "field 'blocks' must be a list of objects"),
+            (lambda doc: doc["blocks"][0].pop("i"), "an atlas block lacks the field 'i'"),
+            (lambda doc: doc["blocks"][0].update(k=True), "block's field 'k' must be an integer"),
+            (
+                lambda doc: doc["blocks"][0]["cells"][0].update(left=[1.5]),
+                "an atlas cell's field 'left' must be a list of integers",
+            ),
+            (
+                lambda doc: doc.update(edge_order=[0, 1]),
+                "field 'edge_order' must be a list of lists of integers",
+            ),
+        ],
+        ids=["empty", "m-str", "blocks-object", "no-i", "k-bool", "left-float", "edge-order-flat"],
+    )
+    def test_from_json_names_a_bad_field(self, edit, message):
+        _, atlas = build_host(path_graph(3), toy_family(3, (2,)), [1])
+        doc = atlas.to_json()
+        edit(doc)
+        with pytest.raises(ValueError) as err:
+            HostAtlas.from_json(doc)
+        assert message in str(err.value)
