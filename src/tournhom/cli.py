@@ -225,11 +225,13 @@ def cmd_reduce(args) -> int:
     family_dir = Path(args.family)
     manifest_path = family_dir / "family.json"
     manifest = json.loads(manifest_path.read_text())
-    f0 = load_tournament(family_dir / json_field(manifest, "f0", str, str(manifest_path)))
+    owner = str(manifest_path)
+    f0 = load_tournament(family_dir / json_field(manifest, "f0", str, owner))
     family = build_family(
         f0,
-        k_values=json_field(manifest, "k", [int], str(manifest_path)),
-        enforce_interval=manifest.get("enforce_interval", False),
+        k_values=json_field(manifest, "k", [int], owner),
+        enforce_interval="enforce_interval" in manifest
+        and json_field(manifest, "enforce_interval", bool, owner),
     )
     rq = build_reduction(p, family, mode=args.mode)
     save_reduced(args.out, rq)

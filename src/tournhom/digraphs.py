@@ -5,9 +5,9 @@ bit masks (bit u of out_mask(v) is set iff the arc (v, u) is present),
 which makes neighborhood intersection the cheap primitive the
 homomorphism search needs.  Every constructor ends in one core that checks
 the out-masks and derives the in-masks from them; the builders here and
-in `gadgets` and `hosts` write masks directly.  The arc set `arcs` is
-derived from the masks on first read.  All types are immutable after
-construction.
+in `gadgets` and `hosts` write masks directly.  The arc set `arcs` and
+the strong components `strong_components` are derived from the masks on
+first read.  All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ __all__ = [
 class Digraph:
     """A loopless digraph with at most one arc per ordered pair."""
 
-    __slots__ = ("n", "_out", "_in", "_arcs")
+    __slots__ = ("n", "_out", "_in", "_arcs", "_strong")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         out = [0] * max(n, 0)
@@ -89,6 +89,7 @@ class Digraph:
         self._out = out
         self._in = _transpose(n, out)
         self._arcs = None
+        self._strong = None
         self._validate()
 
     def _validate(self) -> None:
@@ -118,6 +119,14 @@ class Digraph:
         if self._arcs is None:
             self._arcs = frozenset(self.sorted_arcs())
         return self._arcs
+
+    @property
+    def strong_components(self) -> tuple[int, ...]:
+        """The masks of the strong components, ordered by lowest vertex;
+        derived from the masks on first read and kept."""
+        if self._strong is None:
+            self._strong = _strong_components(self.n, self._out, self._in)
+        return self._strong
 
     @property
     def arc_count(self) -> int:
@@ -196,6 +205,44 @@ def _arc_arrays(n: int, out: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     hits = np.flatnonzero(np.unpackbits(rows[where].view(np.uint8), bitorder="little"))
     us, word = np.divmod(where[hits >> 6], words)
     return us, word << 6 | hits & 63
+
+
+def _strong_components(n: int, out: tuple[int, ...], ins: tuple[int, ...]) -> tuple[int, ...]:
+    """Kosaraju's algorithm on the masks, without recursion.
+
+    A depth-first search along the out-masks lists the vertices as they
+    finish.  Taken latest finish first, each vertex not yet placed starts
+    a component: the unplaced vertices that reach it along the in-masks.
+    """
+    finished: list[int] = []
+    unseen = (1 << n) - 1
+    while unseen:
+        b = unseen & -unseen
+        unseen ^= b
+        stack = [b.bit_length() - 1]
+        while stack:
+            nxt = out[stack[-1]] & unseen
+            if nxt:
+                b = nxt & -nxt
+                unseen ^= b
+                stack.append(b.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+    comps = []
+    left = (1 << n) - 1
+    for v in reversed(finished):
+        if not left >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = ins[b.bit_length() - 1] & left & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        left ^= comp
+    return tuple(sorted(comps, key=lambda c: c & -c))
 
 
 def _transpose(n: int, out: tuple[int, ...]) -> tuple[int, ...]:
@@ -312,7 +359,7 @@ def induced_subdigraph(g: Digraph, vertices: Iterable[int]) -> Digraph:
     return Digraph.from_out_masks(len(sub), gather_rows(g, sub))
 
 
-def gather_rows(g: Digraph, order: list[int]) -> list[int]:
+def gather_rows(g: Digraph, order: Sequence[int]) -> list[int]:
     """The out-masks of the vertices in `order`, relabelled so that order[i]
     becomes i; arcs to vertices outside `order` are dropped.
 
@@ -510,10 +557,6 @@ def _coef_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _coef_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def save_quantum(path: str | Path, q: QuantumDigraph, meta: dict | None = None) -> None:
     doc: dict = {
         "terms": [
@@ -531,14 +574,22 @@ def load_quantum(path: str | Path, doc: object = None) -> QuantumDigraph:
     if doc is None:
         doc = json.loads(path.read_text())
     terms = []
+    owner = f"a term of {path}"
     for t in json_field(doc, "terms", [dict], str(path)):
-        coef = json_field(t, "coef", (str, float), f"a term of {path}")
-        spec = json_field(t, "graph", str, f"a term of {path}")
+        # a float is refused: it would be read as its binary expansion
+        coef = json_field(t, "coef", (int, str), owner)
+        try:
+            coef = Fraction(coef)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"{owner}'s field 'coef' must be an exact rational such as \"1/10\", got {coef!r}"
+            ) from None
+        spec = json_field(t, "graph", str, owner)
         if spec.lstrip().startswith("digraph"):
             g, _ = parse_digraph(spec)
         else:
             g = load_digraph(path.parent / spec)
-        terms.append((_coef_from_str(coef), g))
+        terms.append((coef, g))
     return QuantumDigraph(tuple(terms))
 
 

@@ -20,6 +20,7 @@ class SamplingError(RuntimeError):
 # -- typed fields of JSON input -------------------------------------------------
 
 _KINDS = {  # a kind's name in the singular and the plural
+    bool: ("true or false", "booleans"),
     int: ("an integer", "integers"),
     float: ("a number", "numbers"),
     str: ("a string", "strings"),
@@ -31,9 +32,9 @@ _KINDS = {  # a kind's name in the singular and the plural
 def json_field(doc, key: str, kind, owner: str):
     """doc[key], checked to be of `kind`, else a ValueError naming `owner` and the field.
 
-    `kind` is int, float, str, dict or type(None), a one-element list [kind]
-    for a list of that kind, or a tuple of kinds.  A bool is never a number,
-    and a float is not an int.
+    `kind` is bool, int, float, str, dict or type(None), a one-element list
+    [kind] for a list of that kind, or a tuple of kinds.  A bool is never a
+    number, and a float is not an int.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{owner} must be an object")
@@ -49,8 +50,8 @@ def _fits(value, kind) -> bool:
         return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
     if isinstance(kind, tuple):
         return any(_fits(value, k) for k in kind)
-    if isinstance(value, bool):
-        return False
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
 
 

@@ -37,17 +37,34 @@ core in one depth-first search, keeps two forward-checked root masks per
 pattern, and adds the outer product of each pattern's root masks to that
 pattern's matrix at every full placement.  A branch is cut when a core
 mask empties, or when every pattern has an empty root mask.  Enumeration
-walks all free vertices in one depth-first search.  The search runs on an
-explicit stack, and the plan builder does not recurse either, so pattern
-size is bounded by memory, not by the interpreter's recursion limit.
+walks all free vertices in one depth-first search.
+
+Block-diagonal sweep.  A homomorphism maps closed walks to closed walks,
+so two pattern vertices joined by walks both ways have images joined by
+walks both ways, and a strongly connected pattern maps inside one strong
+component of the host.  When every swept pattern is strongly connected,
+roots included, a count matrix is therefore zero off the diagonal blocks
+of the host's strong components, and its block on a component C is the
+matrix of the subdigraph induced on C, since a map into C reads only arcs
+inside C.  So such a sweep runs once per component, on that subdigraph
+relabelled in ascending order, and components whose relabelled out-masks
+are equal (the blocks of a stacked host) share one sweep.  The search
+makes the same decisions on a sub-host as on any other host.  Patterns
+that are not strongly connected, and hosts of one component, are swept
+whole.
+
+The search runs on an explicit stack, and the plan builder does not
+recurse either, so pattern size is bounded by memory, not by the
+interpreter's recursion limit.
 
 `max_nodes` bounds the number of search nodes.  A node is one free
 pattern vertex chosen for branching: the search then tries each host
 vertex left in its mask.  Pinned vertices are not nodes, nor are the
 one-vertex parts whose count is read off their mask, nor the parts that
 the pigeonhole cut empties, so a count that the pinned vertices' forward
-checks settle takes no node.  Counts are exact Python integers;
-densities exact Fractions.
+checks settle takes no node, and a sweep that components share counts
+its nodes once.  Counts are exact Python integers; densities exact
+Fractions.
 """
 
 from __future__ import annotations
@@ -58,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits
+from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits, gather_rows
 from .errors import BudgetExceededError, EnumerationCapError
 
 __all__ = [
@@ -507,6 +524,7 @@ class _SweepPlan(NamedTuple):
     routs: tuple[tuple[int, ...], ...]  # routs[v]: root slots u with an arc v -> u
     rins: tuple[tuple[int, ...], ...]  # rins[v]: root slots u with an arc u -> v
     pairs: tuple[tuple[int, int], ...]  # pairs[p]: the (z, w) slots of pattern p
+    strong: bool  # every pattern is strongly connected, roots included
 
 
 @lru_cache(maxsize=64)
@@ -553,6 +571,7 @@ def _sweep_plan(patterns: tuple[RootedDigraph, ...]) -> _SweepPlan:
         routs=tuple(map(tuple, routs)),
         rins=tuple(map(tuple, rins)),
         pairs=tuple((n + 2 * p, n + 2 * p + 1) for p in range(len(patterns))),
+        strong=all(len(F.graph.strong_components) == 1 for F in patterns),
     )
 
 
@@ -568,17 +587,41 @@ def rooted_count_matrices(
     pattern are independent, so every full placement of the core adds the
     outer product of the pattern's root masks to its matrix.  Independent
     components of the core contribute elementwise-multiplied matrices.
-    `max_nodes` bounds the nodes of the whole sweep.
+    When every pattern is strongly connected, roots included, each strong
+    component of T is swept on its own, and components with equal
+    relabelled out-masks share one sweep (the block-diagonal sweep of the
+    module docstring).  `max_nodes` bounds the nodes of the whole call.
     """
     patterns = tuple(patterns)
     if not patterns:
         return []
     sp = _sweep_plan(patterns)
-    n, width = T.n, len(sp.plan.adj) + 2 * len(patterns)
-    totals: list[list[list[int]]] | None = None
+    comps = T.strong_components if sp.strong else ()
+    if len(comps) < 2:
+        return _sweep(sp, T, max_nodes)[0]
+    totals = [[[0] * T.n for _ in range(T.n)] for _ in patterns]
+    swept: dict[tuple[int, ...], list[list[list[int]]]] = {}
     left = max_nodes
+    for comp in comps:
+        verts = _bits(comp)
+        rows = tuple(gather_rows(T, verts))
+        if rows not in swept:
+            swept[rows], left = _sweep(sp, Digraph.from_out_masks(len(verts), rows), left)
+        for total, sub in zip(totals, swept[rows]):
+            for x, sub_row in zip(verts, sub):
+                row = total[x]
+                for y, c in zip(verts, sub_row):
+                    row[y] = c
+    return totals
+
+
+def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
+    """The sweep's matrices on all of T, one search per part of the core,
+    and what is left of the node budget `left`."""
+    n, width = T.n, len(sp.plan.adj) + 2 * len(sp.pairs)
+    totals: list[list[list[int]]] | None = None
     for part in sp.plan.parts:
-        mats = [[[0] * n for _ in range(n)] for _ in patterns]
+        mats = [[[0] * n for _ in range(n)] for _ in sp.pairs]
         state = ([(1 << n) - 1] * width, [-1] * len(sp.plan.adj))
         sweep = (sp.routs, sp.rins, sp.pairs, mats)
         _, used = _finish(_search(sp.plan, T, _SWEEP, state, [part], left, sweep))
@@ -592,8 +635,8 @@ def rooted_count_matrices(
                 for y in range(n):
                     tx[y] *= sx[y]
     if totals is None:
-        totals = [[[1] * n for _ in range(n)] for _ in patterns]
-    return totals
+        totals = [[[1] * n for _ in range(n)] for _ in sp.pairs]
+    return totals, left
 
 
 def rooted_count_matrix(

@@ -266,6 +266,27 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", out, "--host", host]) == 2
         assert "lacks the field 'base'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, code", [("no", 2), (0, 2), (None, 2), (False, 0), (True, 2)]
+    )
+    def test_enforce_interval_must_be_a_bool(self, tmp_path, capsys, flag, code):
+        # k = 2 lies outside the toy base's admissible interval, so only an
+        # enforced interval fails, and it names the interval
+        fam_dir = tmp_path / "family"
+        fam_dir.mkdir()
+        save_digraph(fam_dir / "f0.txt", toy_family(3, (2,)).base)
+        manifest = {"f0": "f0.txt", "k": [2], "enforce_interval": flag}
+        (fam_dir / "family.json").write_text(json.dumps(manifest))
+        poly = tmp_path / "p.txt"
+        poly.write_text("x1")
+        out = tmp_path / "fp.json"
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == code
+        err = capsys.readouterr().err
+        if flag is True:
+            assert "outside admissible interval" in err
+        elif code:
+            assert "field 'enforce_interval' must be true or false" in err
+
     def test_poly_without_s_exit_2(self, tmp_path, capsys):
         fam_dir = tmp_path / "family"
         fam_dir.mkdir()
@@ -292,11 +313,24 @@ class TestReduce:
             ({"terms": [1]}, "q.json's field 'terms' must be a list of objects"),
             (
                 {"terms": [{"coef": True, "graph": "digraph 1"}]},
-                "'coef' must be a string or a number",
+                "'coef' must be an integer or a string",
+            ),
+            # read as its binary expansion 3602879701896397/2^55 before, with exit 0
+            (
+                {"terms": [{"coef": 0.1, "graph": "digraph 1"}]},
+                "'coef' must be an integer or a string",
+            ),
+            (
+                {"terms": [{"coef": "1/0", "graph": "digraph 1"}]},
+                "'coef' must be an exact rational such as \"1/10\", got '1/0'",
+            ),
+            (
+                {"terms": [{"coef": "tenth", "graph": "digraph 1"}]},
+                "'coef' must be an exact rational such as \"1/10\", got 'tenth'",
             ),
             ({"terms": [{"coef": 1, "graph": 5}]}, "field 'graph' must be a string"),
         ],
-        ids=["doc0", "doc1", "bool-coef", "int-graph"],
+        ids=["doc0", "doc1", "bool-coef", "float-coef", "zero-den-coef", "word-coef", "int-graph"],
     )
     def test_eval_of_a_malformed_file_exits_2(self, tmp_path, capsys, doc, message):
         quantum = tmp_path / "q.json"

@@ -1,7 +1,9 @@
 """Core digraph/tournament type behaviour and serialization."""
 
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,20 @@ class TestQuantumDigraph:
         q = load_quantum(tmp_path / "q.json")
         assert q.terms[0][1] == CYCLE3
 
+    @pytest.mark.parametrize(
+        "coef, value", [(3, Fraction(3)), ("-1/10", Fraction(-1, 10)), ("0.1", Fraction(1, 10))]
+    )
+    def test_json_coefficients_are_exact(self, tmp_path, coef, value):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"terms": [{"coef": coef, "graph": "digraph 1"}]}))
+        assert load_quantum(path).terms == ((value, Digraph(1, [])),)
+
+    def test_json_float_coefficient_is_refused(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"terms": [{"coef": 0.1, "graph": "digraph 1"}]}))
+        with pytest.raises(ValueError, match="field 'coef' must be an integer or a string"):
+            load_quantum(path)
+
     def test_normalized_merges_isomorphic_terms(self):
         reversed_cycle = Digraph(3, [(0, 2), (2, 1), (1, 0)])
         transitive = Digraph(3, [(1, 0), (2, 0), (2, 1)])
@@ -467,3 +483,70 @@ class TestMaskStoreAgainstReference:
         sub, ref = induced_subdigraph(Digraph(n, arcs), keep), _Reference(len(keep), kept)
         assert sub.n == len(keep) and sub.arcs == ref.arcs
         assert sub.out_masks == ref.masks(ref.succ) and sub.in_masks == ref.masks(ref.pred)
+
+
+# -- strong components -----------------------------------------------------------------
+
+
+def forward_stack(blocks):
+    """The blocks side by side, with every arc from an earlier block to a later one."""
+    n = sum(b.n for b in blocks)
+    out, end = [], 0
+    for b in blocks:
+        end += b.n
+        later = (1 << n) - (1 << end)
+        out += [o << end - b.n | later for o in b.out_masks]
+    return Digraph.from_out_masks(n, out)
+
+
+def landau_components(T):
+    """The strong components of a tournament from its scores alone: sorted by
+    score, the first k vertices beat no later one iff s_1 + ... + s_k = C(k, 2)."""
+    order = sorted(range(T.n), key=T.out_degree)
+    comps, start, total = [], 0, 0
+    for k, v in enumerate(order, 1):
+        total += T.out_degree(v)
+        if total == k * (k - 1) // 2:
+            comps.append(sum(1 << u for u in order[start:k]))
+            start = k
+    return sorted(comps, key=lambda c: c & -c)
+
+
+class TestStrongComponents:
+    def test_small_cases(self):
+        assert Digraph(0, []).strong_components == ()
+        assert Digraph(3, [(0, 1)]).strong_components == (0b001, 0b010, 0b100)
+        assert CYCLE3.strong_components == (0b111,)
+        # 3 -> 0 -> 1 -> 2 -> 0 and 3 -> 4 <-> 5: components ordered by lowest vertex
+        g = Digraph(6, [(3, 0), (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 4)])
+        assert g.strong_components == (0b000111, 0b001000, 0b110000)
+        assert g.strong_components is g.strong_components
+
+    @given(st.lists(st.tuples(st.integers(1, 7), st.integers(0, 2**30)), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_tournaments_follow_landau(self, blocks):
+        blocks = [random_tournament(n, seed) for n, seed in blocks]
+        for T in blocks + [forward_stack(blocks)]:
+            T = Tournament.from_out_masks(T.n, T.out_masks)
+            assert list(T.strong_components) == landau_components(T)
+        # a strongly connected block stays whole inside the stack
+        offset = 0
+        stack = forward_stack(blocks)
+        for b in blocks:
+            for comp in b.strong_components:
+                assert comp << offset in stack.strong_components
+            offset += b.n
+
+    @given(arc_lists(max_n=90))
+    @settings(max_examples=100, deadline=None)
+    def test_digraphs_match_networkx(self, case):
+        nx = pytest.importorskip("networkx")
+        n, arcs = case
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(arcs)
+        expected = sorted(
+            (sum(1 << v for v in comp) for comp in nx.strongly_connected_components(g)),
+            key=lambda c: c & -c,
+        )
+        assert list(Digraph(n, arcs).strong_components) == expected

@@ -324,17 +324,19 @@ class TestRootedCountMatrices:
         assert nodes_needed(lambda b: rooted_count_matrix(bare, T, max_nodes=b)) > 245
 
     def test_family_sweep_node_count_is_pinned(self):
-        # two gadgets on their 40-vertex single-edge host: forward checking
-        # alone took 699 nodes, and the pigeonhole cut leaves 339
+        # two gadgets on their 40-vertex single-edge host, two different
+        # blocks of 20: forward checking alone took 699 nodes on the whole
+        # host, the pigeonhole cut 339, and sweeping each block on its own 181
         from tournhom.hosts import build_host, single_edge_graph
         from tournhom.spectral import density_matrices
 
         fam = toy_family(9, (7, 6))
         host, _ = build_host(single_edge_graph(), fam, [1, 1])
+        assert len(host.strong_components) == 2
         expected = density_matrices(fam.doubled, host)
-        assert density_matrices(fam.doubled, host, max_nodes=339) == expected
+        assert density_matrices(fam.doubled, host, max_nodes=181) == expected
         with pytest.raises(BudgetExceededError):
-            density_matrices(fam.doubled, host, max_nodes=338)
+            density_matrices(fam.doubled, host, max_nodes=180)
 
 
 # -- the search engine ---------------------------------------------------------------
@@ -666,6 +668,105 @@ class TestPigeonholeCut:
         assert len(maps) == 30
         assert_budget(lambda b: list(iter_homs(F, host, max_nodes=b)), maps, 198)
         assert_budget(lambda b: count_hom(F, host, max_nodes=b), 30, 176)
+
+
+def forward_stack(blocks):
+    """The blocks side by side, with every arc from an earlier block to a later one."""
+    n = sum(b.n for b in blocks)
+    out, end = [], 0
+    for b in blocks:
+        end += b.n
+        later = (1 << n) - (1 << end)
+        out += [o << end - b.n | later for o in b.out_masks]
+    return Digraph.from_out_masks(n, out)
+
+
+@contextlib.contextmanager
+def whole_host_sweeps():
+    """Sweeps that search the whole host, as for patterns that are not strongly connected."""
+    sweep_plan = homcount._sweep_plan.__wrapped__
+
+    def one_component(patterns):
+        return sweep_plan(patterns)._replace(strong=False)
+
+    with mock.patch.object(homcount, "_sweep_plan", one_component):
+        yield
+
+
+def _rooted(n, arcs):
+    return RootedDigraph(Digraph(n, arcs), (0, 1))
+
+
+# strongly connected, roots included: the 4-cycle through both roots, and two
+# patterns on the core 2 -> 3 (cycles 0 2 3 and 1 2 3; cycle 2 0 3 1)
+C4 = _rooted(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+TWO_CYCLES = _rooted(4, [(2, 3), (0, 2), (3, 0), (3, 1), (1, 2)])
+ONE_CYCLE = _rooted(4, [(2, 3), (2, 0), (0, 3), (3, 1), (1, 2)])
+# not strongly connected: the out-star onto the roots, and a path on the same core
+OUT_STAR = _rooted(3, [(2, 0), (2, 1)])
+CORE_PATH = _rooted(4, [(2, 3), (0, 2), (3, 1)])
+SWEEPS = {
+    "c4": [C4],
+    "shared-core": [TWO_CYCLES, ONE_CYCLE],
+    "out-star": [OUT_STAR],
+    "path": [PATH_GADGET],
+    "mixed": [TWO_CYCLES, CORE_PATH],
+}
+
+
+class TestBlockDiagonalSweep:
+    """A strongly connected pattern maps inside one strong component of the host."""
+
+    @given(
+        st.sampled_from(sorted(SWEEPS)),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**30), st.integers(0, 2)),
+                 min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweeps_agree_with_oracle_and_whole_host(self, name, draws):
+        # each block is a fresh tournament, a repeat of the one before, or a
+        # renamed copy of it, which may not share its sweep
+        blocks = []
+        for size, seed, kind in draws:
+            if not blocks or kind == 0:
+                blocks.append(random_tournament(size, seed))
+            elif kind == 1:
+                blocks.append(blocks[-1])
+            else:
+                perm = list(range(blocks[-1].n))
+                random.Random(seed).shuffle(perm)
+                blocks.append(relabelled(blocks[-1], perm))
+        T = forward_stack(blocks)
+        patterns = SWEEPS[name]
+        run = lambda b: rooted_count_matrices(patterns, T, max_nodes=b)
+        result, k = finish_nodes(run)
+        assert_budget(run, result, k)
+        for F, S in zip(patterns, result):
+            assert S == [
+                [count_hom_bruteforce(F.graph, T, {F.z: x, F.w: y}) for y in range(T.n)]
+                for x in range(T.n)
+            ]
+        with whole_host_sweeps():
+            whole, nodes = finish_nodes(run)
+        assert whole == result
+        if name in ("out-star", "path", "mixed"):
+            assert nodes == k
+
+    @pytest.mark.parametrize("patterns", [[C4], [TWO_CYCLES, ONE_CYCLE]], ids=["c4", "shared-core"])
+    def test_equal_blocks_share_one_sweep(self, patterns):
+        for seed in range(6):
+            block = random_tournament(6, seed)
+            single, k = finish_nodes(lambda b: rooted_count_matrices(patterns, block, max_nodes=b))
+            for r in (2, 3):
+                T = forward_stack([block] * r)
+                run = lambda b: rooted_count_matrices(patterns, T, max_nodes=b)
+                result, nodes = finish_nodes(run)
+                assert nodes == k
+                assert_budget(run, result, k)
+                for S, B in zip(result, single):
+                    for x in range(T.n):
+                        i, bx = divmod(x, block.n)
+                        assert S[x] == [0] * (i * block.n) + B[bx] + [0] * ((r - i - 1) * block.n)
 
 
 class TestLongPattern:
