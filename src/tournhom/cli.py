@@ -25,7 +25,6 @@ from .digraphs import (
 )
 from .errors import (
     BudgetExceededError,
-    DegenerateHostError,
     EnumerationCapError,
     SamplingError,
     json_field,
@@ -185,12 +184,17 @@ def cmd_density_matrix(args) -> int:
 def _read_matrix_csv(path: str) -> list[list[Fraction]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "vertex":
-            raise ValueError("expected a 'vertex' header row")
+            raise ValueError(f"{path}: expected a 'vertex' header row")
         rows = []
-        for line in reader:
-            rows.append([Fraction(tok) for tok in line[1:]])
+        try:
+            for line in reader:
+                rows.append([Fraction(tok) for tok in line[1:]])
+        except (ValueError, ZeroDivisionError, csv.Error) as exc:
+            raise ValueError(
+                f"{path}, line {reader.line_num}: not a row of exact rationals ({exc})"
+            ) from None
     return rows
 
 
@@ -450,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, EnumerationCapError, SamplingError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, DegenerateHostError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

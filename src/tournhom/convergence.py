@@ -161,6 +161,8 @@ def convergence_study(
     seed: int = 0,
     degree=default_degree,
 ) -> list[ConvergenceRow]:
+    if not r_values or min(r_values) < 1:
+        raise ValueError(f"the copy counts r must be one or more integers >= 1, got {r_values}")
     rows = []
     for idx, n in enumerate(sizes):
         d = degree(n)

@@ -7,7 +7,8 @@ homomorphism search needs.  Every constructor ends in one core that checks
 the out-masks and derives the in-masks from them; the builders here and
 in `gadgets` and `hosts` write masks directly.  The arc set `arcs` and
 the strong components `strong_components` are derived from the masks on
-first read.  All types are immutable after construction.
+first read.  All types are immutable after construction.  A quantum
+digraph keeps its terms as given, since its density is linear in them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, json_field
+from .errors import json_field
 
 __all__ = [
     "Digraph",
@@ -34,7 +35,6 @@ __all__ = [
     "disjoint_union",
     "induced_subdigraph",
     "is_acyclic",
-    "are_isomorphic",
     "gather_rows",
     "parse_digraph",
     "read_text_format",
@@ -287,25 +287,14 @@ class RootedDigraph:
 
 @dataclass(frozen=True)
 class QuantumDigraph:
-    """A finite formal rational combination of digraphs."""
+    """A finite formal rational combination of digraphs: its (coefficient,
+    digraph) terms as given, neither merged nor reordered."""
 
     terms: tuple[tuple[Fraction, Digraph], ...]
 
     @staticmethod
     def of(terms: Iterable[tuple[Fraction | int, Digraph]]) -> "QuantumDigraph":
         return QuantumDigraph(tuple((Fraction(c), g) for c, g in terms))
-
-    def normalized(self) -> "QuantumDigraph":
-        """Merge isomorphic duplicate terms and drop zero coefficients."""
-        groups: list[tuple[Digraph, Fraction]] = []
-        for coef, g in self.terms:
-            for idx, (rep, acc) in enumerate(groups):
-                if rep == g or are_isomorphic(rep, g):
-                    groups[idx] = (rep, acc + coef)
-                    break
-            else:
-                groups.append((g, coef))
-        return QuantumDigraph(tuple((c, g) for g, c in groups if c != 0))
 
 
 # -- constructors ----------------------------------------------------------
@@ -391,92 +380,6 @@ def is_acyclic(g: Digraph) -> bool:
             if indeg[u] == 0:
                 stack.append(u)
     return seen == g.n
-
-
-# -- isomorphism (for quantum-term merging) -----------------------------------
-
-
-def _profiles(g: Digraph) -> list[tuple[int, int]]:
-    return [(g.out_degree(v), g.in_degree(v)) for v in range(g.n)]
-
-
-def are_isomorphic(a: Digraph, b: Digraph, max_nodes: int = 10**6) -> bool:
-    """Exhaustive isomorphism test on candidate bitmasks.
-
-    a's vertices are placed in an order that starts at a vertex of the
-    rarest (out, in) degree profile and grows breadth-first, one weakly
-    connected component after another.  A vertex's candidates are the
-    unused vertices of b with its profile that lie in the out-mask of the
-    image of each placed in-neighbour and the in-mask of the image of each
-    placed out-neighbour.  So every full placement is an injective,
-    arc-preserving map, and with equal arc counts that is an isomorphism.
-    The search backtracks on an explicit stack; `max_nodes` bounds the
-    number of placements.
-    """
-    if a.n != b.n or a.arc_count != b.arc_count:
-        return False
-    prof_a, prof_b = _profiles(a), _profiles(b)
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-    if a == b:
-        return True
-    n = a.n
-    by_profile: dict[tuple[int, int], int] = {}
-    for v, p in enumerate(prof_b):
-        by_profile[p] = by_profile.get(p, 0) | 1 << v
-    order: list[int] = []
-    seen = 0
-    for start in sorted(range(n), key=lambda v: (by_profile[prof_a[v]].bit_count(), v)):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            v = order[head]
-            head += 1
-            new = (a.out_mask(v) | a.in_mask(v)) & ~seen
-            seen |= new
-            order.extend(_bits(new))
-    outm, inm = b.out_masks, b.in_masks
-    placed = 0
-    steps = []  # per position: the profile mask, then (u, b's masks to read at u's image)
-    for v in order:
-        placed |= 1 << v
-        back = [(u, outm) for u in _bits(a.in_mask(v) & placed)]
-        back += [(u, inm) for u in _bits(a.out_mask(v) & placed)]
-        steps.append((by_profile[prof_a[v]], back))
-    images = [-1] * n
-    cands = [0] * n
-    used = nodes = i = 0
-
-    def candidates(i: int) -> int:
-        mask, back = steps[i]
-        mask &= ~used
-        for u, masks in back:
-            mask &= masks[images[u]]
-        return mask
-
-    cands[0] = candidates(0)
-    while True:
-        c = cands[i]
-        if not c:
-            i -= 1
-            if i < 0:
-                return False
-            used ^= 1 << images[order[i]]
-            continue
-        bit = c & -c
-        cands[i] = c ^ bit
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError("isomorphism search budget exceeded")
-        images[order[i]] = bit.bit_length() - 1
-        used |= bit
-        i += 1
-        if i == n:
-            return True
-        cands[i] = candidates(i)
 
 
 # -- text format -----------------------------------------------------------

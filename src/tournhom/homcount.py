@@ -467,11 +467,13 @@ def conditional_density(
 
 
 def eval_quantum(g: QuantumDigraph, T: Digraph, max_nodes: int | None = None) -> Fraction:
-    """Sum of coef * density(term) over the merged terms, exact."""
-    total = Fraction(0)
-    for coef, term in g.normalized().terms:
-        total += coef * density(term, T, max_nodes)
-    return total
+    """Sum of coef * density(term, T) over g's terms as given, exact, since
+    density is linear in the terms.  Only terms equal as labelled digraphs are
+    merged, and a digraph whose merged coefficient is 0 is not searched."""
+    merged: dict[Digraph, Fraction] = {}
+    for coef, term in g.terms:
+        merged[term] = merged.get(term, 0) + coef
+    return sum((c * density(F, T, max_nodes) for F, c in merged.items() if c), Fraction(0))
 
 
 def disjoint_union_density_check(F1: Digraph, F2: Digraph, T: Digraph) -> bool:

@@ -319,6 +319,8 @@ def necklace_densities(
     Every gadget's density matrix comes from one sweep of the host, shared
     by all the half-gadgets of the family (`density_matrices`).
     """
+    if T.n == 0:
+        raise ValueError("empty host")
     out = []
     for dm in density_matrices(family.doubled, T):
         traces = _power_traces(dm.support, lengths)

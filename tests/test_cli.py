@@ -1,23 +1,35 @@
 """End-to-end CLI coverage over temp files."""
 
+import contextlib
+import copy
+import io
 import json
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tournhom.cli import _scientific, main
 from tournhom.digraphs import (
     Digraph,
+    QuantumDigraph,
+    Tournament,
+    format_digraph,
     load_digraph,
     load_rooted,
     random_tournament,
     save_digraph,
+    save_quantum,
     transitive_tournament,
 )
 from tournhom.gadgets import rotational_tournament, toy_family
 from tournhom.hosts import save_simple_graph, single_edge_graph
 from tournhom.reduction import build_reduction, eval_reduced, parse_poly_text, save_reduced
+from tournhom.suites import ExperimentConfig
 
 
 @pytest.fixture
@@ -112,6 +124,17 @@ class TestHom:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("which", ["pattern", "host"])
+    def test_directory_path_exits_2(self, tmp_path, capsys, which):
+        # an IsADirectoryError traceback, exit 1, before
+        files = {"pattern": tmp_path / "p.txt", "host": tmp_path / "h.txt"}
+        save_digraph(files["pattern"], Digraph(1, []))
+        save_digraph(files["host"], rotational_tournament(5))
+        files[which] = tmp_path
+        assert run(["hom", "--pattern", files["pattern"], "--host", files["host"]]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+
 class TestHostAndMatrix:
     def test_full_pipeline(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -166,6 +189,22 @@ class TestXY:
         csv_path = self.write_csv(tmp_path / "m.csv", [[0, 1, 0], [2, 0, 1], [0, 1, 0]])
         assert run(["xy", "--matrix", csv_path]) == 2
         assert "not symmetric at (1, 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "m.csv: expected a 'vertex' header row"),  # a StopIteration before
+            ("vertex,0,1\n0,0,1\n1,1/0,0\n", "m.csv, line 3: not a row of exact rationals"),
+            ("vertex,0\n0,x\n", "m.csv, line 2: not a row of exact rationals"),
+            # past the csv module's field limit, a csv.Error
+            ("vertex,0\n0," + "1" * 200_000 + "\n", "m.csv, line 2: not a row of exact rationals"),
+        ],
+        ids=["empty", "zero-denominator", "word", "huge-field"],
+    )
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "m.csv").write_text(text)
+        assert run(["xy", "--matrix", tmp_path / "m.csv"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_huge_entries(self, tmp_path, capsys):
         c = 10**400
@@ -430,6 +469,11 @@ class TestReduce:
         ) == 2
         assert "minimal exponents are [14]" in capsys.readouterr().err
 
+    def test_eval_on_an_empty_host_exits_2(self, tmp_path, capsys):
+        # a raw ZeroDivisionError before, from the necklace densities' unit 0^(2m+1)
+        assert self._eval_edited_reduction(tmp_path, lambda meta: None, Tournament(0, [])) == 2
+        assert "empty host" in capsys.readouterr().err
+
     def test_eval_of_a_file_in_the_older_format_exits_2(self, tmp_path, capsys):
         def older(meta):
             poly = meta.pop("poly")
@@ -456,6 +500,27 @@ class TestReduce:
         )
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 0
         assert reads.count(quantum) == 1
+
+    def test_term_graph_naming_a_directory_exits_2(self, tmp_path, capsys):
+        quantum = tmp_path / "q.json"
+        quantum.write_text(json.dumps({"terms": [{"coef": 1, "graph": "."}]}))
+        host = tmp_path / "host.txt"
+        save_digraph(host, rotational_tournament(5))
+        assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_eval_of_non_isomorphic_regular_tournaments(self, tmp_path, capsys):
+        # Paley(43) minus the rotational tournament on 43 vertices: an
+        # isomorphism search between the terms exceeded its budget, exit 2
+        p = 43
+        squares = {x * x % p for x in range(1, p)}
+        paley = Tournament(p, [(i, j) for i in range(p) for j in range(p) if (j - i) % p in squares])
+        quantum = tmp_path / "q.json"
+        save_quantum(quantum, QuantumDigraph.of([(1, paley), (-1, rotational_tournament(p))]))
+        host = tmp_path / "host.txt"
+        save_digraph(host, random_tournament(8, 1))
+        assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "0"
 
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
@@ -508,6 +573,24 @@ class TestVerify:
         assert run(["verify", "--suite", "region", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--r", "0", "--sizes", "64"], None, "got [0]"),  # a ZeroDivisionError before
+            ([], {"converge_r": [0]}, "got [0]"),
+            ([], {"converge_r": [2, -1]}, "got [2, -1]"),
+            (["--r", ","], None, "got []"),  # an IndexError before
+        ],
+        ids=["flag-zero", "config-zero", "config-negative", "flag-empty"],
+    )
+    def test_converge_with_r_below_1_exits_2(self, tmp_path, capsys, args, config, message):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run(["converge"] + args) == 2
+        err = capsys.readouterr().err
+        assert "the copy counts r must be one or more integers >= 1" in err and message in err
+
     def test_region_suite_accepts_hosts_dir(self, tmp_path, capsys):
         hosts = tmp_path / "hosts"
         hosts.mkdir()
@@ -518,3 +601,168 @@ class TestVerify:
         doc = json.loads(report.read_text())
         item = next(i for i in doc["items"] if i["id"] == "region.containment")
         assert "checked" in item["details"]
+
+
+# -- generated documents ---------------------------------------------------------------
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 2)
+    | st.sampled_from(["", "1/2", "1/0", "x", "digraph 1", "."]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+TOKENS = ["digraph", "roots", "0", "1", "2", "8", "9", "-1", "x", "1.5", ""]
+
+
+def _slots(doc):
+    """Every (container, key) pair inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+@st.composite
+def documents(draw, good):
+    """A document of `good` as drawn, or with one value of any JSON type in
+    place of a value, or one field left out, or any JSON value at all."""
+    how = draw(st.sampled_from(["good", "good", "value", "missing", "any"]))
+    if how == "any":
+        return draw(ANY_JSON)
+    doc = copy.deepcopy(draw(good))
+    slots = list(_slots(doc))
+    if how != "good" and slots:
+        container, key = draw(st.sampled_from(slots))
+        if how == "missing" and isinstance(container, dict):
+            del container[key]
+        else:
+            container[key] = draw(ANY_JSON)
+    return doc
+
+
+@st.composite
+def digraph_texts(draw):
+    """A digraph text of at most 8 vertices, sometimes with a line of random tokens."""
+    n = draw(st.integers(0, 8))
+    pair = st.tuples(st.integers(0, n), st.integers(0, n))  # n itself is out of range
+    lines = [f"digraph {n}"]
+    if draw(st.booleans()):
+        lines.append("roots %d %d" % draw(pair))
+    lines += ["%d %d" % arc for arc in draw(st.lists(pair, max_size=10))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines)))
+        tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=4))
+        lines[i : i + draw(st.integers(0, 1))] = [" ".join(tokens)]
+    return "\n".join(lines) + "\n"
+
+
+BASE_TEXT = format_digraph(rotational_tournament(3))
+TOURNAMENT_TEXTS = st.builds(
+    lambda n, seed: format_digraph(random_tournament(n, seed)), st.integers(0, 8), st.integers(0, 99)
+)
+GRAPH_TEXTS = TOURNAMENT_TEXTS | digraph_texts()
+K_VALUES = st.lists(st.integers(1, 2), min_size=1, max_size=2)  # over the 3-vertex base
+POLYS = st.integers(1, 2).flatmap(lambda s: st.fixed_dictionaries({
+    "s": st.just(s),
+    "terms": st.lists(
+        st.fixed_dictionaries({
+            "coef": st.integers(-3, 3),
+            "exps": st.lists(st.integers(0, 3), min_size=s, max_size=s),
+        }),
+        max_size=3,
+    ),
+}))
+QUANTUM_DOCS = st.fixed_dictionaries(
+    {
+        "terms": st.lists(
+            st.fixed_dictionaries({
+                "coef": st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3"]),
+                "graph": GRAPH_TEXTS | st.just("g.txt"),
+            }),
+            max_size=3,
+        )
+    },
+    optional={
+        "meta": st.fixed_dictionaries({
+            "kind": st.just("necklace-reduction"),
+            "base": st.just(BASE_TEXT) | TOURNAMENT_TEXTS,
+            "k": K_VALUES,
+            "poly": POLYS,
+            "E": st.lists(st.integers(0, 20), min_size=1, max_size=2),
+        })
+    },
+)
+MANIFESTS = st.fixed_dictionaries(
+    {"f0": st.just("f0.txt"), "k": K_VALUES}, optional={"enforce_interval": st.booleans()}
+)
+ENTRIES = st.sampled_from(["0", "1", "2", "1/2", "-1", "1/0", "x", "", "3e2"])
+CSV_TEXTS = st.builds(
+    lambda header, rows: header + "".join(f"{i}," + ",".join(row) + "\n" for i, row in enumerate(rows)),
+    st.sampled_from(["", "vertex,0,1\n", "vertex\n", "x,0\n", "\n"]),
+    st.lists(st.lists(ENTRIES, max_size=9), max_size=8),
+) | st.integers(1, 8).flatmap(  # a symmetric matrix, zero or not
+    lambda n: st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n).map(
+        lambda c: "vertex," + ",".join(map(str, range(n))) + "\n" + "".join(
+            f"{i}," + ",".join(str(c[min(i, j) * n + max(i, j)]) for j in range(n)) + "\n"
+            for i in range(n)
+        )
+    )
+)
+CONFIGS = st.fixed_dictionaries({}, optional={
+    key: st.lists(st.integers(0, 9), max_size=3) if isinstance(default, tuple) else st.just(default)
+    for key, default in vars(ExperimentConfig()).items()
+})
+CONFIG_FILES = documents(CONFIGS).map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=8)
+COMMANDS = st.one_of(
+    st.tuples(st.just("hom"), GRAPH_TEXTS, GRAPH_TEXTS, st.lists(st.integers(-1, 9), max_size=2),
+              st.sampled_from([None, 0, 3])),
+    st.tuples(st.just("eval-quantum"), documents(QUANTUM_DOCS), GRAPH_TEXTS, GRAPH_TEXTS,
+              st.integers(0, 50)),
+    st.tuples(st.just("xy"), CSV_TEXTS),
+    st.tuples(st.just("reduce"), documents(POLYS), documents(MANIFESTS),
+              st.just(BASE_TEXT) | GRAPH_TEXTS, st.sampled_from(["minimal", "paper"])),
+)
+
+
+@given(COMMANDS, CONFIG_FILES)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_generated_documents_exit_0_or_2(command, config_doc):
+    """No generated input lets an exception escape `main`: every command
+    returns 0 or 2, and a config file raises nothing but ValueError."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        d = Path(tmp)
+        name = command[0]
+        if name == "hom":
+            _, pattern, host, roots, cap = command
+            (d / "p.txt").write_text(pattern)
+            (d / "h.txt").write_text(host)
+            args = ["hom", "--pattern", d / "p.txt", "--host", d / "h.txt"]
+            args += [a for flag, v in zip(["--root-x", "--root-y"], roots) for a in (flag, v)]
+            if cap is not None:
+                args += ["--enumerate", "--cap", cap]
+        elif name == "eval-quantum":
+            _, doc, graph, host, budget = command
+            (d / "q.json").write_text(json.dumps(doc))
+            (d / "g.txt").write_text(graph)
+            (d / "h.txt").write_text(host)
+            args = ["eval-quantum", "--quantum", d / "q.json", "--host", d / "h.txt",
+                    "--budget", budget]
+        elif name == "xy":
+            (d / "m.csv").write_text(command[1])
+            args = ["xy", "--matrix", d / "m.csv"]
+        else:
+            _, poly, manifest, f0, mode = command
+            (d / "family").mkdir()
+            (d / "family" / "family.json").write_text(json.dumps(manifest))
+            (d / "family" / "f0.txt").write_text(f0)
+            (d / "p.json").write_text(json.dumps(poly))
+            args = ["reduce", "--poly", d / "p.json", "--family", d / "family", "--mode", mode,
+                    "--out", d / "out.json"]
+        assert run(args) in (0, 2)
+        (d / "cfg.json").write_bytes(config_doc)
+        try:
+            ExperimentConfig.from_json(d / "cfg.json")
+        except ValueError:
+            pass

@@ -15,6 +15,7 @@ from tournhom.digraphs import (
     Digraph,
     QuantumDigraph,
     RootedDigraph,
+    Tournament,
     disjoint_union,
     random_tournament,
     transitive_tournament,
@@ -32,7 +33,7 @@ from tournhom.homcount import (
     rooted_count_matrices,
     rooted_count_matrix,
 )
-from tournhom.gadgets import toy_family
+from tournhom.gadgets import rotational_tournament, toy_family
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 # the reverse orientation, where 0 -> 2 -> 1 is a path
@@ -205,6 +206,56 @@ class TestEvalQuantum:
             t = random_tournament(6, seed)
             d = density(ARC, t)
             assert eval_quantum(q, t) == d * d - d
+
+    def test_relabelled_terms_add_up(self):
+        # C3 and its reverse are isomorphic but not equal; each is counted
+        transitive = Digraph(3, [(1, 0), (2, 0), (2, 1)])
+        q = QuantumDigraph.of([(1, CYCLE3), (2, CYCLE3_REV), (5, transitive)])
+        for n, seed in [(3, 0), (5, 1), (6, 2), (7, 3)]:
+            T = random_tournament(n, seed)
+            assert eval_quantum(q, T) == 3 * density(CYCLE3, T) + 5 * density(transitive, T)
+
+    def test_cancelling_terms_take_no_nodes(self):
+        T = random_tournament(5, 0)
+        with pytest.raises(BudgetExceededError):
+            density(CYCLE3, T, max_nodes=0)
+        q = QuantumDigraph.of([(1, CYCLE3), (-1, Digraph(3, [(0, 1), (1, 2), (2, 0)]))])
+        assert eval_quantum(q, T, max_nodes=0) == 0
+
+    def test_non_isomorphic_regular_tournaments(self):
+        # Paley(43) against the rotational tournament on 43 vertices: an
+        # isomorphism search between them once ran out of its budget, while
+        # the pigeonhole cut counts each term 0 before the first node
+        p = 43
+        squares = {x * x % p for x in range(1, p)}
+        paley = Tournament(p, [(i, j) for i in range(p) for j in range(p) if (j - i) % p in squares])
+        q = QuantumDigraph.of([(1, paley), (-1, rotational_tournament(p))])
+        assert eval_quantum(q, random_tournament(8, 1), max_nodes=0) == 0
+
+    @given(st.integers(0, 2**32), st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_brute_force(self, seed, size):
+        rng = random.Random(seed)
+        terms = []
+        for _ in range(size):
+            coef = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if terms and rng.random() < 0.5:
+                # an exact or a relabelled copy of an earlier term, sometimes cancelling it
+                c, F = rng.choice(terms)
+                if rng.random() < 0.5:
+                    F = relabelled(F, rng.sample(range(F.n), F.n))
+                if rng.random() < 0.3:
+                    coef = -c
+            else:
+                F = random_digraph(rng.randint(0, 4), 1, 2, rng.randrange(2**30))
+            terms.append((coef, F))
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            T = random_tournament(n, rng.randrange(2**30))
+        else:
+            T = random_digraph(n, 1, 2, rng.randrange(2**30))
+        expected = sum(c * Fraction(count_hom_bruteforce(F, T), n**F.n) for c, F in terms)
+        assert eval_quantum(QuantumDigraph.of(terms), T) == expected
 
 
 class TestEnumeration:
