@@ -30,6 +30,7 @@ __all__ = [
     "ConvergenceRow",
     "deviation_bracket",
     "within_deviation_bracket",
+    "check_copy_counts",
     "convergence_study",
     "pipeline_cross_check",
     "default_degree",
@@ -155,14 +156,19 @@ def within_deviation_bracket(x: float, y: float, r: int, n: int, q: float) -> bo
     return lo_x <= 1 / r - x <= hi_x and lo_y <= 1 / r**2 - y <= hi_y
 
 
+def check_copy_counts(r_values: list[int]) -> None:
+    """Refuse an empty list of copy counts r, or one below 1."""
+    if not r_values or min(r_values) < 1:
+        raise ValueError(f"the copy counts r must be one or more integers >= 1, got {r_values}")
+
+
 def convergence_study(
     sizes: list[int],
     r_values: list[int],
     seed: int = 0,
     degree=default_degree,
 ) -> list[ConvergenceRow]:
-    if not r_values or min(r_values) < 1:
-        raise ValueError(f"the copy counts r must be one or more integers >= 1, got {r_values}")
+    check_copy_counts(r_values)
     rows = []
     for idx, n in enumerate(sizes):
         d = degree(n)

@@ -1,6 +1,6 @@
 """Exact homomorphism counting and enumeration between digraphs.
 
-One search engine serves counting, root-pair sweeps and enumeration.  A
+Counting and enumeration run one search engine, in two modes.  A
 pattern is compiled once per set of pinned vertices into a plan: the arc
 lists of every pattern vertex, a tie-break rank that depends on the
 pattern only, the weakly connected components of the free (unpinned)
@@ -31,13 +31,16 @@ free vertices, and the components the unplaced vertices fall into after a
 placement (the doubled gadget splits into its two halves once its roots
 are pinned).  Unplaced vertices that all lie in one clique cannot fall
 apart, so they are not searched for components.  A part of one vertex
-counts as the size of its mask.  The sweep serves several rooted patterns
-that share their non-root part (the core): it walks each component of the
-core in one depth-first search, keeps two forward-checked root masks per
-pattern, and adds the outer product of each pattern's root masks to that
-pattern's matrix at every full placement.  A branch is cut when a core
-mask empties, or when every pattern has an empty root mask.  Enumeration
-walks all free vertices in one depth-first search.
+counts as the size of its mask.  Enumeration walks all free vertices in
+one depth-first search.
+
+Root-pair sweep.  hom_{x,y}(F, T) for every root pair is a sum over the
+maps of the non-root part of F (the core), each adding the outer product
+of the root images it allows (Lovasz, Large Networks and Graph Limits,
+2012, ch. 6).  A sweep of patterns that share their core enumerates each
+component of the core once, reads each root's mask off the core's images
+at every map, and adds each pattern's outer product to its matrix; the
+components' matrices multiply elementwise.
 
 Block-diagonal sweep.  A homomorphism maps closed walks to closed walks,
 so two pattern vertices joined by walks both ways have images joined by
@@ -162,7 +165,7 @@ def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
 
 # -- the executor ------------------------------------------------------------------
 
-_COUNT, _SWEEP, _ENUM = 0, 1, 2
+_COUNT, _ENUM = 0, 1
 
 
 def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
@@ -201,21 +204,14 @@ def _clique(M: int, masks: list[int], verts: Sequence[int], adj: Sequence[int]) 
     return all(adj[u] & bits == bits ^ 1 << u for u in group)
 
 
-def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
+def _search(plan, T, mode, state, parts, max_nodes):
     """The search loop, on an explicit stack of frames.
 
     Count mode returns the product over `parts` of their counts, splitting
-    a part again whenever its unplaced vertices fall apart.  Sweep and
-    enumerate modes take one part.  Enumerate mode yields every full image
-    tuple.  The generator returns (count, nodes used).
-
-    Sweep mode takes sweep = (routs, rins, pairs, mats) from `_SweepPlan`
-    plus one matrix per pattern: the root masks live in `dom` past the
-    pattern's own vertices, pattern p's at the slots pairs[p] = (z, w).
-    Placing v ANDs its image's out-mask into the slots of routs[v] and its
-    in-mask into those of rins[v], and the branch is cut when every pattern
-    has an empty root mask.  At every full placement the outer product of
-    each pattern's root masks is added to its matrix.
+    a part again whenever its unplaced vertices fall apart.  Enumerate mode
+    takes one part and yields every full image tuple; a sweep is such an
+    enumeration of the core (`_sweep`).  The generator returns (count,
+    nodes used).
 
     A part is (its unplaced vertices in rank order, their mask).  A sum
     frame [False, rest, rest_mask, v, cands, acc, saved] places v at each
@@ -233,9 +229,6 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
     outm, inm = T.out_masks, T.in_masks
     outs, ins, adj, clique = plan.outs, plan.ins, plan.adj, plan.clique
     counting = mode == _COUNT
-    sweeping = mode == _SWEEP
-    if sweeping:
-        routs, rins, pairs, mats = sweep
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = 0
     size = int.bit_count
@@ -314,39 +307,10 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
                         break
                     dom[u] = d
                 else:
-                    if sweeping:
-                        # a root mask that empties kills its pattern, not the branch
-                        dead = False
-                        mask = outm[g]
-                        for u in routs[v]:
-                            d = dom[u]
-                            if d:
-                                d &= mask
-                                dom[u] = d
-                                if not d:
-                                    dead = True
-                        mask = inm[g]
-                        for u in rins[v]:
-                            d = dom[u]
-                            if d:
-                                d &= mask
-                                dom[u] = d
-                                if not d:
-                                    dead = True
-                        if dead and not any(dom[z] and dom[w] for z, w in pairs):
-                            dom[:] = saved
-                            continue
                     images[v] = g
                     if not rest:
                         if counting:
                             acc += 1
-                        elif sweeping:
-                            for (z, w), S in zip(pairs, mats):
-                                ys = _bits(dom[w])
-                                for x in _bits(dom[z]):
-                                    row = S[x]
-                                    for y in ys:
-                                        row[y] += 1
                         else:
                             yield tuple(images)
                     elif not counting:
@@ -374,13 +338,13 @@ def _search(plan, T, mode, state, parts, max_nodes, sweep=None):
     return ret, nodes
 
 
-def _finish(search) -> tuple[int, int]:
-    """Run a count or sweep search to its end: (count, nodes used)."""
+def _finish(search, visit=None) -> tuple[int, int]:
+    """Run a search to its end, passing each map it yields to visit: (count, nodes)."""
     try:
-        next(search)
+        while True:
+            visit(next(search))
     except StopIteration as done:
         return done.value
-    raise AssertionError("only enumeration yields maps")
 
 
 def _count(F: Digraph, T: Digraph, pins: dict[int, int], max_nodes: int | None) -> int:
@@ -522,57 +486,41 @@ def iter_homs(
 
 
 class _SweepPlan(NamedTuple):
-    plan: _Plan  # the union pattern's plan, with arcs to the roots left out
-    routs: tuple[tuple[int, ...], ...]  # routs[v]: root slots u with an arc v -> u
-    rins: tuple[tuple[int, ...], ...]  # rins[v]: root slots u with an arc u -> v
-    pairs: tuple[tuple[int, int], ...]  # pairs[p]: the (z, w) slots of pattern p
+    plan: _Plan  # the core's plan: the patterns with their roots left out
+    # roots[p][i]: for z and for w of pattern p, each (u, k) with u in core part
+    # i and an arc root -> u (k = 0) or u -> root (k = 1)
+    roots: tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], ...]
     strong: bool  # every pattern is strongly connected, roots included
 
 
 @lru_cache(maxsize=64)
 def _sweep_plan(patterns: tuple[RootedDigraph, ...]) -> _SweepPlan:
-    """Plan a sweep of rooted patterns that share their non-root part.
-
-    The branching order comes from the union of the patterns' arcs, which
-    is the pattern itself when there is one, so a single pattern's sweep
-    makes the same search decisions as its own plan.  Pattern p's root
-    masks get the slots n + 2p and n + 2p + 1 after the n pattern vertices.
-    """
+    """Plan a sweep of rooted patterns that share their non-root part, the
+    core, relabelled in ascending order.  Each root's core neighbours are
+    listed per part, since one part's enumeration leaves the others unset."""
     first = patterns[0]
     n, (z, w) = first.graph.n, first.roots
-    core = (1 << n) - 1 & ~(1 << z) & ~(1 << w)
-
-    def core_rows(F):
-        return [o & core if core >> u & 1 else 0 for u, o in enumerate(F.graph.out_masks)]
-
-    rows = core_rows(first)
+    core = [v for v in range(n) if v != z and v != w]
+    rows = gather_rows(first.graph, core)
     for F in patterns:
         if not F.roots_nonadjacent():
             raise ValueError("sweep requires non-adjacent roots")
         if F.graph.n != n or F.roots != first.roots:
             raise ValueError("swept patterns need the same vertex count and root labels")
-        if core_rows(F) != rows:
+        if gather_rows(F.graph, core) != rows:
             raise ValueError("swept patterns need the same arcs among their non-root vertices")
-    union = [0] * n
-    for F in patterns:
-        union = [a | b for a, b in zip(union, F.graph.out_masks)]
-    plan = _plan(Digraph.from_out_masks(n, union), tuple(sorted(first.roots)))
-    routs: list[list[int]] = [[] for _ in range(n)]
-    rins: list[list[int]] = [[] for _ in range(n)]
-    for p, F in enumerate(patterns):
-        for root, slot in ((z, n + 2 * p), (w, n + 2 * p + 1)):
-            for v in _bits(F.graph.in_mask(root)):
-                routs[v].append(slot)
-            for v in _bits(F.graph.out_mask(root)):
-                rins[v].append(slot)
+    plan = _plan(Digraph.from_out_masks(len(core), rows), ())
+
+    def arcs(G: Digraph, root: int, part: int) -> tuple[tuple[int, int], ...]:
+        sides = (G.out_mask(root), G.in_mask(root))
+        return tuple((i, k) for i in _bits(part) for k in (0, 1) if sides[k] >> core[i] & 1)
+
     return _SweepPlan(
-        plan=plan._replace(
-            outs=tuple(tuple(u for u in us if core >> u & 1) for us in plan.outs),
-            ins=tuple(tuple(u for u in us if core >> u & 1) for us in plan.ins),
+        plan=plan,
+        roots=tuple(
+            tuple((arcs(F.graph, z, part), arcs(F.graph, w, part)) for _, part in plan.parts)
+            for F in patterns
         ),
-        routs=tuple(map(tuple, routs)),
-        rins=tuple(map(tuple, rins)),
-        pairs=tuple((n + 2 * p, n + 2 * p + 1) for p in range(len(patterns))),
         strong=all(len(F.graph.strong_components) == 1 for F in patterns),
     )
 
@@ -584,11 +532,11 @@ def rooted_count_matrices(
 
     The patterns must have non-adjacent roots, the same vertex count and
     root labels, and the same arcs among their non-root vertices (the
-    core); anything else raises ValueError.  The search places the core
-    once for all of them.  With non-adjacent roots the two root masks of a
-    pattern are independent, so every full placement of the core adds the
-    outer product of the pattern's root masks to its matrix.  Independent
-    components of the core contribute elementwise-multiplied matrices.
+    core); anything else raises ValueError.  Each component of the core is
+    enumerated once for all of them.  With non-adjacent roots a pattern's
+    two roots are constrained only through the core, so each map of a
+    component adds the outer product of the root images it allows to the
+    pattern's matrix, and the components' matrices multiply elementwise.
     When every pattern is strongly connected, roots included, each strong
     component of T is swept on its own, and components with equal
     relabelled out-masks share one sweep (the block-diagonal sweep of the
@@ -618,15 +566,36 @@ def rooted_count_matrices(
 
 
 def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
-    """The sweep's matrices on all of T, one search per part of the core,
-    and what is left of the node budget `left`."""
-    n, width = T.n, len(sp.plan.adj) + 2 * len(sp.pairs)
+    """The sweep's matrices on all of T, one enumeration per part of the core,
+    and what is left of the node budget `left`.  At each map, a root may go
+    to the host vertices with the arcs it needs to and from the images of
+    its core neighbours."""
+    n, full, sides = T.n, (1 << T.n) - 1, (T.in_masks, T.out_masks)
     totals: list[list[list[int]]] | None = None
-    for part in sp.plan.parts:
-        mats = [[[0] * n for _ in range(n)] for _ in sp.pairs]
-        state = ([(1 << n) - 1] * width, [-1] * len(sp.plan.adj))
-        sweep = (sp.routs, sp.rins, sp.pairs, mats)
-        _, used = _finish(_search(sp.plan, T, _SWEEP, state, [part], left, sweep))
+    for i, part in enumerate(sp.plan.parts):
+        mats = [[[0] * n for _ in range(n)] for _ in sp.roots]
+        # each root's arcs with the host masks they read: in-masks for root -> u
+        here = [[[(u, sides[k]) for u, k in arcs] for arcs in roots[i]] for roots in sp.roots]
+
+        def add(images):
+            for (zarcs, warcs), S in zip(here, mats):
+                xs = full
+                for u, masks in zarcs:
+                    xs &= masks[images[u]]
+                if not xs:
+                    continue
+                ys = full
+                for u, masks in warcs:
+                    ys &= masks[images[u]]
+                if ys:
+                    ys = _bits(ys)
+                    for x in _bits(xs):
+                        row = S[x]
+                        for y in ys:
+                            row[y] += 1
+
+        search = _search(sp.plan, T, _ENUM, _start(sp.plan, T, {}), [part], left)
+        _, used = _finish(search, add)
         if left is not None:
             left -= used
         if totals is None:
@@ -637,15 +606,14 @@ def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
                 for y in range(n):
                     tx[y] *= sx[y]
     if totals is None:
-        totals = [[[1] * n for _ in range(n)] for _ in sp.pairs]
+        totals = [[[1] * n for _ in range(n)] for _ in sp.roots]
     return totals, left
 
 
 def rooted_count_matrix(
     F: RootedDigraph, T: Digraph, max_nodes: int | None = None
 ) -> list[list[int]]:
-    """Matrix S with S[x][y] = hom_{x,y}(F, T), computed in one global sweep.
-
-    Requires non-adjacent roots; see `rooted_count_matrices`.
-    """
+    """Matrix S with S[x][y] = hom_{x,y}(F, T): one enumeration of the non-root
+    part of F, with the root masks read at each map.  Requires non-adjacent
+    roots; see `rooted_count_matrices`."""
     return rooted_count_matrices([F], T, max_nodes)[0]

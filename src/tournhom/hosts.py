@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .digraphs import Tournament, read_text_format
+from .digraphs import Digraph, Tournament, read_text_format, save_digraph
 from .errors import json_field
 from .gadgets import DoubledGadget, GadgetFamily, glue
 
@@ -88,9 +88,8 @@ def load_simple_graph(path: str | Path) -> SimpleGraph:
 
 
 def save_simple_graph(path: str | Path, g: SimpleGraph) -> None:
-    lines = [f"digraph {g.n}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One line per edge, low end first, in ascending order."""
+    save_digraph(path, Digraph(g.n, g.edges))
 
 
 # -- edge order -----------------------------------------------------------------

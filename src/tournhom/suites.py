@@ -37,6 +37,7 @@ from .homcount import (
 )
 from .hosts import BlockAtlas, SimpleGraph, build_host, cycle_graph, single_edge_graph
 from .convergence import (
+    check_copy_counts,
     convergence_study,
     deviation_bracket,
     pipeline_cross_check,
@@ -671,6 +672,12 @@ def run_reduction(config: ExperimentConfig) -> RunReport:
 
 
 def run_convergence(config: ExperimentConfig) -> RunReport:
+    check_copy_counts(list(config.converge_r))
+    if len(config.sizes) < 2:
+        # the trend check compares consecutive sizes
+        raise ValueError(
+            f"the convergence study needs two or more sizes, got sizes {list(config.sizes)}"
+        )
     report = RunReport(
         "converge",
         {

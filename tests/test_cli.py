@@ -8,11 +8,13 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tournhom import suites
 from tournhom.cli import _scientific, main
 from tournhom.digraphs import (
     Digraph,
@@ -27,7 +29,7 @@ from tournhom.digraphs import (
     transitive_tournament,
 )
 from tournhom.gadgets import rotational_tournament, toy_family
-from tournhom.hosts import save_simple_graph, single_edge_graph
+from tournhom.hosts import build_host, save_simple_graph, single_edge_graph
 from tournhom.reduction import build_reduction, eval_reduced, parse_poly_text, save_reduced
 from tournhom.suites import ExperimentConfig
 
@@ -591,6 +593,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "the copy counts r must be one or more integers >= 1" in err and message in err
 
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--sizes", ","], None, "got sizes []"),  # PASS over no rows before
+            (["--sizes", "64"], None, "got sizes [64]"),  # a trend of one size before
+            ([], {"sizes": []}, "got sizes []"),
+        ],
+        ids=["flag-empty", "flag-one", "config-empty"],
+    )
+    def test_converge_with_fewer_than_two_sizes_exits_2(self, tmp_path, capsys, args, config, message):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run(["converge"] + args) == 2
+        err = capsys.readouterr().err
+        assert "two or more sizes" in err and message in err
+
     def test_region_suite_accepts_hosts_dir(self, tmp_path, capsys):
         hosts = tmp_path / "hosts"
         hosts.mkdir()
@@ -766,3 +785,134 @@ def test_generated_documents_exit_0_or_2(command, config_doc):
             ExperimentConfig.from_json(d / "cfg.json")
         except ValueError:
             pass
+
+
+# the gadgets and doubled gadgets over the 3-vertex base, and the single-edge
+# host of 8 vertices that each doubled gadget builds, with its atlas
+TOY_GADGETS = toy_family(3, (1, 2))
+ROOTED_TEXTS = st.sampled_from(
+    [format_digraph(g.rooted.graph, g.rooted.roots) for g in TOY_GADGETS.gadgets]
+)
+DOUBLED_TEXTS = st.sampled_from(
+    [format_digraph(d.rooted.graph, d.rooted.roots) for d in TOY_GADGETS.doubled]
+)
+BUILT_HOSTS = [
+    (format_digraph(d.rooted.graph, d.rooted.roots), format_digraph(host), atlas.to_json())
+    for d, (host, atlas) in (
+        (d, build_host(single_edge_graph(), toy_family(3, (d.k,)), [1]))
+        for d in TOY_GADGETS.doubled
+    )
+]
+SIMPLE_TEXTS = st.builds(
+    lambda n, pairs: f"digraph {n}\n" + "".join(
+        f"{a} {b}\n" for a, b in sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    ),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=5),
+)
+INT_LIST_TEXTS = st.lists(st.integers(-1, 3), max_size=3).map(
+    lambda xs: ",".join(map(str, xs))
+) | st.sampled_from(["x", ",", "1,,2", "1.5"])
+
+
+def _joined(xs):
+    return ",".join(map(str, xs))
+
+
+@st.composite
+def arguments(draw, good, wild):
+    """The arguments of `good` as drawn, or with one of them drawn from the
+    strategy at its place in `wild` instead."""
+    args = list(draw(good))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(args) - 1))
+        args[i] = draw(wild[i])
+    return tuple(args)
+
+
+HOST_ARGS = st.lists(st.integers(1, 2), min_size=1, max_size=2).flatmap(
+    lambda k: st.tuples(
+        SIMPLE_TEXTS, st.just(BASE_TEXT), st.just(3), st.just(len(k)), st.just(_joined(k)),
+        st.lists(st.integers(1, 2), min_size=len(k), max_size=len(k)).map(_joined), st.just(True),
+    )
+)
+MORE_COMMANDS = st.one_of(
+    st.tuples(st.just("check-f0"), arguments(
+        st.tuples(TOURNAMENT_TEXTS, st.integers(1, 3), st.integers(1, 4)),
+        [GRAPH_TEXTS, st.integers(-1, 9), st.integers(-1, 9)],
+    )),
+    st.tuples(st.just("build-gadget"), arguments(
+        st.tuples(st.just(BASE_TEXT) | TOURNAMENT_TEXTS, st.integers(1, 2)),
+        [digraph_texts(), st.integers(-1, 9)],
+    )),
+    st.tuples(st.just("necklace"), arguments(
+        st.tuples(ROOTED_TEXTS | DOUBLED_TEXTS, st.integers(3, 5)),
+        [GRAPH_TEXTS, st.integers(-1, 5)],
+    )),
+    st.tuples(st.just("build-host"), arguments(HOST_ARGS, [
+        GRAPH_TEXTS, TOURNAMENT_TEXTS, st.integers(0, 9), st.integers(0, 3),
+        INT_LIST_TEXTS, INT_LIST_TEXTS, st.booleans(),
+    ])),
+    st.tuples(st.just("density-matrix"), arguments(
+        st.sampled_from(BUILT_HOSTS).map(lambda built: built + (1,)),
+        [DOUBLED_TEXTS | GRAPH_TEXTS, TOURNAMENT_TEXTS,
+         documents(st.sampled_from([atlas for _, _, atlas in BUILT_HOSTS])), st.integers(-1, 3)],
+    )),
+    st.tuples(st.just("verify"), st.tuples(
+        st.lists(TOURNAMENT_TEXTS, max_size=2), st.lists(GRAPH_TEXTS, max_size=1)
+    ).map(lambda texts: texts[0] + texts[1])),
+)
+
+
+class _HullLoop(Exception):
+    """The region suite has read its hosts and reached the hull-vertex loop,
+    which reads no input and takes seconds."""
+
+
+@given(MORE_COMMANDS)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_generated_inputs_of_the_other_commands_exit_0_1_or_2(case):
+    """`check-f0`, `build-gadget`, `necklace`, `build-host`, `density-matrix
+    --atlas` and `verify --hosts` on generated files return 0, 1 or 2."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(suites, "in_region", side_effect=_HullLoop):
+        d = Path(tmp)
+        name, values = case
+        if name == "check-f0":
+            f0, a, t3 = values
+            (d / "f0.txt").write_text(f0)
+            args = ["check-f0", "--input", d / "f0.txt", "--a", a, "--t3", t3]
+        elif name == "build-gadget":
+            f0, k = values
+            (d / "f0.txt").write_text(f0)
+            args = ["build-gadget", "--f0", d / "f0.txt", "--k", k,
+                    "--out-f", d / "f.txt", "--out-fdagger", d / "fd.txt"]
+        elif name == "necklace":
+            gadget, length = values
+            (d / "g.txt").write_text(gadget)
+            args = ["necklace", "--gadget", d / "g.txt", "--len", length, "--out", d / "n.txt"]
+        elif name == "build-host":
+            graph, f0, m, s, k, r, toy = values
+            (d / "g.txt").write_text(graph)
+            (d / "f0.txt").write_text(f0)
+            args = ["build-host", "--graph", d / "g.txt", "--f0", d / "f0.txt", "--m", m,
+                    "--s", s, f"--k={k}", f"--r={r}", "--out", d / "h.txt",
+                    "--atlas", d / "atlas.json"] + ["--toy"] * toy
+        elif name == "density-matrix":
+            gadget, host, atlas, index = values
+            (d / "g.txt").write_text(gadget)
+            (d / "h.txt").write_text(host)
+            (d / "atlas.json").write_text(json.dumps(atlas))
+            args = ["density-matrix", "--gadget", d / "g.txt", "--host", d / "h.txt",
+                    "--atlas", d / "atlas.json", "--pattern-index", index,
+                    "--out", d / "c.csv", "--out-density", d / "p.csv"]
+        else:
+            (d / "hosts").mkdir()
+            for i, text in enumerate(values):
+                (d / "hosts" / f"h{i}.txt").write_text(text)
+            args = ["verify", "--suite", "region", "--hosts", d / "hosts"]
+        try:
+            assert run(args) in (0, 1, 2)
+        except _HullLoop:
+            assert name == "verify"

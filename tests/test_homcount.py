@@ -361,23 +361,25 @@ class TestRootedCountMatrices:
         assert rooted_count_matrices([], T) == []
 
     def test_single_pattern_node_count_is_pinned(self):
-        # core 2 -> 3 -> 4 -> 5 with z pointing at all of it: z's mask prunes
+        # core 2 -> 3 -> 4 -> 5 with z pointing at all of it: the roots' masks
+        # are read at each map of the core and prune nothing, so the sweep
+        # takes the nodes of the core's enumeration, with the fan or without
         core = [(2, 3), (3, 4), (4, 5)]
         fan = [(0, v) for v in range(2, 6)]
         pruned = RootedDigraph(Digraph(6, core + fan + [(5, 1)]), (0, 1))
         bare = RootedDigraph(Digraph(6, core + [(5, 1)]), (0, 1))
         T = random_tournament(12, 0)
-        expected = rooted_count_matrix(pruned, T, max_nodes=245)
-        assert rooted_count_matrices([pruned], T, max_nodes=245) == [expected]
+        expected = rooted_count_matrix(pruned, T, max_nodes=351)
+        assert rooted_count_matrices([pruned], T, max_nodes=351) == [expected]
         with pytest.raises(BudgetExceededError):
-            rooted_count_matrix(pruned, T, max_nodes=244)
-        # without the fan the roots cannot prune, and the same core takes more nodes
-        assert nodes_needed(lambda b: rooted_count_matrix(bare, T, max_nodes=b)) > 245
+            rooted_count_matrix(pruned, T, max_nodes=350)
+        assert nodes_needed(lambda b: rooted_count_matrix(bare, T, max_nodes=b)) == 351
 
     def test_family_sweep_node_count_is_pinned(self):
         # two gadgets on their 40-vertex single-edge host, two different
         # blocks of 20: forward checking alone took 699 nodes on the whole
-        # host, the pigeonhole cut 339, and sweeping each block on its own 181
+        # host, the pigeonhole cut 339, sweeping each block on its own 181,
+        # and 534 once the roots' masks stopped cutting the core's search
         from tournhom.hosts import build_host, single_edge_graph
         from tournhom.spectral import density_matrices
 
@@ -385,9 +387,9 @@ class TestRootedCountMatrices:
         host, _ = build_host(single_edge_graph(), fam, [1, 1])
         assert len(host.strong_components) == 2
         expected = density_matrices(fam.doubled, host)
-        assert density_matrices(fam.doubled, host, max_nodes=181) == expected
+        assert density_matrices(fam.doubled, host, max_nodes=534) == expected
         with pytest.raises(BudgetExceededError):
-            density_matrices(fam.doubled, host, max_nodes=180)
+            density_matrices(fam.doubled, host, max_nodes=533)
 
 
 # -- the search engine ---------------------------------------------------------------
@@ -603,8 +605,8 @@ def finish_nodes(run):
     nodes = []
     finish = homcount._finish
 
-    def counted(search):
-        out = finish(search)
+    def counted(search, visit=None):
+        out = finish(search, visit)
         nodes.append(out[1])
         return out
 
@@ -688,7 +690,7 @@ class TestPigeonholeCut:
         results = {}
         for name, run in runs.items():
             result, k = finish_nodes(run)
-            if name == "maps":  # enumeration does not go through _finish
+            if name == "maps":  # iter_homs does not go through _finish
                 k = nodes_needed(run)
             assert_budget(run, result, k)
             with exact_cut_and_split():

@@ -43,6 +43,28 @@ class TestSimpleGraphFormat:
         save_simple_graph(tmp_path / "g.txt", g)
         assert load_simple_graph(tmp_path / "g.txt") == g
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(5),
+            single_edge_graph(),
+            path_graph(7),
+            SimpleGraph(4, frozenset()),
+            SimpleGraph(0, frozenset()),
+            SimpleGraph(12, frozenset([(7, 11), (0, 9), (3, 4), (0, 2), (5, 10), (2, 3), (1, 11)])),
+        ],
+        ids=["cycle5", "edge", "path7", "edgeless", "empty", "unsorted12"],
+    )
+    def test_writes_one_line_per_edge_in_order(self, tmp_path, g):
+        save_simple_graph(tmp_path / "g.txt", g)
+        expected = f"digraph {g.n}\n" + "".join(f"{a} {b}\n" for a, b in sorted(g.edges))
+        assert (tmp_path / "g.txt").read_bytes() == expected.encode()
+        assert load_simple_graph(tmp_path / "g.txt") == g
+
+    def test_cycle_text(self, tmp_path):
+        save_simple_graph(tmp_path / "g.txt", cycle_graph(5))
+        assert (tmp_path / "g.txt").read_text() == "digraph 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
+
     def test_rejects_high_low(self):
         with pytest.raises(ValueError, match="low high"):
             parse_simple_graph("digraph 3\n2 1\n")
