@@ -1,38 +1,49 @@
 """Exact homomorphism counting and enumeration between digraphs.
 
 Counting and enumeration run one search engine, in two modes.  A
-pattern is compiled once per set of pinned vertices into a plan: the arc
-lists of every pattern vertex, a tie-break rank that depends on the
-pattern only, the weakly connected components of the free (unpinned)
-vertices, and one clique per component: its vertices in rank order, each
-kept when it is adjacent to every vertex kept before it.  The executor
-keeps a candidate bitmask over the host's vertices for every unplaced
-pattern vertex.  Placing a vertex ANDs the host out- or in-mask of its
-image into the mask of every unplaced neighbour (a digon gets both),
-restores the old masks on backtrack, and prunes as soon as a mask is
-empty: forward checking in the sense of Haralick and Elliott (1980).  The
-next vertex is one with the smallest mask; ties break by the plan's rank,
-so renaming the host's vertices changes no search decision and no node
-count.
+pattern is compiled once per set of pinned vertices into a plan.  The plan
+numbers the pattern vertices by a rank that depends on the pattern only
+(more neighbours first, then the lower label), so bit i of every
+pattern-vertex mask stands for the i-th vertex by rank.  It keeps each
+vertex's out-only, in-only and digon neighbours as such masks, the weakly
+connected components of the free (unpinned) vertices, and one clique per
+component: its vertices in rank order, each kept when it is adjacent to
+every vertex kept before it.
+
+The search state is a list of classes.  Forward checking (Haralick and
+Elliott 1980) is the only step that narrows a vertex's candidate mask of
+host vertices, so two unplaced vertices with the same relation (out, in,
+digon or none) to every placed and pinned vertex hold equal masks.  A
+class is such a set of vertices, as a pattern-vertex mask, with its one
+host mask.  Placing a vertex at host vertex g splits each class into at
+most four pieces: its out-neighbours AND the out-mask of g into their
+host mask, its in-neighbours the in-mask, its digon neighbours both, and
+the vertices not adjacent to it keep their mask.  A piece with an empty
+mask prunes the placement.  Each frame of the search keeps its own class
+list, so backtracking restores nothing.  The next vertex is the first by
+rank of the class with the smallest mask, which is the first by rank of
+all the vertices with the smallest mask, so renaming the host's vertices
+changes no search decision and no node count.
 
 Maps need not be injective, but adjacent pattern vertices take distinct
-images, since no digraph has a loop.  So before a node opens on a vertex
-with mask M, the search counts the unplaced vertices of its part whose
-mask is exactly M.  If there are more than |M| of them and they are
-pairwise adjacent, the part has no map and the node is not opened: a
-pigeonhole cut, the simplest case of counting for an all-different
-constraint (Regin 1994).  Non-adjacent vertices may share an image, so
-they never trigger it.  Sharers inside the clique of the branching
-vertex's part are pairwise adjacent by construction, so the sharers are
-tested pair by pair only when one of them lies outside that clique.
+images, since no digraph has a loop.  The vertices of one class all go
+into its mask M, so a class with more than |M| pairwise-adjacent vertices
+has no map, and the placement that made it is pruned without a node: the
+Hall test of an all-different constraint (Regin 1994) on each class, as
+the Glasgow subgraph solver (McCreesh, Prosser and Trimble 2020) runs it
+on bitset domains.  The pairwise-adjacent vertices counted are the
+class's vertices in the clique of its component, then its other vertices
+in rank order, each kept when it is adjacent to every vertex kept before
+it; only a class with more than |M| vertices is counted.  Non-adjacent
+vertices may share an image, so they never trigger it.
 
 Counting multiplies the counts of independent parts: the components of the
 free vertices, and the components the unplaced vertices fall into after a
 placement (the doubled gadget splits into its two halves once its roots
-are pinned).  Unplaced vertices that all lie in one clique cannot fall
-apart, so they are not searched for components.  A part of one vertex
-counts as the size of its mask.  Enumeration walks all free vertices in
-one depth-first search.
+are pinned); each part keeps the classes' pieces inside it.  Unplaced
+vertices that all lie in one clique cannot fall apart, so they are not
+searched for components.  A part of one vertex counts as the size of its
+mask.  Enumeration walks all free vertices in one depth-first search.
 
 Root-pair sweep.  hom_{x,y}(F, T) for every root pair is a sum over the
 maps of the non-root part of F (the core), each adding the outer product
@@ -63,11 +74,10 @@ interpreter's recursion limit.
 `max_nodes` bounds the number of search nodes.  A node is one free
 pattern vertex chosen for branching: the search then tries each host
 vertex left in its mask.  Pinned vertices are not nodes, nor are the
-one-vertex parts whose count is read off their mask, nor the parts that
-the pigeonhole cut empties, so a count that the pinned vertices' forward
-checks settle takes no node, and a sweep that components share counts
-its nodes once.  Counts are exact Python integers; densities exact
-Fractions.
+one-vertex parts whose count is read off their mask, so a count that the
+pinned vertices' forward checks and Hall tests settle takes no node, and
+a sweep that components share counts its nodes once.  Counts are exact
+Python integers; densities exact Fractions.
 """
 
 from __future__ import annotations
@@ -102,7 +112,9 @@ BRUTE_FORCE_BUDGET = 10**8
 
 
 def _split(mask: int, adj: Sequence[int]) -> list[int]:
-    """Masks of the weakly connected components of the vertices in mask."""
+    """Masks of the weakly connected components of the vertices in mask,
+    smallest first, then by lowest vertex, so that cheap parts settle a
+    zero early."""
     comps = []
     while mask:
         comp = frontier = mask & -mask
@@ -114,53 +126,50 @@ def _split(mask: int, adj: Sequence[int]) -> list[int]:
             frontier |= new
         comps.append(comp)
         mask &= ~comp
-    return comps
-
-
-def _parts(comps: list[int], order: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Components as (vertices in the order of `order`, mask); smallest
-    first, then by lowest vertex, so that cheap parts settle a zero early."""
-    comps = sorted(comps, key=lambda c: (c.bit_count(), c & -c))
-    return [(tuple(u for u in order if c >> u & 1), c) for c in comps]
+    return sorted(comps, key=lambda c: (c.bit_count(), c & -c))
 
 
 class _Plan(NamedTuple):
-    outs: tuple[tuple[int, ...], ...]  # outs[v]: every u with an arc v -> u
-    ins: tuple[tuple[int, ...], ...]  # ins[v]: every u with an arc u -> v
-    adj: tuple[int, ...]  # adj[v]: neighbour bitmask over pattern vertices
-    by_rank: tuple[int, ...]  # tie-break among equal masks: earlier goes first
-    free: int  # mask of the unpinned vertices
-    parts: tuple[tuple[tuple[int, ...], int], ...]  # components of the free vertices
-    clique: tuple[int, ...]  # clique[v]: the greedy clique of v's part; 0 if v is pinned
+    # bit i of a pattern-vertex mask stands for label[i], the i-th vertex by rank
+    label: tuple[int, ...]
+    rank: tuple[int, ...]  # rank[v]: the bit of pattern vertex v
+    adj: tuple[int, ...]  # adj[i]: the neighbours of i
+    out: tuple[int, ...]  # out[i]: every j with an arc i -> j
+    # sides[i]: (mask, k) for each of i's out-only (k = 0), in-only (k = 1)
+    # and digon (k = 2) neighbours that i has; the rest are not adjacent to i
+    sides: tuple[tuple[tuple[int, int], ...], ...]
+    free: int  # the unpinned vertices
+    parts: tuple[int, ...]  # the components of the free vertices, as `_split` orders them
+    clique: int  # the union of the parts' greedy cliques
 
 
 @lru_cache(maxsize=512)
 def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
     n = F.n
-    adj = tuple(F.out_mask(v) | F.in_mask(v) for v in range(n))
-    by_rank = tuple(sorted(range(n), key=lambda v: (-adj[v].bit_count(), v)))
+    degree = [(F.out_mask(v) | F.in_mask(v)).bit_count() for v in range(n)]
+    label = tuple(sorted(range(n), key=lambda v: (-degree[v], v)))
+    rank = [0] * n
+    for i, v in enumerate(label):
+        rank[v] = i
+    G = Digraph.from_out_masks(n, gather_rows(F, label))
+    out, ins = G.out_masks, G.in_masks
+    adj = tuple(o | i for o, i in zip(out, ins))
+    sides = tuple(
+        tuple((m, k) for k, m in enumerate((o & ~i, i & ~o, o & i)) if m) for o, i in zip(out, ins)
+    )
     free = (1 << n) - 1
     for p in pinned:
-        free &= ~(1 << p)
-    parts = tuple(_parts(_split(free, adj), by_rank))
-    clique = [0] * n
-    for verts, _ in parts:
+        free &= ~(1 << rank[p])
+    parts = tuple(_split(free, adj))
+    clique = 0
+    for part in parts:
         # greedy in rank order; any clique is sound, a tournament core is whole
         kept = 0
-        for v in verts:
-            if adj[v] & kept == kept:
-                kept |= 1 << v
-        for v in verts:
-            clique[v] = kept
-    return _Plan(
-        outs=tuple(_bits(F.out_mask(v)) for v in range(n)),
-        ins=tuple(_bits(F.in_mask(v)) for v in range(n)),
-        adj=adj,
-        by_rank=by_rank,
-        free=free,
-        parts=parts,
-        clique=tuple(clique),
-    )
+        for i in _bits(part):
+            if adj[i] & kept == kept:
+                kept |= 1 << i
+        clique |= kept
+    return _Plan(label, tuple(rank), adj, out, sides, free, parts, clique)
 
 
 # -- the executor ------------------------------------------------------------------
@@ -168,98 +177,111 @@ def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
 _COUNT, _ENUM = 0, 1
 
 
-def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
-    """Candidate masks and images with the pinned vertices placed.
+def _too_many(piece: int, size: int, clique: int, adj: Sequence[int]) -> bool:
+    """Whether the piece holds more than `size` pairwise-adjacent vertices:
+    those of its part's clique, then its other vertices in rank order, each
+    kept when it is adjacent to every vertex kept before it."""
+    kept = piece & clique
+    rest = piece ^ kept
+    while rest and kept.bit_count() <= size:
+        b = rest & -rest
+        rest ^= b
+        if adj[b.bit_length() - 1] & kept == kept:
+            kept |= b
+    return kept.bit_count() > size
 
-    None when an arc between pinned vertices is missing from T or forward
-    checking from the pins empties a mask."""
-    n = len(plan.adj)
-    dom = [(1 << T.n) - 1] * n
-    images = [-1] * n
-    for p, x in pins.items():
-        images[p] = x
+
+def _narrow(classes, sides, om: int, im: int, clique: int, adj: Sequence[int]):
+    """The classes once a vertex with these sides is placed at a host vertex
+    with out-mask om and in-mask im; None when a piece's mask is empty or
+    fails the Hall test."""
+    masks = (om, im, om & im)
+    new = []
+    for P, H in classes:
+        for side, k in sides:
+            a = P & side
+            if a:
+                h = H & masks[k]
+                s = h.bit_count()
+                if not s or a.bit_count() > s and _too_many(a, s, clique, adj):
+                    return None
+                new.append((a, h))
+                P ^= a
+                if not P:
+                    break
+        else:
+            new.append((P, H))
+    return new
+
+
+def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
+    """The classes of the free vertices and the images, with the pinned
+    vertices placed.
+
+    The classes begin as the plan's parts, one each with every host vertex,
+    and each pin splits them by its relation to their vertices.  None when
+    an arc between pinned vertices is missing from T, or a class has an
+    empty mask or fails the Hall test."""
+    clique, adj = plan.clique, plan.adj
+    if any(part.bit_count() > T.n and _too_many(part, T.n, clique, adj) for part in plan.parts):
+        return None
+    images = [-1] * len(plan.label)
+    full = (1 << T.n) - 1
+    classes = [(part, full) for part in plan.parts]
     outm, inm = T.out_masks, T.in_masks
     for p, x in pins.items():
-        om, im = outm[x], inm[x]
-        for u in plan.outs[p]:
-            if u in pins:
-                if not om >> pins[u] & 1:
-                    return None
-            else:
-                dom[u] &= om
-                if not dom[u]:
-                    return None
-        for u in plan.ins[p]:
-            if u not in pins:
-                dom[u] &= im
-                if not dom[u]:
-                    return None
-    return dom, images
+        images[p] = x
+    for p, x in pins.items():
+        i = plan.rank[p]
+        if any(not outm[x] >> images[plan.label[j]] & 1 for j in _bits(plan.out[i] & ~plan.free)):
+            return None
+        classes = _narrow(classes, plan.sides[i], outm[x], inm[x], clique, adj)
+        if classes is None:
+            return None
+    return classes, images
 
 
-def _clique(M: int, masks: list[int], verts: Sequence[int], adj: Sequence[int]) -> bool:
-    """Whether the vertices whose mask is M are pairwise adjacent."""
-    group = [u for u, m in zip(verts, masks) if m == M]
-    bits = sum(1 << u for u in group)
-    return all(adj[u] & bits == bits ^ 1 << u for u in group)
-
-
-def _search(plan, T, mode, state, parts, max_nodes):
+def _search(plan, T, mode, images, parts, max_nodes):
     """The search loop, on an explicit stack of frames.
 
     Count mode returns the product over `parts` of their counts, splitting
     a part again whenever its unplaced vertices fall apart.  Enumerate mode
-    takes one part and yields every full image tuple; a sweep is such an
-    enumeration of the core (`_sweep`).  The generator returns (count,
-    nodes used).
+    takes one part and yields the live `images` list at every map; a sweep
+    is such an enumeration of the core (`_sweep`).  The generator returns
+    (count, nodes used); the count is 0 in enumerate mode.
 
-    A part is (its unplaced vertices in rank order, their mask).  A sum
-    frame [False, rest, rest_mask, v, cands, acc, saved] places v at each
-    host vertex left in cands; rest lists the part's other unplaced
-    vertices, and saved holds the masks from before v was placed.  A
-    product frame [True, parts, i, acc] multiplies the counts of parts.
-
-    Forward checking also ANDs into the masks of placed neighbours.  That
-    never empties one: a placed vertex's image stays in its mask, because
-    every later neighbour was drawn from a mask already narrowed to agree
-    with it.  So the inner loops need no test for placed vertices, and the
-    masks come back on backtrack by restoring the frame's saved copy.
+    A part is (its classes, the mask of their vertices).  A sum frame
+    [False, rest, rest_mask, v, cands, acc] places v at each host vertex
+    left in cands; rest holds the classes of the part's other unplaced
+    vertices, before v is placed.  A product frame [True, parts, i, acc]
+    multiplies the counts of parts.  Count mode counts a part of one vertex
+    off its mask, so only an enumeration places a part's last vertex, and
+    then every candidate left is a map.
     """
-    dom, images = state
     outm, inm = T.out_masks, T.in_masks
-    outs, ins, adj, clique = plan.outs, plan.ins, plan.adj, plan.clique
+    label, adj, sides, clique = plan.label, plan.adj, plan.sides, plan.clique
     counting = mode == _COUNT
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = 0
-    size = int.bit_count
-    get = dom.__getitem__
 
-    def open_part(verts, mask):
-        """A node on the first vertex in rank order with the smallest mask;
-        None, and no node, when the pigeonhole cut shows the part has no map."""
+    def open_part(classes, mask):
+        """A node on the first vertex by rank of the class with the smallest mask."""
         nonlocal nodes
-        masks = list(map(get, verts))
-        M = min(masks, key=size)
-        i = masks.index(M)
-        v = verts[i]
-        s = size(M)
-        if s < len(verts) and masks.count(M) > s:
-            # sharers of M inside the clique of v's part are pairwise adjacent;
-            # test them pair by pair only when v or another sharer lies outside
-            out = mask & ~clique[v]
-            inside = not out >> v & 1 and M not in map(get, _bits(out))
-            if inside or _clique(M, masks, verts, adj):
-                return None
         nodes += 1
         if nodes > limit:
             raise BudgetExceededError("homomorphism search budget exceeded")
-        return [False, verts[:i] + verts[i + 1 :], mask & ~(1 << v), v, M, 0, dom[:]]
+        c = min(classes, key=lambda c: (c[1].bit_count(), c[0] & -c[0]))
+        P, H = c
+        b = P & -P
+        rest = [d for d in classes if d is not c]
+        if P != b:
+            rest.append((P ^ b, H))
+        return [False, rest, mask ^ b, b.bit_length() - 1, H, 0]
 
     if counting:
         stack = [[True, parts, 0, 1]]
     else:
-        first = open_part(*parts[0])
-        stack = [first] if first else []
+        stack = [open_part(*parts[0])]
     ret = None  # what the frame just popped hands to the one below
     while stack:
         fr = stack[-1]
@@ -269,69 +291,61 @@ def _search(plan, T, mode, state, parts, max_nodes):
                 acc *= ret
                 i += 1
                 ret = None
-            while acc and i < len(prts) and len(prts[i][0]) == 1:
-                acc *= dom[prts[i][0][0]].bit_count()
+            while acc and i < len(prts) and not prts[i][1] & (prts[i][1] - 1):
+                acc *= prts[i][0][0][1].bit_count()
                 i += 1
             if acc and i < len(prts):
-                child = open_part(*prts[i])
-                if child:
-                    fr[2], fr[3] = i, acc
-                    stack.append(child)
-                    continue
-                acc = 0
+                fr[2], fr[3] = i, acc
+                stack.append(open_part(*prts[i]))
+                continue
             stack.pop()
             ret = acc
             continue
 
-        _, rest, rest_mask, v, cands, acc, saved = fr
+        _, rest, rest_mask, v, cands, acc = fr
+        u = label[v]
+        if not rest_mask:
+            # the last vertex of an enumerated part: each candidate is a map
+            while cands:
+                b = cands & -cands
+                cands ^= b
+                images[u] = b.bit_length() - 1
+                yield images
+            stack.pop()
+            ret = acc
+            continue
         if ret is not None:
             acc += ret
             ret = None
-            dom[:] = saved
         child = None
+        vs = sides[v]
         while cands:
             b = cands & -cands
             cands ^= b
             g = b.bit_length() - 1
-            mask = outm[g]
-            for u in outs[v]:
-                d = dom[u] & mask
-                if not d:
-                    break
-                dom[u] = d
+            classes = _narrow(rest, vs, outm[g], inm[g], clique, adj)
+            if classes is None:
+                continue
+            if not counting:
+                images[u] = g
+                child = open_part(classes, rest_mask)
+            elif not rest_mask & (rest_mask - 1):
+                acc += classes[0][1].bit_count()
+                continue
             else:
-                mask = inm[g]
-                for u in ins[v]:
-                    d = dom[u] & mask
-                    if not d:
-                        break
-                    dom[u] = d
-                else:
-                    images[v] = g
-                    if not rest:
-                        if counting:
-                            acc += 1
-                        else:
-                            yield tuple(images)
-                    elif not counting:
-                        child = open_part(rest, rest_mask)
-                    elif len(rest) == 1:
-                        acc += dom[rest[0]].bit_count()
-                    else:
-                        near = adj[v] & rest_mask
-                        if near & (near - 1) and rest_mask & ~clique[v]:
-                            # v had two or more unplaced neighbours and rest is
-                            # not inside the clique of v's part: rest may split
-                            comps = _split(rest_mask, adj)
-                            if len(comps) > 1:
-                                child = [True, _parts(comps, rest), 0, 1]
-                        if child is None:
-                            child = open_part(rest, rest_mask)
-                    if child is not None:
-                        fr[4], fr[5] = cands, acc
-                        stack.append(child)
-                        break
-            dom[:] = saved
+                near = adj[v] & rest_mask
+                if near & (near - 1) and rest_mask & ~clique:
+                    # v had two or more unplaced neighbours and rest is not
+                    # inside the clique of its part: rest may split
+                    comps = _split(rest_mask, adj)
+                    if len(comps) > 1:
+                        pieces = [([(P & c, H) for P, H in classes if P & c], c) for c in comps]
+                        child = [True, pieces, 0, 1]
+                if child is None:
+                    child = open_part(classes, rest_mask)
+            fr[4], fr[5] = cands, acc
+            stack.append(child)
+            break
         if child is None:
             stack.pop()
             ret = acc
@@ -352,7 +366,9 @@ def _count(F: Digraph, T: Digraph, pins: dict[int, int], max_nodes: int | None) 
     state = _start(plan, T, pins)
     if state is None:
         return 0
-    return _finish(_search(plan, T, _COUNT, state, plan.parts, max_nodes))[0]
+    classes, images = state
+    parts = [([c for c in classes if c[0] & part], part) for part in plan.parts]
+    return _finish(_search(plan, T, _COUNT, images, parts, max_nodes))[0]
 
 
 # -- counting ----------------------------------------------------------------
@@ -471,11 +487,11 @@ def iter_homs(
     state = _start(plan, T, pins)
     if state is None:
         return
+    classes, images = state
     if plan.free:
-        free = tuple(v for v in plan.by_rank if plan.free >> v & 1)
-        maps = _search(plan, T, _ENUM, state, [(free, plan.free)], max_nodes)
+        maps = map(tuple, _search(plan, T, _ENUM, images, [(classes, plan.free)], max_nodes))
     else:
-        maps = iter([tuple(state[1])])
+        maps = iter([tuple(images)])
     for produced, images in enumerate(maps, start=1):
         if cap is not None and produced > cap:
             raise EnumerationCapError(f"more than {cap} homomorphisms")
@@ -513,12 +529,13 @@ def _sweep_plan(patterns: tuple[RootedDigraph, ...]) -> _SweepPlan:
 
     def arcs(G: Digraph, root: int, part: int) -> tuple[tuple[int, int], ...]:
         sides = (G.out_mask(root), G.in_mask(root))
-        return tuple((i, k) for i in _bits(part) for k in (0, 1) if sides[k] >> core[i] & 1)
+        verts = (plan.label[j] for j in _bits(part))
+        return tuple((i, k) for i in verts for k in (0, 1) if sides[k] >> core[i] & 1)
 
     return _SweepPlan(
         plan=plan,
         roots=tuple(
-            tuple((arcs(F.graph, z, part), arcs(F.graph, w, part)) for _, part in plan.parts)
+            tuple((arcs(F.graph, z, part), arcs(F.graph, w, part)) for part in plan.parts)
             for F in patterns
         ),
         strong=all(len(F.graph.strong_components) == 1 for F in patterns),
@@ -571,6 +588,10 @@ def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
     to the host vertices with the arcs it needs to and from the images of
     its core neighbours."""
     n, full, sides = T.n, (1 << T.n) - 1, (T.in_masks, T.out_masks)
+    state = _start(sp.plan, T, {})
+    if state is None:  # a part's clique has more vertices than T
+        return [[[0] * n for _ in range(n)] for _ in sp.roots], left
+    classes, images = state
     totals: list[list[list[int]]] | None = None
     for i, part in enumerate(sp.plan.parts):
         mats = [[[0] * n for _ in range(n)] for _ in sp.roots]
@@ -594,7 +615,8 @@ def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
                         for y in ys:
                             row[y] += 1
 
-        search = _search(sp.plan, T, _ENUM, _start(sp.plan, T, {}), [part], left)
+        # with no pins, the classes are the parts, each with every host vertex
+        search = _search(sp.plan, T, _ENUM, images, [([classes[i]], part)], left)
         _, used = _finish(search, add)
         if left is not None:
             left -= used

@@ -225,7 +225,7 @@ class TestEvalQuantum:
     def test_non_isomorphic_regular_tournaments(self):
         # Paley(43) against the rotational tournament on 43 vertices: an
         # isomorphism search between them once ran out of its budget, while
-        # the pigeonhole cut counts each term 0 before the first node
+        # the Hall test counts each term 0 before the first node
         p = 43
         squares = {x * x % p for x in range(1, p)}
         paley = Tournament(p, [(i, j) for i in range(p) for j in range(p) if (j - i) % p in squares])
@@ -379,7 +379,8 @@ class TestRootedCountMatrices:
         # two gadgets on their 40-vertex single-edge host, two different
         # blocks of 20: forward checking alone took 699 nodes on the whole
         # host, the pigeonhole cut 339, sweeping each block on its own 181,
-        # and 534 once the roots' masks stopped cutting the core's search
+        # 534 once the roots' masks stopped cutting the core's search, and
+        # 530 with the Hall test on every class
         from tournhom.hosts import build_host, single_edge_graph
         from tournhom.spectral import density_matrices
 
@@ -387,9 +388,9 @@ class TestRootedCountMatrices:
         host, _ = build_host(single_edge_graph(), fam, [1, 1])
         assert len(host.strong_components) == 2
         expected = density_matrices(fam.doubled, host)
-        assert density_matrices(fam.doubled, host, max_nodes=534) == expected
+        assert density_matrices(fam.doubled, host, max_nodes=530) == expected
         with pytest.raises(BudgetExceededError):
-            density_matrices(fam.doubled, host, max_nodes=533)
+            density_matrices(fam.doubled, host, max_nodes=529)
 
 
 # -- the search engine ---------------------------------------------------------------
@@ -565,6 +566,23 @@ class TestSearchEngine:
                 assert first == second > 100
                 count = count_hom_rooted(rooted, T, x, y)
                 assert count == count_hom_rooted(rooted, T2, perm[x], perm[y]) > 0
+                # the same maps, renamed, from the same number of nodes
+                pins, pins2 = {0: x, 1: y}, {0: perm[x], 1: perm[y]}
+                F = rooted.graph
+                maps, k = search_nodes(lambda b: list(iter_homs(F, T, pins, max_nodes=b)))
+                maps2, k2 = search_nodes(lambda b: list(iter_homs(F, T2, pins2, max_nodes=b)))
+                assert k == k2 > 100 and len(maps) == count
+                assert sorted(tuple(perm[g] for g in m) for m in maps) == sorted(maps2)
+        # the sweep of the core, on 12 vertices: over a thousand nodes
+        for seed in range(3):
+            T = random_tournament(12, seed)
+            perm = list(range(T.n))
+            rng.shuffle(perm)
+            T2 = relabelled(T, perm)
+            (S,), k = search_nodes(lambda b: rooted_count_matrices([rooted], T, max_nodes=b))
+            (S2,), k2 = search_nodes(lambda b: rooted_count_matrices([rooted], T2, max_nodes=b))
+            assert k == k2 > 1000
+            assert all(S2[perm[x]][perm[y]] == S[x][y] for x in range(T.n) for y in range(T.n))
 
 
 def cut_case(rng):
@@ -585,14 +603,13 @@ def cut_case(rng):
 
 
 @contextlib.contextmanager
-def exact_cut_and_split():
-    """Plans whose cliques are empty, so that every pigeonhole cut and every
-    split is decided by the exact `_clique` and `_split`."""
+def no_plan_cliques():
+    """Plans whose cliques are empty, so that every Hall test builds its
+    clique from the piece alone and every split is decided by `_split`."""
     plan = homcount._plan
 
     def no_cliques(F, pinned):
-        p = plan(F, pinned)
-        return p._replace(clique=(0,) * len(p.clique))
+        return plan(F, pinned)._replace(clique=0)
 
     with mock.patch.object(homcount, "_plan", no_cliques), mock.patch.object(
         homcount, "_sweep_plan", homcount._sweep_plan.__wrapped__
@@ -600,17 +617,17 @@ def exact_cut_and_split():
         yield
 
 
-def finish_nodes(run):
-    """run(None) and the nodes its count and sweep searches report to `_finish`."""
+def search_nodes(run):
+    """run(None) and the nodes used by the searches it drains."""
     nodes = []
-    finish = homcount._finish
+    search = homcount._search
 
-    def counted(search, visit=None):
-        out = finish(search, visit)
+    def counted(*args):
+        out = yield from search(*args)
         nodes.append(out[1])
         return out
 
-    with mock.patch.object(homcount, "_finish", counted):
+    with mock.patch.object(homcount, "_search", counted):
         return run(None), sum(nodes)
 
 
@@ -623,7 +640,8 @@ def assert_budget(run, result, k):
 
 
 class TestPigeonholeCut:
-    """Pairwise-adjacent vertices that share a mask M need |M| or more host vertices."""
+    """Pairwise-adjacent vertices of one class, which share its mask M, need
+    |M| or more host vertices (the Hall test)."""
 
     TT3 = Digraph(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -637,8 +655,9 @@ class TestPigeonholeCut:
         assert rooted_count_matrix(leaves, ARC) == [[0, 0], [0, 1]]
 
     def test_adjacent_sharers_are_cut_without_a_node(self):
-        # in 0 -> 1 <- 2, placing a at 0 or 2 leaves b -> c the mask {1};
-        # forward checking alone opens a node at b each time, 3 nodes in all
+        # in 0 -> 1 <- 2, placing a at 0 or 2 leaves b -> c one class with the
+        # mask {1}; forward checking alone opens a node at b each time, 3
+        # nodes in all
         host = Digraph(3, [(0, 1), (2, 1)])
         assert count_hom(self.TT3, host, max_nodes=1) == 0
         assert list(iter_homs(self.TT3, host, max_nodes=1)) == []
@@ -647,6 +666,18 @@ class TestPigeonholeCut:
         # the same two placements leave b and c of the out-star apart: both count
         star = Digraph(3, [(0, 1), (0, 2)])
         assert count_hom(star, host) == 2
+
+    def test_a_class_with_a_larger_mask_is_cut(self):
+        # a -> b, c, d (a transitive triangle) and e -> a: in 0 -> 1, 0 -> 2,
+        # 1 -> 2, 3 -> 0, placing a at 0 leaves b, c, d one class with the mask
+        # {1, 2} and e the mask {3}; a count splits e off, but an enumeration
+        # cut on the smallest mask alone opened a node at e before it cut b,
+        # c, d, 2 nodes in all
+        F = Digraph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0)])
+        host = Digraph(4, [(0, 1), (0, 2), (1, 2), (3, 0)])
+        assert count_hom_bruteforce(F, host) == 0
+        assert_budget(lambda b: count_hom(F, host, max_nodes=b), 0, 1)
+        assert_budget(lambda b: list(iter_homs(F, host, max_nodes=b)), [], 1)
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=50, deadline=None)
@@ -672,9 +703,11 @@ class TestPigeonholeCut:
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
-    def test_plan_cliques_change_no_decision(self, seed):
-        # the plan's cliques only skip the exact tests: with empty cliques every
-        # count, map, matrix and node count is the same
+    def test_plan_cliques_change_no_result(self, seed):
+        # the plan's cliques seed the Hall test's cliques and skip splits that
+        # cannot happen: with empty cliques every count, map (in the same
+        # order) and matrix is the same, each budget is exact, and when the
+        # pattern's vertices are pairwise adjacent so is every node count
         rng = random.Random(seed)
         F, T = cut_case(rng)
         z, w = rng.sample(range(F.n), 2)
@@ -687,15 +720,18 @@ class TestPigeonholeCut:
         }
         if rooted.roots_nonadjacent():
             runs["sweep"] = lambda b: rooted_count_matrices([rooted], T, max_nodes=b)
+        everyone = (1 << F.n) - 1
+        complete = all(F.out_mask(v) | F.in_mask(v) | 1 << v == everyone for v in range(F.n))
         results = {}
         for name, run in runs.items():
-            result, k = finish_nodes(run)
-            if name == "maps":  # iter_homs does not go through _finish
-                k = nodes_needed(run)
+            result, k = search_nodes(run)
             assert_budget(run, result, k)
-            with exact_cut_and_split():
-                assert finish_nodes(run) == (result, 0 if name == "maps" else k)
-                assert_budget(run, result, k)
+            with no_plan_cliques():
+                plain, plain_k = search_nodes(run)
+                assert plain == result
+                assert_budget(run, result, plain_k)
+            if complete:
+                assert plain_k == k
             results[name] = result
         maps = results["maps"]
         assert results["count"] == count_hom_bruteforce(F, T) == len(maps)
@@ -711,7 +747,7 @@ class TestPigeonholeCut:
 
     def test_enumeration_node_count_is_pinned(self):
         # a gadget with its roots free: the root left out of the plan's clique
-        # sends the cut to the exact test (65 times in the enumeration)
+        # joins a piece's clique in 66 of the enumeration's 153 Hall cuts
         from tournhom.suites import _twin_planted_host
 
         gadget = toy_family(7, (4,)).gadgets[0]
@@ -719,8 +755,8 @@ class TestPigeonholeCut:
         host = _twin_planted_host(gadget, dups=3, extras=2, rng=random.Random(0))
         maps = list(iter_homs(F, host))
         assert len(maps) == 30
-        assert_budget(lambda b: list(iter_homs(F, host, max_nodes=b)), maps, 198)
-        assert_budget(lambda b: count_hom(F, host, max_nodes=b), 30, 176)
+        assert_budget(lambda b: list(iter_homs(F, host, max_nodes=b)), maps, 194)
+        assert_budget(lambda b: count_hom(F, host, max_nodes=b), 30, 172)
 
 
 def forward_stack(blocks):
@@ -792,7 +828,7 @@ class TestBlockDiagonalSweep:
         T = forward_stack(blocks)
         patterns = SWEEPS[name]
         run = lambda b: rooted_count_matrices(patterns, T, max_nodes=b)
-        result, k = finish_nodes(run)
+        result, k = search_nodes(run)
         assert_budget(run, result, k)
         for F, S in zip(patterns, result):
             assert S == [
@@ -800,7 +836,7 @@ class TestBlockDiagonalSweep:
                 for x in range(T.n)
             ]
         with whole_host_sweeps():
-            whole, nodes = finish_nodes(run)
+            whole, nodes = search_nodes(run)
         assert whole == result
         if name in ("out-star", "path", "mixed"):
             assert nodes == k
@@ -809,11 +845,11 @@ class TestBlockDiagonalSweep:
     def test_equal_blocks_share_one_sweep(self, patterns):
         for seed in range(6):
             block = random_tournament(6, seed)
-            single, k = finish_nodes(lambda b: rooted_count_matrices(patterns, block, max_nodes=b))
+            single, k = search_nodes(lambda b: rooted_count_matrices(patterns, block, max_nodes=b))
             for r in (2, 3):
                 T = forward_stack([block] * r)
                 run = lambda b: rooted_count_matrices(patterns, T, max_nodes=b)
-                result, nodes = finish_nodes(run)
+                result, nodes = search_nodes(run)
                 assert nodes == k
                 assert_budget(run, result, k)
                 for S, B in zip(result, single):
