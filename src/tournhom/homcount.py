@@ -145,6 +145,14 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=512)
 def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
+    """The search plan of F with the vertices `pinned` fixed.
+
+    The vertices are numbered by rank, more neighbours first and then the
+    lower label, and every pattern-vertex mask of the search is in that
+    numbering.  Each vertex gets its out-only, in-only and digon masks;
+    the free vertices fall into parts, and each part gets a greedy clique.
+    The rank depends on F alone, so the search decides nothing from host
+    labels."""
     n = F.n
     degree = [(F.out_mask(v) | F.in_mask(v)).bit_count() for v in range(n)]
     label = tuple(sorted(range(n), key=lambda v: (-degree[v], v)))
