@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .digraphs import (
+    RootedDigraph,
     load_digraph,
     load_quantum,
     load_rooted,
@@ -39,7 +40,7 @@ from .gadgets import (
     symmetrize,
 )
 from .homcount import count_hom, count_hom_rooted, eval_quantum, iter_homs
-from .hosts import load_simple_graph, build_host
+from .hosts import HostAtlas, load_simple_graph, build_host
 from .reduction import (
     eval_reduced,
     load_reduced,
@@ -49,7 +50,7 @@ from .reduction import (
     save_reduced,
 )
 from .region import in_region
-from .spectral import density_matrices, xy_from_matrix
+from .spectral import density_matrices, graphon_pattern_check, xy_from_matrix
 from .suites import ExperimentConfig, run_convergence, run_suite, SUITES
 
 
@@ -113,8 +114,6 @@ def cmd_hom(args) -> int:
         print(count)
         return 0
     if pins:
-        from .digraphs import RootedDigraph
-
         count = count_hom_rooted(
             RootedDigraph(pattern, roots), host, args.root_x, args.root_y
         )
@@ -156,15 +155,11 @@ def cmd_density_matrix(args) -> int:
     [dm] = density_matrices([doubled], host)
     _write_matrix_csv(args.out, dm.counts)
     denom = dm.density_denominator()
-    density_rows = [
-        [Fraction(c, denom) for c in row] for row in dm.counts
-    ]
+    # a zero density is written as 0, which is how a zero Fraction prints
+    density_rows = [[Fraction(c, denom) if c else 0 for c in row] for row in dm.counts]
     _write_matrix_csv(args.out_density, density_rows)
     print(f"{dm.order} x {dm.order} matrix; zero: {dm.is_zero()}")
     if args.atlas:
-        from .hosts import HostAtlas
-        from .spectral import graphon_pattern_check
-
         atlas = HostAtlas.load(args.atlas)
         verdict = graphon_pattern_check(dm, atlas, args.pattern_index)
         print(

@@ -144,9 +144,6 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self._in[v].bit_count()
 
-    def degree(self, v: int) -> int:
-        return self.out_degree(v) + self.in_degree(v)
-
     def max_out_degree(self) -> int:
         return max((m.bit_count() for m in self._out), default=0)
 

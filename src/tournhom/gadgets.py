@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,6 +24,7 @@ from .digraphs import (
     _draw_tournament,
     gather_rows,
     induced_subdigraph,
+    load_rooted,
 )
 from .errors import BudgetExceededError, SamplingError
 
@@ -351,7 +352,9 @@ class DoubledGadget:
     Layout: 0..m-1 left copy, m..2m-1 right copy, z = 2m, w = 2m+1.  The
     left copy realizes the original root pattern on (z, w); the right copy
     realizes it on (w, z).  Conditional counts into any host are symmetric
-    in the two roots.
+    in the two roots.  `halves` holds both copies as standalone rooted
+    patterns; a right copy that is not the left with z and w swapped raises
+    ValueError.
     """
 
     rooted: RootedDigraph
@@ -359,6 +362,18 @@ class DoubledGadget:
     k: int
     left: tuple[int, ...]
     right: tuple[int, ...]
+    halves: tuple[RootedDigraph, RootedDigraph] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        graph, roots = self.rooted.graph, self.rooted.roots
+        left, right = (
+            RootedDigraph(induced_subdigraph(graph, [*half, *roots]), (len(half), len(half) + 1))
+            for half in (self.left, self.right)
+        )
+        m = len(self.left)
+        if right.graph.out_masks != tuple(gather_rows(left.graph, [*range(m), m + 1, m])):
+            raise ValueError("the right half is not the mirror of the left half")
+        object.__setattr__(self, "halves", (left, right))
 
     @property
     def z(self) -> int:
@@ -370,24 +385,16 @@ class DoubledGadget:
 
     def left_pattern(self) -> RootedDigraph:
         """The left copy with the shared roots, as a standalone rooted pattern."""
-        return _half_pattern(self, self.left)
+        return self.halves[0]
 
     def right_pattern(self) -> RootedDigraph:
-        return _half_pattern(self, self.right)
-
-
-def _half_pattern(dg: DoubledGadget, half: tuple[int, ...]) -> RootedDigraph:
-    keep = sorted(half) + [dg.z, dg.w]
-    sub = induced_subdigraph(dg.rooted.graph, keep)
-    m = len(half)
-    return RootedDigraph(sub, (m, m + 1))
+        return self.halves[1]
 
 
 def load_doubled(path) -> DoubledGadget:
     """Read a doubled gadget saved in the standard layout (left copy first,
-    right copy second, roots last); k is recovered from the z out-arcs."""
-    from .digraphs import load_rooted
-
+    right copy second, roots last); k is recovered from the z out-arcs.  A
+    right copy that is not the mirror of the left raises ValueError."""
     rooted = load_rooted(path)
     n = rooted.graph.n
     if n % 2 != 0 or n < 4:
@@ -465,18 +472,13 @@ class GadgetFamily:
 
 def build_family(
     base: Tournament | BaseTournament,
-    s: int | None = None,
-    k_values: list[int] | None = None,
+    k_values: list[int],
     enforce_interval: bool = True,
 ) -> GadgetFamily:
     """Construct the gadget family; toy families may bypass the k interval."""
     f0 = base.tournament if isinstance(base, BaseTournament) else base
     m = f0.n
-    if k_values is None:
-        if s is None:
-            raise ValueError("need s or k_values")
-        k_values = make_k_sequence(m, s)
-    elif enforce_interval:
+    if enforce_interval:
         lo, hi = _k_interval(m)
         for k in k_values:
             if not lo <= k <= hi:

@@ -88,7 +88,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits, gather_rows
+from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits, disjoint_union, gather_rows
 from .errors import BudgetExceededError, EnumerationCapError
 
 __all__ = [
@@ -466,8 +466,6 @@ def eval_quantum(g: QuantumDigraph, T: Digraph, max_nodes: int | None = None) ->
 
 def disjoint_union_density_check(F1: Digraph, F2: Digraph, T: Digraph) -> bool:
     """Exact multiplicativity of densities under disjoint union."""
-    from .digraphs import disjoint_union
-
     return density(disjoint_union(F1, F2), T) == density(F1, T) * density(F2, T)
 
 
@@ -585,8 +583,8 @@ def rooted_count_matrices(
         for total, sub in zip(totals, swept[rows]):
             for x, sub_row in zip(verts, sub):
                 row = total[x]
-                for y, c in zip(verts, sub_row):
-                    row[y] = c
+                for j in itertools.compress(range(len(verts)), sub_row):
+                    row[verts[j]] = sub_row[j]
     return totals
 
 

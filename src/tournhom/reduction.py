@@ -21,7 +21,9 @@ elsewhere at lengths 3 and 4 against direct counts.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,26 +321,33 @@ def necklace_densities(
     Every gadget's density matrix comes from one sweep of the host, shared
     by all the half-gadgets of the family (`density_matrices`).
     """
+    return [
+        {ell: Fraction(traces[ell], unit**ell) for ell in lengths}
+        for traces, unit in _necklace_traces(family, T, lengths)
+    ]
+
+
+def _necklace_traces(
+    family: GadgetFamily, T: Tournament, lengths: tuple[int, ...] = (4, 8, 12)
+) -> list[tuple[dict[int, int], int]]:
+    """Per gadget, the exact traces tr H^l at each length and the necklace unit
+    N^(2m+1): the length-l necklace density is tr H^l / unit^l."""
     if T.n == 0:
         raise ValueError("empty host")
-    out = []
-    for dm in density_matrices(family.doubled, T):
-        traces = _power_traces(dm.support, lengths)
-        unit = dm.necklace_unit()
-        out.append({ell: Fraction(traces[ell], unit**ell) for ell in lengths})
-    return out
+    dms = density_matrices(family.doubled, T)
+    return [(_power_traces(dm.support, lengths), dm.necklace_unit()) for dm in dms]
 
 
 def eval_reduced(rq: ReducedQuantum, T: Tournament) -> Fraction:
     """Exact value of the reduced quantum digraph on a tournament."""
-    return _eval_terms(rq, necklace_densities(rq.family, T))
+    return _eval_terms(rq, _necklace_traces(rq.family, T))
 
 
 def reduction_rhs(rq: ReducedQuantum, T: Tournament) -> Fraction | None:
     """Penalized polynomial at the host's (x, y) statistics, times cleared
     powers; None when some 4-necklace density vanishes (the value is then 0
     by divisibility and checked separately)."""
-    return _rhs(rq, necklace_densities(rq.family, T))
+    return _rhs(rq, _necklace_traces(rq.family, T))
 
 
 def identity_sides(rq: ReducedQuantum, T: Tournament) -> tuple[Fraction, Fraction | None]:
@@ -346,33 +355,38 @@ def identity_sides(rq: ReducedQuantum, T: Tournament) -> tuple[Fraction, Fractio
 
     The evaluation identity says the two agree whenever the second is not None.
     """
-    dens = necklace_densities(rq.family, T)
-    return _eval_terms(rq, dens), _rhs(rq, dens)
+    traces = _necklace_traces(rq.family, T)
+    return _eval_terms(rq, traces), _rhs(rq, traces)
 
 
-def _eval_terms(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction:
-    """`eval_reduced` from the host's necklace densities at lengths 4, 8 and 12."""
-    total = Fraction(0)
+def _eval_terms(rq: ReducedQuantum, traces: list[tuple[dict[int, int], int]]) -> Fraction:
+    """`eval_reduced` from the host's traces at lengths 4, 8 and 12.
+
+    Every monomial takes necklaces of total length 4 E_i from gadget i
+    (`_necklace_powers`), so every term has the denominator
+    prod unit_i^(4 E_i): the terms are summed as integers and divided once.
+    """
+    total = 0
     for exps, coef in rq.penalized.poly.terms:
-        value = Fraction(coef)
-        for d, gadget_powers in zip(dens, _necklace_powers(exps, rq.E)):
+        value = coef
+        for (t, _), gadget_powers in zip(traces, _necklace_powers(exps, rq.E)):
             for ell, copies in gadget_powers:
-                value *= d[ell] ** copies
-            if value == 0:
+                value *= t[ell] ** copies
+            if not value:
                 break
         total += value
-    return total
+    return Fraction(total, math.prod(unit ** (4 * e) for (_, unit), e in zip(traces, rq.E)))
 
 
-def _rhs(rq: ReducedQuantum, dens: list[dict[int, Fraction]]) -> Fraction | None:
-    """`reduction_rhs` from the host's necklace densities at lengths 4, 8 and 12."""
-    if any(d[4] == 0 for d in dens):
+def _rhs(rq: ReducedQuantum, traces: list[tuple[dict[int, int], int]]) -> Fraction | None:
+    """`reduction_rhs` from the traces: x = t8/t4^2, y = t12/t4^3, d4 = t4/unit^4."""
+    if any(t[4] == 0 for t, _ in traces):
         return None
-    xs = [d[8] / d[4] ** 2 for d in dens]
-    ys = [d[12] / d[4] ** 3 for d in dens]
+    xs = [Fraction(t[8], t[4] ** 2) for t, _ in traces]
+    ys = [Fraction(t[12], t[4] ** 3) for t, _ in traces]
     value = rq.penalized.evaluate(xs, ys)
-    for i, d in enumerate(dens):
-        value *= d[4] ** rq.E[i]
+    for (t, unit), e in zip(traces, rq.E):
+        value *= Fraction(t[4], unit**4) ** e
     return value
 
 
@@ -437,11 +451,9 @@ def nonnegativity_report(
 
     Values are exact rationals, so negativity is exact; no float threshold.
     """
-    import itertools as _it
-
     rq = build_reduction(p, family, mode="minimal")
     grid_min = None
-    for ns in _it.product(range(1, grid_max + 1), repeat=p.s):
+    for ns in itertools.product(range(1, grid_max + 1), repeat=p.s):
         val = p.evaluate([Fraction(1, n) for n in ns])
         grid_min = val if grid_min is None else min(grid_min, val)
     values = []

@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
 
-from .digraphs import RootedDigraph, Tournament
+from .digraphs import Tournament
 from .errors import DegenerateHostError
 from .gadgets import DoubledGadget, build_necklace
 from .homcount import count_hom, count_hom_rooted, rooted_count_matrices, rooted_count_matrix
@@ -123,37 +124,28 @@ def density_matrices(
     """The density matrix of each doubled gadget, from one sweep of their left halves.
 
     The right half of a doubled gadget is its left half with the roots
-    swapped, so its root-pair matrix is the transpose of the left half's
-    L, and the matrix is H = L o L^T.  The left halves of a family share
-    the base tournament as their non-root part, so one search over the
-    host places it for all of them (`rooted_count_matrices`); `max_nodes`
-    bounds that search.  Gadgets with different bases, or whose right half
-    is not the mirror of the left, raise ValueError.
+    swapped, which `DoubledGadget` checks when it is built, so its
+    root-pair matrix is the transpose of the left half's L, and the matrix
+    is H = L o L^T.  The left halves of a family share the base tournament
+    as their non-root part, so one search over the host places it for all
+    of them (`rooted_count_matrices`); `max_nodes` bounds that search.
+    Gadgets with different bases raise ValueError.
     """
-    lefts = []
-    for dg in doubled:
-        left = dg.left_pattern()
-        if not _mirrored(left, dg.right_pattern()):
-            raise ValueError("the right half is not the mirror of the left half")
-        lefts.append(left)
-    mats = rooted_count_matrices(lefts, T, max_nodes)
-    return [_glued(dg, L, list(zip(*L))) for dg, L in zip(doubled, mats)]
-
-
-def _mirrored(left: RootedDigraph, right: RootedDigraph) -> bool:
-    z, w = left.roots
-    swap = {z: w, w: z}
-    return (
-        right.graph.n == left.graph.n
-        and right.roots == left.roots
-        and right.graph.arcs == {(swap.get(u, u), swap.get(v, v)) for u, v in left.graph.arcs}
-    )
+    mats = rooted_count_matrices([dg.left_pattern() for dg in doubled], T, max_nodes)
+    # row x of L^T is column x of L, read only where `_glued` needs it
+    return [
+        _glued(dg, L, (map(itemgetter(x), L) for x in range(len(L))))
+        for dg, L in zip(doubled, mats)
+    ]
 
 
 def _glued(dg: DoubledGadget, left, right) -> DensityMatrix:
-    """The parallel gluing of the two halves: their root-pair matrices multiplied entrywise."""
+    """The parallel gluing of the two halves: their root-pair matrices multiplied
+    entrywise.  A zero row of `left` is one shared zero row, and its row of
+    `right`, which may be an iterator, is not read."""
+    zero = (0,) * len(left)
     counts = tuple(
-        tuple(a * b for a, b in zip(lrow, rrow)) for lrow, rrow in zip(left, right)
+        tuple(map(mul, lrow, rrow)) if any(lrow) else zero for lrow, rrow in zip(left, right)
     )
     return DensityMatrix(order=len(counts), m=dg.m, counts=counts)
 
@@ -361,30 +353,36 @@ def graphon_pattern_check(
     dm: DensityMatrix, atlas: HostAtlas, i: int, max_violations: int = 16
 ) -> PatternVerdict:
     """Verify that the count matrix is supported exactly on the block-i base
-    edges, with one common positive value that is a perfect square."""
+    edges, with one common positive value that is a perfect square.
+
+    Only the nonzero entries and the expected pairs are visited, in
+    row-major order, so the violations and their cut are those of a full scan."""
     n = dm.order
-    expected = set()
-    for a_id, b_id in atlas.base_edge_pairs(i):
-        expected.add((a_id, b_id))
-        expected.add((b_id, a_id))
+    pairs = atlas.base_edge_pairs(i)
+    expected: dict[int, set[int]] = {}
+    for a_id, b_id in pairs:
+        if 0 <= a_id < n and 0 <= b_id < n:
+            expected.setdefault(a_id, set()).add(b_id)
+            expected.setdefault(b_id, set()).add(a_id)
     violations: list[tuple[int, int, str]] = []
     common: int | None = None
     for x in range(n):
         row = dm.counts[x]
-        for y in range(n):
+        want = expected.get(x, ())
+        for y in sorted({*want, *compress(range(n), row)}):
             c = row[y]
-            if (x, y) in expected:
+            if y in want:
                 if c <= 0:
                     violations.append((x, y, f"expected positive entry, got {c}"))
                 elif common is None:
                     common = c
                 elif c != common:
                     violations.append((x, y, f"entry {c} differs from {common}"))
-            elif c != 0:
+            else:
                 violations.append((x, y, f"expected zero entry, got {c}"))
             if len(violations) >= max_violations:
                 return PatternVerdict(False, None, None, tuple(violations))
-    if not expected:
+    if not pairs:
         # no base edges for this index: the lemma degenerates to a zero matrix
         return PatternVerdict(not violations, None, None, tuple(violations))
     if violations or common is None:
@@ -398,7 +396,5 @@ def graphon_pattern_check(
 
 
 def _exact_isqrt(c: int) -> int | None:
-    import math
-
     r = math.isqrt(c)
     return r if r * r == c else None

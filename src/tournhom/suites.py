@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .digraphs import Digraph, RootedDigraph, Tournament, random_tournament
+from .digraphs import Digraph, RootedDigraph, Tournament, load_tournament, random_tournament
 from .errors import json_field
 from .gadgets import (
     BaseTournament,
@@ -560,8 +560,6 @@ def run_region(config: ExperimentConfig) -> RunReport:
         hosts = [random_tournament(rng.randint(3, 7), rng.randrange(2**30)) for _ in range(200)]
         hosts += [rotational_tournament(7), rotational_tournament(9)]
         if config.hosts_dir:
-            from .digraphs import load_tournament
-
             for path in sorted(Path(config.hosts_dir).glob("*.txt")):
                 hosts.append(load_tournament(path))
         containment = verify_region_on_hosts(dg, hosts, tol)

@@ -28,7 +28,7 @@ from tournhom.digraphs import (
     save_quantum,
     transitive_tournament,
 )
-from tournhom.gadgets import rotational_tournament, toy_family
+from tournhom.gadgets import build_gadget, rotational_tournament, symmetrize, toy_family
 from tournhom.hosts import build_host, save_simple_graph, single_edge_graph
 from tournhom.reduction import build_reduction, eval_reduced, parse_poly_text, save_reduced
 from tournhom.suites import ExperimentConfig
@@ -177,6 +177,19 @@ class TestHostAndMatrix:
         assert run(["density-matrix", "--gadget", fd, "--host", host, "--atlas", atlas,
                     "--out", counts, "--out-density", dens]) == 2
         assert "the atlas lacks the field 'blocks'" in capsys.readouterr().err
+
+    def test_non_mirrored_gadget_exits_2(self, tmp_path, capsys):
+        # left copy from the k = 2 doubled gadget, right copy from the k = 1 one
+        dg2, dg1 = (symmetrize(build_gadget(toy_family(3, (2,)).base, k)) for k in (2, 1))
+        roots = {dg2.z, dg2.w}
+        arcs = [a for a in dg2.rooted.graph.arcs if set(a) <= set(dg2.left) | roots]
+        arcs += [a for a in dg1.rooted.graph.arcs if set(a) <= set(dg1.right) | roots]
+        fd, host = tmp_path / "fd.txt", tmp_path / "host.txt"
+        save_digraph(fd, Digraph(dg2.rooted.graph.n, arcs), roots=dg2.rooted.roots)
+        save_digraph(host, random_tournament(5, 0))
+        assert run(["density-matrix", "--gadget", fd, "--host", host,
+                    "--out", tmp_path / "c.csv", "--out-density", tmp_path / "d.csv"]) == 2
+        assert "the right half is not the mirror of the left half" in capsys.readouterr().err
 
 
 class TestXY:

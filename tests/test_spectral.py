@@ -1,10 +1,13 @@
 """Density matrices, trace identities, power sums, and the block pattern check."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tournhom.digraphs import (
     Digraph,
@@ -24,6 +27,7 @@ from tournhom.homcount import count_hom_bruteforce, rooted_count_matrix
 from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
+    PatternVerdict,
     _power_traces,
     _scaled_eigenvalues,
     density_matrices,
@@ -87,9 +91,8 @@ class TestDensityMatrix:
         arcs = [(u, v) for u, v in dg2.rooted.graph.arcs if u in keep2 and v in keep2]
         arcs += [(u, v) for u, v in dg1.rooted.graph.arcs if u in keep1 and v in keep1]
         rooted = RootedDigraph(Digraph(dg2.rooted.graph.n, arcs), dg2.rooted.roots)
-        glued = DoubledGadget(rooted, dg2.m, dg2.k, dg2.left, dg1.right)
         with pytest.raises(ValueError, match="mirror"):
-            density_matrices([glued], random_tournament(5, 0))
+            DoubledGadget(rooted, dg2.m, dg2.k, dg2.left, dg1.right)
 
     def test_one_sweep_budget(self):
         doubled = toy_family(3, (2, 1)).doubled
@@ -430,8 +433,58 @@ class TestPatternCheck:
         verdict = graphon_pattern_check(synthetic(counts, m=3), atlas, 1)
         assert not verdict.ok
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_full_scan(self, data):
+        n, atlas = self._atlas(data.draw(st.integers(1, 3)))
+        i = data.draw(st.sampled_from([1, 2]))  # no block carries index 2
+        common = data.draw(st.sampled_from([1, 2, 4, 9, 12]))
+        values = st.sampled_from([0, common, common, common, common + 1, -common])
+        counts = [[0] * n for _ in range(n)]
+        for a, b in sorted(atlas.base_edge_pairs(1)):
+            counts[a][b] = counts[b][a] = data.draw(values)
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 9))
+        for a, b, v in data.draw(st.lists(cells, max_size=6)):
+            counts[a][b] = counts[b][a] = v
+        dm = synthetic(counts, m=3)
+        cut = data.draw(st.integers(1, 20))
+        assert graphon_pattern_check(dm, atlas, i, cut) == full_scan_check(dm, atlas, i, cut)
+
     def test_missing_index_degenerates_to_zero_check(self):
         n, atlas = self._atlas(1)
         zero = synthetic([[0] * n for _ in range(n)], m=3)
         verdict = graphon_pattern_check(zero, atlas, 2)  # no blocks carry index 2
         assert verdict.ok and verdict.a is None
+
+
+def full_scan_check(dm, atlas, i, max_violations):
+    """`graphon_pattern_check` as a scan of all n^2 entries in row-major order."""
+    expected = set()
+    for a_id, b_id in atlas.base_edge_pairs(i):
+        expected |= {(a_id, b_id), (b_id, a_id)}
+    violations = []
+    common = None
+    for x in range(dm.order):
+        for y in range(dm.order):
+            c = dm.count(x, y)
+            if (x, y) in expected:
+                if c <= 0:
+                    violations.append((x, y, f"expected positive entry, got {c}"))
+                elif common is None:
+                    common = c
+                elif c != common:
+                    violations.append((x, y, f"entry {c} differs from {common}"))
+            elif c != 0:
+                violations.append((x, y, f"expected zero entry, got {c}"))
+            if len(violations) >= max_violations:
+                return PatternVerdict(False, None, None, tuple(violations))
+    if not expected:
+        return PatternVerdict(not violations, None, None, tuple(violations))
+    if violations or common is None:
+        return PatternVerdict(False, None, None, tuple(violations))
+    a = Fraction(common, dm.density_denominator())
+    b = math.isqrt(common)
+    if b * b != common:
+        violations.append((-1, -1, f"common entry {common} is not a perfect square"))
+        return PatternVerdict(False, a, None, tuple(violations))
+    return PatternVerdict(True, a, b, ())
