@@ -31,11 +31,11 @@ from .errors import (
     json_field,
 )
 from .gadgets import (
+    DoubledGadget,
     build_family,
     build_gadget,
     build_necklace,
     check_base_conditions,
-    load_doubled,
     sample_base_tournament,
     symmetrize,
 )
@@ -150,7 +150,7 @@ def _write_matrix_csv(path: str, rows) -> None:
 
 
 def cmd_density_matrix(args) -> int:
-    doubled = load_doubled(args.gadget)
+    doubled = DoubledGadget(load_rooted(args.gadget))
     host = load_tournament(args.host)
     [dm] = density_matrices([doubled], host)
     _write_matrix_csv(args.out, dm.counts)

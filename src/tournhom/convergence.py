@@ -166,12 +166,11 @@ def convergence_study(
     sizes: list[int],
     r_values: list[int],
     seed: int = 0,
-    degree=default_degree,
 ) -> list[ConvergenceRow]:
     check_copy_counts(r_values)
     rows = []
     for idx, n in enumerate(sizes):
-        d = degree(n)
+        d = default_degree(n)
         G = random_regular_graph(n, d, seed=seed * 1000 + idx)
         eigs = adjacency_spectrum(G)
         lam1 = float(eigs[0])
@@ -203,20 +202,18 @@ def pipeline_cross_check(
     G: SimpleGraph,
     family: GadgetFamily,
     r: int,
-    gadget_index: int = 0,
     max_nodes: int | None = None,
 ) -> dict:
     """Full tournament pipeline versus the adjacency-spectrum closed form.
 
-    Builds the stacked host with r copies, computes the conditional-count
-    matrix of the chosen gadget over every host pair, takes its (x, y)
-    point, and compares with closed_form_xy on G's spectrum.  Exact
-    agreement needs the block pattern to hold at the chosen gadget scale.
+    Builds the stacked host with r copies of the first gadget's block,
+    computes that gadget's conditional-count matrix over every host pair,
+    takes its (x, y) point, and compares with closed_form_xy on G's
+    spectrum.  Exact agreement needs the block pattern to hold at that
+    gadget's scale.
     """
-    multiplicities = [1] * family.s
-    multiplicities[gadget_index] = r
-    host, atlas = build_host(G, family, multiplicities)
-    [dm] = density_matrices([family.doubled[gadget_index]], host, max_nodes)
+    host, atlas = build_host(G, family, [r] + [1] * (family.s - 1))
+    [dm] = density_matrices(family.doubled[:1], host, max_nodes)
     pt = xy_point(dm)
     eigs = adjacency_spectrum(G)
     cx, cy = closed_form_xy(eigs, r)

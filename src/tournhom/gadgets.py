@@ -24,7 +24,6 @@ from .digraphs import (
     _draw_tournament,
     gather_rows,
     induced_subdigraph,
-    load_rooted,
 )
 from .errors import BudgetExceededError, SamplingError
 
@@ -311,12 +310,23 @@ class Gadget:
 
     Vertices 0..m-1 copy the base; z = m points to every base vertex below k
     which points on to w = m+1, and the remaining base vertices reverse both
-    arcs.  Every pair except {z, w} is adjacent.
+    arcs.  Every pair except {z, w} is adjacent.  m and k are read from the
+    rooted digraph; roots that are not its last two vertices raise ValueError.
     """
 
     rooted: RootedDigraph
-    m: int
-    k: int
+    m: int = field(init=False)
+    k: int = field(init=False)
+
+    def __post_init__(self):
+        n = self.rooted.graph.n
+        if self.rooted.roots != (n - 2, n - 1):
+            raise ValueError(
+                f"gadget roots must be the last two vertices {(n - 2, n - 1)}, "
+                f"got {self.rooted.roots}"
+            )
+        object.__setattr__(self, "m", n - 2)
+        object.__setattr__(self, "k", self.rooted.graph.out_degree(n - 2))
 
     @property
     def z(self) -> int:
@@ -336,7 +346,7 @@ def build_gadget(base: Tournament | BaseTournament, k: int) -> Gadget:
     low = (1 << k) - 1  # the base vertices below k
     out = [o | 1 << (w if v < k else z) for v, o in enumerate(f0.out_masks)]
     out += [low, (1 << m) - 1 ^ low]  # z and w
-    return Gadget(RootedDigraph(Digraph.from_out_masks(m + 2, out), (z, w)), m, k)
+    return Gadget(RootedDigraph(Digraph.from_out_masks(m + 2, out), (z, w)))
 
 
 def degree_bound_ok(g: Gadget) -> bool:
@@ -352,27 +362,36 @@ class DoubledGadget:
     Layout: 0..m-1 left copy, m..2m-1 right copy, z = 2m, w = 2m+1.  The
     left copy realizes the original root pattern on (z, w); the right copy
     realizes it on (w, z).  Conditional counts into any host are symmetric
-    in the two roots.  `halves` holds both copies as standalone rooted
-    patterns; a right copy that is not the left with z and w swapped raises
-    ValueError.
+    in the two roots.  m and k (the arcs from z into the left copy) are
+    read from the rooted digraph, and `halves` holds both copies as
+    standalone rooted patterns.  An odd vertex count or one below 4, roots
+    that are not the last two vertices, and a right copy that is not the
+    left with z and w swapped raise ValueError.
     """
 
     rooted: RootedDigraph
-    m: int
-    k: int
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    m: int = field(init=False)
+    k: int = field(init=False)
     halves: tuple[RootedDigraph, RootedDigraph] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         graph, roots = self.rooted.graph, self.rooted.roots
+        if graph.n % 2 != 0 or graph.n < 4:
+            raise ValueError(f"doubled gadgets have 2m+2 >= 4 vertices, got {graph.n}")
+        m = (graph.n - 2) // 2
+        if roots != (2 * m, 2 * m + 1):
+            raise ValueError(
+                f"doubled gadget roots must be the last two vertices {(2 * m, 2 * m + 1)}, "
+                f"got {roots}"
+            )
         left, right = (
-            RootedDigraph(induced_subdigraph(graph, [*half, *roots]), (len(half), len(half) + 1))
-            for half in (self.left, self.right)
+            RootedDigraph(induced_subdigraph(graph, [*range(start, start + m), *roots]), (m, m + 1))
+            for start in (0, m)
         )
-        m = len(self.left)
         if right.graph.out_masks != tuple(gather_rows(left.graph, [*range(m), m + 1, m])):
             raise ValueError("the right half is not the mirror of the left half")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", (graph.out_mask(2 * m) & (1 << m) - 1).bit_count())
         object.__setattr__(self, "halves", (left, right))
 
     @property
@@ -383,45 +402,18 @@ class DoubledGadget:
     def w(self) -> int:
         return self.rooted.roots[1]
 
-    def left_pattern(self) -> RootedDigraph:
-        """The left copy with the shared roots, as a standalone rooted pattern."""
-        return self.halves[0]
-
-    def right_pattern(self) -> RootedDigraph:
-        return self.halves[1]
-
-
-def load_doubled(path) -> DoubledGadget:
-    """Read a doubled gadget saved in the standard layout (left copy first,
-    right copy second, roots last); k is recovered from the z out-arcs.  A
-    right copy that is not the mirror of the left raises ValueError."""
-    rooted = load_rooted(path)
-    n = rooted.graph.n
-    if n % 2 != 0 or n < 4:
-        raise ValueError("doubled gadget files have 2m+2 vertices")
-    m = (n - 2) // 2
-    if rooted.roots != (2 * m, 2 * m + 1):
-        raise ValueError("doubled gadget roots must be the last two vertices")
-    z = rooted.roots[0]
-    k = sum(1 for v in range(m) if rooted.graph.has_arc(z, v))
-    return DoubledGadget(
-        rooted, m, k, tuple(range(m)), tuple(range(m, 2 * m))
-    )
-
 
 def symmetrize(g: Gadget) -> DoubledGadget:
-    """Glue a mirror image onto the gadget so root order stops mattering."""
-    m, k = g.m, g.k
-    base = [o & (1 << m) - 1 for o in g.rooted.graph.out_masks[:m]]
-    z, w = 2 * m, 2 * m + 1
-    low = (1 << k) - 1
-    high = (1 << m) - 1 ^ low
-    # below k: z -> v -> w -> m+v -> z; from k on, every one of these arcs reversed
-    out = [o | 1 << (w if v < k else z) for v, o in enumerate(base)]
-    out += [o << m | 1 << (z if v < k else w) for v, o in enumerate(base)]
-    out += [low | high << m, high | low << m]
-    rooted = RootedDigraph(Digraph.from_out_masks(2 * m + 2, out), (z, w))
-    return DoubledGadget(rooted, m, k, tuple(range(m)), tuple(range(m, 2 * m)))
+    """Glue a mirror image onto the gadget so root order stops mattering.
+
+    The gadget's rows are already in `glue`'s layout; the mirror copy is the
+    same rows glued at offset m with the roots swapped."""
+    m = g.m
+    rows = g.rooted.graph.out_masks
+    *left, z_left, w_left = glue(rows, 0, 2 * m, 2 * m + 1)
+    *right, w_right, z_right = glue(rows, m, 2 * m + 1, 2 * m)
+    out = [*left, *right, z_left | z_right, w_left | w_right]
+    return DoubledGadget(RootedDigraph(Digraph.from_out_masks(2 * m + 2, out), (2 * m, 2 * m + 1)))
 
 
 def build_necklace(F: RootedDigraph, ell: int) -> Digraph:

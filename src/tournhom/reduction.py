@@ -8,8 +8,8 @@ padded with length-4 necklaces so every monomial consumes the same
 per-gadget clearing exponent E.  Evaluating the resulting quantum digraph
 on any tournament equals the penalized polynomial at that tournament's
 (x, y) statistics times the cleared powers of the 4-necklace density.
-A saved reduction keeps its inputs (base, thresholds, p, E), and
-`load_reduced` rebuilds it through `build_reduction`, checks included.
+A saved reduction keeps its inputs (base, thresholds, p, E), from which
+`load_reduced` builds the record, and the record checks them.
 
 The literal clearing exponent 3*deg(p) only clears denominators once
 deg(p) >= 12, so the default mode uses the minimal sufficient exponent.
@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -53,7 +53,6 @@ __all__ = [
     "monomial_to_quantum",
     "ReducedQuantum",
     "build_reduction",
-    "necklace_densities",
     "eval_reduced",
     "reduction_rhs",
     "identity_sides",
@@ -249,23 +248,6 @@ def monomial_to_quantum(
     return disjoint_union(*parts)
 
 
-@dataclass(frozen=True)
-class ReducedQuantum:
-    """The reduction of `source` over `family`: its penalized lift, cleared by E."""
-
-    family: GadgetFamily
-    source: IntPolynomial
-    penalized: PenalizedPolynomial
-    E: tuple[int, ...]
-
-    def quantum(self) -> QuantumDigraph:
-        s = self.family.s
-        return QuantumDigraph.of(
-            (coef, monomial_to_quantum(exps[:s], exps[s:], self.family, self.E))
-            for exps, coef in self.penalized.poly.terms
-        )
-
-
 def _required_exponents(pbar: PenalizedPolynomial) -> list[int]:
     s = pbar.s
     req = [0] * s
@@ -275,67 +257,76 @@ def _required_exponents(pbar: PenalizedPolynomial) -> list[int]:
     return req
 
 
+@dataclass(frozen=True)
+class ReducedQuantum:
+    """The reduction of `source` over `family`: its penalized lift, cleared by E.
+
+    A polynomial whose variable count is not the family size, and an E that
+    does not give each gadget an exponent clearing every monomial, raise
+    ValueError.
+    """
+
+    family: GadgetFamily
+    source: IntPolynomial
+    E: tuple[int, ...]
+    penalized: PenalizedPolynomial = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = self.family.s
+        if self.source.s != s:
+            raise ValueError(f"polynomial has {self.source.s} variables, family {s} gadgets")
+        object.__setattr__(self, "E", tuple(self.E))
+        if len(self.E) != s:
+            raise ValueError(f"E has {len(self.E)} exponents, the family {s} gadgets")
+        pbar = build_penalized(self.source)
+        required = _required_exponents(pbar)
+        for i, (e, need) in enumerate(zip(self.E, required)):
+            if e < need:
+                raise ValueError(
+                    f"exponent {e} cannot clear gadget {i + 1} "
+                    f"(needs {need}); minimal exponents are {required}"
+                )
+        object.__setattr__(self, "penalized", pbar)
+
+    def quantum(self) -> QuantumDigraph:
+        s = self.family.s
+        return QuantumDigraph.of(
+            (coef, monomial_to_quantum(exps[:s], exps[s:], self.family, self.E))
+            for exps, coef in self.penalized.poly.terms
+        )
+
+
 def build_reduction(
-    p: IntPolynomial,
-    family: GadgetFamily,
-    mode: str = "minimal",
-    explicit_E: Sequence[int] | None = None,
+    p: IntPolynomial, family: GadgetFamily, mode: str = "minimal"
 ) -> ReducedQuantum:
     """Quantum digraph realizing the penalized polynomial times cleared powers.
 
     mode "minimal" picks the smallest per-gadget exponent that clears every
-    monomial; "paper" uses 3*deg(p) uniformly, which requires deg(p) >= 12;
-    "explicit" takes explicit_E.  Each mode must clear every monomial.
+    monomial; "paper" uses 3*deg(p) uniformly, which clears them only when
+    deg(p) >= 12 (`ReducedQuantum` refuses it otherwise).
     """
-    if p.s != family.s:
-        raise ValueError(f"polynomial has {p.s} variables, family {family.s} gadgets")
-    pbar = build_penalized(p)
-    required = _required_exponents(pbar)
     if mode == "minimal":
-        E = required
+        E = _required_exponents(build_penalized(p))
     elif mode == "paper":
         E = [3 * p.deg()] * p.s
-    elif mode == "explicit":
-        if explicit_E is None or len(explicit_E) != p.s:
-            raise ValueError("explicit mode needs one exponent per variable")
-        E = list(explicit_E)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for i, need in enumerate(required):
-        if E[i] < need:
-            raise ValueError(
-                f"{mode} exponent {E[i]} cannot clear gadget {i + 1} "
-                f"(needs {need}); minimal exponents are {required}"
-            )
-    return ReducedQuantum(family=family, source=p, penalized=pbar, E=tuple(E))
+    return ReducedQuantum(family, p, E)
 
 
 # -- evaluation --------------------------------------------------------------------------
 
 
-def necklace_densities(
-    family: GadgetFamily, T: Tournament, lengths: tuple[int, ...] = (4, 8, 12)
-) -> list[dict[int, Fraction]]:
-    """Per-gadget exact necklace densities via integer traces.
+def _necklace_traces(family: GadgetFamily, T: Tournament) -> list[tuple[dict[int, int], int]]:
+    """Per gadget, the exact traces tr H^l at lengths 4, 8 and 12 and the
+    necklace unit N^(2m+1): the length-l necklace density is tr H^l / unit^l.
 
     Every gadget's density matrix comes from one sweep of the host, shared
-    by all the half-gadgets of the family (`density_matrices`).
-    """
-    return [
-        {ell: Fraction(traces[ell], unit**ell) for ell in lengths}
-        for traces, unit in _necklace_traces(family, T, lengths)
-    ]
-
-
-def _necklace_traces(
-    family: GadgetFamily, T: Tournament, lengths: tuple[int, ...] = (4, 8, 12)
-) -> list[tuple[dict[int, int], int]]:
-    """Per gadget, the exact traces tr H^l at each length and the necklace unit
-    N^(2m+1): the length-l necklace density is tr H^l / unit^l."""
+    by all the half-gadgets of the family (`density_matrices`)."""
     if T.n == 0:
         raise ValueError("empty host")
     dms = density_matrices(family.doubled, T)
-    return [(_power_traces(dm.support, lengths), dm.necklace_unit()) for dm in dms]
+    return [(_power_traces(dm.support, (4, 8, 12)), dm.necklace_unit()) for dm in dms]
 
 
 def eval_reduced(rq: ReducedQuantum, T: Tournament) -> Fraction:
@@ -408,20 +399,20 @@ def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
 def load_reduced(source: str | Path | dict) -> ReducedQuantum:
     """Read a file written by `save_reduced`, or its parsed JSON document.
 
-    Only the meta block is read, never the term digraphs; `build_reduction`
-    rebuilds and checks the reduction.  A bad field raises ValueError naming it.
+    Only the meta block is read, never the term digraphs; `ReducedQuantum`
+    checks the inputs it holds.  A bad field raises ValueError naming it.
     """
     doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
     meta = json_field(doc, "meta", dict, "the reduction")
 
-    def field(key, kind):
+    def read(key, kind):
         return json_field(meta, key, kind, "the reduction")
 
-    base_graph, _ = parse_digraph(field("base", str))
+    base_graph, _ = parse_digraph(read("base", str))
     base = Tournament.from_out_masks(base_graph.n, base_graph.out_masks)
-    family = build_family(base, k_values=field("k", [int]), enforce_interval=False)
-    p = poly_from_json(field("poly", dict))
-    return build_reduction(p, family, "explicit", field("E", [int]))
+    family = build_family(base, k_values=read("k", [int]), enforce_interval=False)
+    p = poly_from_json(read("poly", dict))
+    return ReducedQuantum(family, p, read("E", [int]))
 
 
 # -- sign report --------------------------------------------------------------------------

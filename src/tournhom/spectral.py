@@ -56,6 +56,7 @@ class DensityMatrix:
 
     `support` is the count matrix restricted to its support, found by the
     same pass that checks symmetry; every trace and spectrum reads it.
+    Counts that are not `order` x `order` or not symmetric raise ValueError.
     """
 
     order: int
@@ -64,6 +65,12 @@ class DensityMatrix:
     support: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        lengths = set(map(len, self.counts))
+        if len(self.counts) != self.order or lengths - {self.order}:
+            raise ValueError(
+                f"count matrix has {len(self.counts)} rows of lengths {sorted(lengths)}, "
+                f"not {self.order} x {self.order}"
+            )
         support, bad = _scan(self.counts)
         if bad is not None:
             raise ValueError(f"count matrix not symmetric at {bad}")
@@ -110,8 +117,8 @@ def density_matrix(
                 rows[x][y] = c
                 rows[y][x] = c
     elif method == "sweep":
-        left = rooted_count_matrix(dg.left_pattern(), T, max_nodes)
-        right = rooted_count_matrix(dg.right_pattern(), T, max_nodes)
+        left = rooted_count_matrix(dg.halves[0], T, max_nodes)
+        right = rooted_count_matrix(dg.halves[1], T, max_nodes)
         return _glued(dg, left, right)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -131,7 +138,7 @@ def density_matrices(
     of them (`rooted_count_matrices`); `max_nodes` bounds that search.
     Gadgets with different bases raise ValueError.
     """
-    mats = rooted_count_matrices([dg.left_pattern() for dg in doubled], T, max_nodes)
+    mats = rooted_count_matrices([dg.halves[0] for dg in doubled], T, max_nodes)
     # row x of L^T is column x of L, read only where `_glued` needs it
     return [
         _glued(dg, L, (map(itemgetter(x), L) for x in range(len(L))))
@@ -356,14 +363,20 @@ def graphon_pattern_check(
     edges, with one common positive value that is a perfect square.
 
     Only the nonzero entries and the expected pairs are visited, in
-    row-major order, so the violations and their cut are those of a full scan."""
+    row-major order, so the violations and their cut are those of a full scan.
+    An atlas of a host of another order, or with a base edge outside the
+    matrix, raises ValueError."""
     n = dm.order
+    size = sum(len(b.base) + sum(len(c.left) + len(c.right) for c in b.cells) for b in atlas.blocks)
+    if size != n:
+        raise ValueError(f"the atlas is of a {size}-vertex host, the matrix has {n} rows")
     pairs = atlas.base_edge_pairs(i)
     expected: dict[int, set[int]] = {}
     for a_id, b_id in pairs:
-        if 0 <= a_id < n and 0 <= b_id < n:
-            expected.setdefault(a_id, set()).add(b_id)
-            expected.setdefault(b_id, set()).add(a_id)
+        if not (0 <= a_id < n and 0 <= b_id < n):
+            raise ValueError(f"the atlas's base edge ({a_id}, {b_id}) lies outside the matrix")
+        expected.setdefault(a_id, set()).add(b_id)
+        expected.setdefault(b_id, set()).add(a_id)
     violations: list[tuple[int, int, str]] = []
     common: int | None = None
     for x in range(n):

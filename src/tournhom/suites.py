@@ -153,9 +153,6 @@ class RunReport:
         yield
         self.timings[name] = time.perf_counter() - t0
 
-    def failures(self) -> list[SuiteItem]:
-        return [i for i in self.items if not i.passed]
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

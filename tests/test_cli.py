@@ -29,8 +29,14 @@ from tournhom.digraphs import (
     transitive_tournament,
 )
 from tournhom.gadgets import build_gadget, rotational_tournament, symmetrize, toy_family
-from tournhom.hosts import build_host, save_simple_graph, single_edge_graph
-from tournhom.reduction import build_reduction, eval_reduced, parse_poly_text, save_reduced
+from tournhom.hosts import build_host, cycle_graph, save_simple_graph, single_edge_graph
+from tournhom.reduction import (
+    ReducedQuantum,
+    build_reduction,
+    eval_reduced,
+    parse_poly_text,
+    save_reduced,
+)
 from tournhom.suites import ExperimentConfig
 
 
@@ -182,14 +188,47 @@ class TestHostAndMatrix:
         # left copy from the k = 2 doubled gadget, right copy from the k = 1 one
         dg2, dg1 = (symmetrize(build_gadget(toy_family(3, (2,)).base, k)) for k in (2, 1))
         roots = {dg2.z, dg2.w}
-        arcs = [a for a in dg2.rooted.graph.arcs if set(a) <= set(dg2.left) | roots]
-        arcs += [a for a in dg1.rooted.graph.arcs if set(a) <= set(dg1.right) | roots]
+        arcs = [a for a in dg2.rooted.graph.arcs if set(a) <= {0, 1, 2} | roots]
+        arcs += [a for a in dg1.rooted.graph.arcs if set(a) <= {3, 4, 5} | roots]
         fd, host = tmp_path / "fd.txt", tmp_path / "host.txt"
         save_digraph(fd, Digraph(dg2.rooted.graph.n, arcs), roots=dg2.rooted.roots)
         save_digraph(host, random_tournament(5, 0))
         assert run(["density-matrix", "--gadget", fd, "--host", host,
                     "--out", tmp_path / "c.csv", "--out-density", tmp_path / "d.csv"]) == 2
         assert "the right half is not the mirror of the left half" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("host_of, atlas_of", [("edge", "c5"), ("c5", "edge")])
+    def test_atlas_of_another_host_exits_2(self, tmp_path, capsys, host_of, atlas_of):
+        # toy family m = 3: the 5-cycle host at r = 2 has 70 vertices, the edge host 8
+        fam = toy_family(3, (2,))
+        dg = fam.doubled[0]
+        fd = tmp_path / "fd.txt"
+        save_digraph(fd, dg.rooted.graph, roots=dg.rooted.roots)
+        sizes = {}
+        for name, G, r in (("c5", cycle_graph(5), 2), ("edge", single_edge_graph(), 1)):
+            host, atlas = build_host(G, fam, [r])
+            save_digraph(tmp_path / f"{name}.txt", host)
+            atlas.save(tmp_path / f"{name}.json")
+            sizes[name] = host.n
+        assert sizes == {"c5": 70, "edge": 8}
+        capsys.readouterr()
+        assert run(["density-matrix", "--gadget", fd, "--host", tmp_path / f"{host_of}.txt",
+                    "--atlas", tmp_path / f"{atlas_of}.json",
+                    "--out", tmp_path / "c.csv", "--out-density", tmp_path / "d.csv"]) == 2
+        err = capsys.readouterr().err
+        assert (f"the atlas is of a {sizes[atlas_of]}-vertex host, "
+                f"the matrix has {sizes[host_of]} rows") in err
+
+    def test_doubled_gadget_roots_not_last_exits_2(self, tmp_path, capsys):
+        dg = toy_family(3, (2,)).doubled[0]
+        fd, host = tmp_path / "fd.txt", tmp_path / "host.txt"
+        save_digraph(fd, dg.rooted.graph, roots=(0, 1))
+        save_digraph(host, random_tournament(5, 0))
+        assert run(["density-matrix", "--gadget", fd, "--host", host,
+                    "--out", tmp_path / "c.csv", "--out-density", tmp_path / "d.csv"]) == 2
+        assert "doubled gadget roots must be the last two vertices (6, 7), got (0, 1)" in (
+            capsys.readouterr().err
+        )
 
 
 class TestXY:
@@ -263,7 +302,7 @@ class TestReduce:
         # x1 with 300 clearing 4-necklaces: the exact value's denominator has
         # more digits than str() of an int allows, and the value lies far
         # below the smallest float
-        rq = build_reduction(parse_poly_text("x1"), toy_family(3, (2,)), "explicit", [300])
+        rq = ReducedQuantum(toy_family(3, (2,)), parse_poly_text("x1"), [300])
         out = tmp_path / "fp.json"
         save_reduced(out, rq)
         T = rotational_tournament(7)

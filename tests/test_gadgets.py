@@ -15,6 +15,8 @@ from tournhom.digraphs import (
 )
 from tournhom.errors import SamplingError
 from tournhom.gadgets import (
+    DoubledGadget,
+    Gadget,
     build_family,
     build_gadget,
     build_necklace,
@@ -186,23 +188,22 @@ class TestSymmetrize:
     def test_vertex_count(self):
         dg = symmetrize(build_gadget(CYCLE3, 2))
         assert dg.rooted.graph.n == 8
-        assert dg.left == (0, 1, 2) and dg.right == (3, 4, 5)
+        assert (dg.m, dg.k, dg.rooted.roots) == (3, 2, (6, 7))
 
     def test_halves_are_gadget_shaped(self):
         g = build_gadget(CYCLE3, 2)
         dg = symmetrize(g)
-        left = dg.left_pattern()
+        left, right = dg.halves
         assert left.graph == g.rooted.graph and left.roots == g.rooted.roots
         # the right half realizes the mirror: root roles swap
-        right = dg.right_pattern()
         assert right.graph.has_arc(right.roots[1], 0)  # w -> v for v < k
         assert right.graph.has_arc(0, right.roots[0])
 
     def test_no_arcs_between_halves(self):
         dg = symmetrize(build_gadget(random_tournament(4, 9), 2))
         graph = dg.rooted.graph
-        for u in dg.left:
-            for v in dg.right:
+        for u in range(dg.m):
+            for v in range(dg.m, 2 * dg.m):
                 assert not graph.has_arc(u, v) and not graph.has_arc(v, u)
 
     def test_product_identity_against_bruteforce(self):
@@ -227,6 +228,34 @@ class TestSymmetrize:
                     assert count_hom_rooted(dg.rooted, t, x, y) == count_hom_rooted(
                         dg.rooted, t, y, x
                     )
+
+
+class TestRecords:
+    """Each gadget record is fixed by its rooted digraph and checks it."""
+
+    @pytest.mark.parametrize(
+        "m, ks", [(36, (29, 27)), (3, (2, 1)), (4, (3, 2, 1)), (5, (4, 3, 2, 1))]
+    )
+    def test_rebuilt_from_the_rooted_digraph(self, m, ks):
+        if m == 36:
+            fam = build_family(sample_base_tournament(36, 6, 11, seed=0), k_values=list(ks))
+        else:
+            fam = toy_family(m, ks)
+        for g, dg, k in zip(fam.gadgets, fam.doubled, ks):
+            assert Gadget(g.rooted) == g and (g.m, g.k) == (m, k)
+            back = DoubledGadget(dg.rooted)
+            assert back == dg and (back.m, back.k) == (m, k)
+            assert back.halves == dg.halves
+
+    def test_refusals(self):
+        g = build_gadget(CYCLE3, 2)
+        dg = symmetrize(g)
+        with pytest.raises(ValueError, match="gadget roots must be the last two vertices"):
+            Gadget(RootedDigraph(g.rooted.graph, (g.w, g.z)))
+        with pytest.raises(ValueError, match="doubled gadget roots must be the last two"):
+            DoubledGadget(RootedDigraph(dg.rooted.graph, (dg.w, dg.z)))
+        with pytest.raises(ValueError, match="2m\\+2 >= 4 vertices, got 5"):
+            DoubledGadget(g.rooted)  # 5 vertices
 
 
 class TestGadgetHomInjectivity:

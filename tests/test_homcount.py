@@ -308,7 +308,7 @@ class TestRootedCountMatrices:
 
     @staticmethod
     def halves(fam):
-        return [h for dg in fam.doubled for h in (dg.left_pattern(), dg.right_pattern())]
+        return [h for dg in fam.doubled for h in dg.halves]
 
     @pytest.mark.parametrize("m, ks", [(3, (2, 1)), (4, (3, 2, 1))])
     def test_family_halves_match_single_sweeps_and_oracle(self, m, ks):

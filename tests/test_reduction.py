@@ -9,13 +9,13 @@ from tournhom.gadgets import toy_family
 from tournhom.homcount import eval_quantum
 from tournhom.reduction import (
     IntPolynomial,
+    ReducedQuantum,
     build_penalized,
     build_reduction,
     eval_reduced,
     identity_sides,
     load_reduced,
     monomial_to_quantum,
-    necklace_densities,
     nonnegativity_report,
     parse_poly_text,
     poly_from_json,
@@ -23,6 +23,7 @@ from tournhom.reduction import (
     reduction_rhs,
     save_reduced,
 )
+from tournhom.spectral import density_matrices, density_matrix, necklace_density_trace
 
 FAM1 = toy_family(3, (2,))
 FAM2 = toy_family(3, (2, 1))
@@ -114,11 +115,17 @@ class TestBuildReduction:
         if rhs is not None:
             assert eval_reduced(rq, T) == rhs
 
-    def test_explicit_mode_validated(self):
-        with pytest.raises(ValueError):
-            build_reduction(parse_poly_text("x1"), FAM1, mode="explicit", explicit_E=[5])
-        rq = build_reduction(parse_poly_text("x1"), FAM1, mode="explicit", explicit_E=[20])
-        assert rq.E == (20,)
+    def test_record_validates_its_inputs(self):
+        p = parse_poly_text("x1")
+        with pytest.raises(ValueError, match=r"needs 14\); minimal exponents are \[14\]"):
+            ReducedQuantum(FAM1, p, [5])
+        with pytest.raises(ValueError, match="E has 2 exponents, the family 1 gadgets"):
+            ReducedQuantum(FAM1, p, [20, 20])
+        with pytest.raises(ValueError, match="polynomial has 1 variables, family 2 gadgets"):
+            ReducedQuantum(FAM2, p, [20, 20])
+        rq = ReducedQuantum(FAM1, p, [20])
+        assert rq.E == (20,) and rq.penalized == build_penalized(p)
+        assert build_reduction(p, FAM1) == ReducedQuantum(FAM1, p, (14,))
 
     def test_quantum_terms_match_structure(self):
         rq = build_reduction(parse_poly_text("x1"), FAM1)
@@ -153,16 +160,16 @@ class TestEvaluationIdentity:
         rq = build_reduction(parse_poly_text("x1"), FAM1)
         for n in (4, 6):
             T = transitive_tournament(n)
-            assert necklace_densities(FAM1, T)[0][4] == 0
+            assert necklace_density_trace(density_matrices(FAM1.doubled, T)[0], 4) == 0
             assert eval_reduced(rq, T) == 0
 
     def test_linearity_with_shared_exponent(self):
         p = parse_poly_text("x1^2", s=1)
         q = parse_poly_text("- 3 x1", s=1)
         E = [20]
-        rp = build_reduction(p, FAM1, mode="explicit", explicit_E=E)
-        rqq = build_reduction(q, FAM1, mode="explicit", explicit_E=E)
-        rsum = build_reduction(p + q, FAM1, mode="explicit", explicit_E=E)
+        rp = ReducedQuantum(FAM1, p, E)
+        rqq = ReducedQuantum(FAM1, q, E)
+        rsum = ReducedQuantum(FAM1, p + q, E)
         for seed in (3, 11):
             T = random_tournament(5, seed)
             assert eval_reduced(rsum, T) == eval_reduced(rp, T) + eval_reduced(rqq, T)
@@ -175,21 +182,20 @@ class TestEvaluationIdentity:
         for seed in (1, 5):
             T = random_tournament(4, seed)
             generic = eval_quantum(q, T)
-            trace = necklace_densities(FAM1, T)[0][4]
+            trace = necklace_density_trace(density_matrix(FAM1.doubled[0], T), 4)
             assert generic == trace
 
 
 class TestNecklaceDensities:
     @pytest.mark.parametrize("fam", [FAM2, toy_family(4, (3, 2, 1))], ids=["m3", "m4"])
     def test_one_sweep_matches_each_gadget_matrix(self, fam):
-        from tournhom.spectral import density_matrix, necklace_density_trace
-
         for seed in range(5):
             T = random_tournament(5 + seed, seed)
+            swept = density_matrices(fam.doubled, T)
+            pairs = [density_matrix(dg, T, "pairs") for dg in fam.doubled]
             for lengths in ((4, 8, 12), (3, 5)):
-                dms = [density_matrix(dg, T, "pairs") for dg in fam.doubled]
-                assert necklace_densities(fam, T, lengths) == [
-                    {ell: necklace_density_trace(dm, ell) for ell in lengths} for dm in dms
+                assert [[necklace_density_trace(dm, ell) for ell in lengths] for dm in swept] == [
+                    [necklace_density_trace(dm, ell) for ell in lengths] for dm in pairs
                 ]
 
     def test_report_builds_each_host_once(self, monkeypatch):
@@ -229,17 +235,21 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         from tournhom.gadgets import rotational_tournament
 
-        cases = [  # every mode, over one gadget and over two
-            ("x1", FAM1, "minimal", None),
-            ("x1 - x2", FAM2, "minimal", None),
-            ("x1^12", FAM1, "paper", None),
-            ("x1^12 - 2 x2^3", FAM2, "paper", None),
-            ("x1^2 - 3", FAM1, "explicit", [20]),
-            ("x1 - 2 x2", FAM2, "explicit", [30, 25]),
+        cases = [  # every mode and a given E, over one gadget and over two
+            ("x1", FAM1, "minimal"),
+            ("x1 - x2", FAM2, "minimal"),
+            ("x1^12", FAM1, "paper"),
+            ("x1^12 - 2 x2^3", FAM2, "paper"),
+            ("x1^2 - 3", FAM1, [20]),
+            ("x1 - 2 x2", FAM2, [30, 25]),
         ]
         hosts = [random_tournament(5, 3), rotational_tournament(7)]
-        for text, fam, mode, E in cases:
-            rq = build_reduction(parse_poly_text(text, s=fam.s), fam, mode, E)
+        for text, fam, how in cases:
+            p = parse_poly_text(text, s=fam.s)
+            if isinstance(how, str):
+                rq = build_reduction(p, fam, how)
+            else:
+                rq = ReducedQuantum(fam, p, how)
             save_reduced(tmp_path / "f.json", rq)
             back = load_reduced(tmp_path / "f.json")
             assert back.source == rq.source, text

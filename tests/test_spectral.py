@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -73,8 +74,7 @@ class TestDensityMatrix:
             dms = density_matrices(doubled, t)
             for dg, dm in zip(doubled, dms):
                 # the right half's matrix is the left half's transposed: H = L o L^T
-                L = rooted_count_matrix(dg.left_pattern(), t)
-                R = rooted_count_matrix(dg.right_pattern(), t)
+                L, R = (rooted_count_matrix(half, t) for half in dg.halves)
                 assert R == [list(col) for col in zip(*L)]
                 assert dm.counts == tuple(
                     tuple(L[x][y] * L[y][x] for y in range(n)) for x in range(n)
@@ -86,13 +86,13 @@ class TestDensityMatrix:
         # left copy from the k = 2 gadget, right copy from the k = 1 gadget's mirror
         base = toy_family(3, (2,)).base
         dg2, dg1 = (symmetrize(build_gadget(base, k)) for k in (2, 1))
-        keep2 = set(dg2.left) | {dg2.z, dg2.w}
-        keep1 = set(dg1.right) | {dg1.z, dg1.w}
+        keep2 = {0, 1, 2, dg2.z, dg2.w}
+        keep1 = {3, 4, 5, dg1.z, dg1.w}
         arcs = [(u, v) for u, v in dg2.rooted.graph.arcs if u in keep2 and v in keep2]
         arcs += [(u, v) for u, v in dg1.rooted.graph.arcs if u in keep1 and v in keep1]
         rooted = RootedDigraph(Digraph(dg2.rooted.graph.n, arcs), dg2.rooted.roots)
         with pytest.raises(ValueError, match="mirror"):
-            DoubledGadget(rooted, dg2.m, dg2.k, dg2.left, dg1.right)
+            DoubledGadget(rooted)
 
     def test_one_sweep_budget(self):
         doubled = toy_family(3, (2, 1)).doubled
@@ -111,6 +111,12 @@ class TestDensityMatrix:
     def test_symmetry_validated(self):
         with pytest.raises(ValueError, match="not symmetric"):
             synthetic([[0, 1], [2, 0]])
+
+    def test_shape_validated(self):
+        with pytest.raises(ValueError, match=r"2 rows of lengths \[1, 2\], not 2 x 2"):
+            DensityMatrix(order=2, m=1, counts=((1, 1), (1,)))
+        with pytest.raises(ValueError, match=r"2 rows of lengths \[2\], not 5 x 5"):
+            DensityMatrix(order=5, m=1, counts=((0, 1), (1, 0)))
 
     def test_diagonal_zero_when_roots_separated_by_path(self):
         # the gadget routes z -> v -> w, so equal root images are impossible
@@ -226,7 +232,7 @@ class TestSupport:
 
     def test_support_is_scanned_once_per_matrix(self, monkeypatch):
         import tournhom.spectral as spectral
-        from tournhom.reduction import necklace_densities
+        from tournhom.reduction import build_reduction, eval_reduced, parse_poly_text
 
         scans = []
         real = spectral._scan
@@ -240,7 +246,7 @@ class TestSupport:
             necklace_density_spectral(dm, ell)
         assert len(scans) == 1
         family = toy_family(3, (2, 2))
-        necklace_densities(family, rotational_tournament(7))
+        eval_reduced(build_reduction(parse_poly_text("x1 - x2"), family), rotational_tournament(7))
         assert len(scans) == 1 + len(family.doubled)
 
     def test_rational_traces_scale_to_integers(self):
@@ -449,6 +455,20 @@ class TestPatternCheck:
         dm = synthetic(counts, m=3)
         cut = data.draw(st.integers(1, 20))
         assert graphon_pattern_check(dm, atlas, i, cut) == full_scan_check(dm, atlas, i, cut)
+
+    def test_atlas_of_another_host_refused(self):
+        n, atlas = self._atlas(2)
+        _, small = self._atlas(1)
+        zero = synthetic([[0] * n for _ in range(n)], m=3)
+        with pytest.raises(ValueError, match=f"a {n // 2}-vertex host, the matrix has {n} rows"):
+            graphon_pattern_check(zero, small, 1)
+        # an atlas of the right size whose base edge lies outside the matrix
+        block = atlas.blocks[1]
+        a = block.cells[0].edge[0]
+        cell = replace(block.cells[0], edge=(a, n))
+        moved = replace(atlas, blocks=(atlas.blocks[0], replace(block, cells=(cell,))))
+        with pytest.raises(ValueError, match=rf"base edge \({a}, {n}\) lies outside the matrix"):
+            graphon_pattern_check(zero, moved, 1)
 
     def test_missing_index_degenerates_to_zero_check(self):
         n, atlas = self._atlas(1)
