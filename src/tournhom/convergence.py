@@ -168,6 +168,8 @@ def convergence_study(
     seed: int = 0,
 ) -> list[ConvergenceRow]:
     check_copy_counts(r_values)
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"the sizes n must be integers >= 1, got sizes {sizes}")
     rows = []
     for idx, n in enumerate(sizes):
         d = default_degree(n)

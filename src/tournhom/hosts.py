@@ -179,6 +179,12 @@ class HostAtlas:
         def ints(d: dict, key: str, owner: str) -> tuple[int, ...]:
             return tuple(json_field(d, key, [int], owner))
 
+        def pair(d: dict, key: str, owner: str) -> tuple[int, int]:
+            value = ints(d, key, owner)
+            if len(value) != 2:
+                raise ValueError(f"{owner}'s field {key!r} must be a pair of vertex ids")
+            return value
+
         blocks = tuple(
             BlockAtlas(
                 i=json_field(b, "i", int, "an atlas block"),
@@ -186,7 +192,7 @@ class HostAtlas:
                 base=ints(b, "base", "an atlas block"),
                 cells=tuple(
                     CellAtlas(
-                        edge=ints(c, "edge", "an atlas cell"),
+                        edge=pair(c, "edge", "an atlas cell"),
                         left=ints(c, "left", "an atlas cell"),
                         right=ints(c, "right", "an atlas cell"),
                     )

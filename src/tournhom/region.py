@@ -24,6 +24,7 @@ from .spectral import density_matrices, xy_point
 
 __all__ = [
     "in_region",
+    "in_region_ratio",
     "chord",
     "elementary_from_power",
     "power_from_elementary",
@@ -61,13 +62,21 @@ def chord(r: int) -> tuple[Fraction, Fraction]:
 def in_region(x, y, tol=Fraction(0)) -> bool:
     """Exact membership in the hull of {(1/r, 1/r^2)}, within an additive tolerance.
 
-    Each hull inequality is relaxed by tol.  With x = a/b, y = c/d and
-    tol = e/f, every quantity is scaled by the common denominator
-    D = b d f, so each comparison is one of integers.
+    Each hull inequality is relaxed by tol.  Each argument is read as an
+    integer ratio and in_region_ratio decides.
     """
     a, b = _ratio(x)
     c, d = _ratio(y)
     e, f = _ratio(tol)
+    return in_region_ratio(a, b, c, d, e, f)
+
+
+def in_region_ratio(a: int, b: int, c: int, d: int, e: int, f: int) -> bool:
+    """in_region at x = a/b, y = c/d and tol = e/f, for ints with b, d, f > 0.
+
+    Every quantity is scaled by the common denominator D = b d f, so each
+    comparison is one of integers.
+    """
     if e < 0:
         raise ValueError("tolerance must be nonnegative")
     D = b * d * f

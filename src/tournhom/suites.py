@@ -1,9 +1,10 @@
 """Verification suites: each acceptance-grade check as a reportable run.
 
-Suites are deterministic in (config, seed): every random object is drawn
-from a seeded generator, all counts are exact, and reports echo the
-parameters.  Timings are recorded for information only and are the one
-non-reproducible field.
+Suites check the paper's claims at the fixed parameters below, which item
+names and report params state; a run sets only the seed, the convergence
+study's sizes and copy counts, and two paths.  Every random object is drawn
+from a seeded generator and all counts are exact, so the timings are the
+one non-reproducible field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 from .digraphs import Digraph, RootedDigraph, Tournament, load_tournament, random_tournament
 from .errors import json_field
 from .gadgets import (
-    BaseTournament,
     GadgetFamily,
     build_family,
     make_k_sequence,
@@ -51,7 +51,7 @@ from .reduction import (
 from .region import (
     chord,
     elementary_from_power,
-    in_region,
+    in_region_ratio,
     power_from_elementary,
     verify_region_on_hosts,
 )
@@ -79,28 +79,30 @@ __all__ = [
 ]
 
 
+# base tournament and gadget family: m = 36, thresholds 29 and 27
+N_BASE = 36
+BICLIQUE_SIZE = 6
+TRANSITIVE_THRESHOLD = 11
+MAX_TRIES = 200
+S = 2
+# graphon hosts
+R_VALUES = (1, 2)
+SAMPLE_PAIRS = 500
+# budgets
+NODE_BUDGET = 200_000_000
+ENUMERATION_CAP = 5000
+HOM_SAMPLES = 1000
+# tolerances
+REL_TOL = 1e-9
+NEWTON_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
-    # base tournament / gadget family
-    n_base: int = 36
-    biclique_size: int = 6
-    transitive_threshold: int = 11
-    max_tries: int = 200
-    s: int = 2
-    # host parameters
-    r_values: tuple[int, ...] = (1, 2)
-    sample_pairs: int = 500
     # convergence study
     sizes: tuple[int, ...] = (64, 128, 256)
     converge_r: tuple[int, ...] = (2, 3)
-    # budgets
-    node_budget: int = 200_000_000
-    enumeration_cap: int = 5000
-    hom_samples: int = 1000
-    # tolerances
-    rel_tol: float = 1e-9
-    newton_tol: float = 1e-12
     hosts_dir: str | None = None  # extra tournament files for the region suite
     out_dir: str | None = None
 
@@ -167,19 +169,12 @@ class RunReport:
 
 
 @lru_cache(maxsize=8)
-def _cached_base(n: int, a: int, t3: int, seed: int, max_tries: int) -> BaseTournament:
-    return sample_base_tournament(n, a, t3, seed=seed, max_tries=max_tries)
-
-
-def _full_family(config: ExperimentConfig, s: int | None = None) -> GadgetFamily:
-    base = _cached_base(
-        config.n_base,
-        config.biclique_size,
-        config.transitive_threshold,
-        config.seed,
-        config.max_tries,
+def _full_family(seed: int, s: int) -> GadgetFamily:
+    """The first s gadgets on the seeded base of N_BASE vertices."""
+    base = sample_base_tournament(
+        N_BASE, BICLIQUE_SIZE, TRANSITIVE_THRESHOLD, seed=seed, max_tries=MAX_TRIES
     )
-    return build_family(base, k_values=make_k_sequence(config.n_base, s or config.s))
+    return build_family(base, k_values=make_k_sequence(N_BASE, s))
 
 
 def _random_digraph(rng: random.Random, n: int, arc_prob: float = 0.5) -> Digraph:
@@ -274,13 +269,13 @@ def run_spectral(config: ExperimentConfig) -> RunReport:
             # vanishes exactly (only an odd length can) is compared to that 1
             unit = Fraction(dm.necklace_unit(), max(map(max, dm.support), default=1))
             for ell in (3, 4):
-                direct = necklace_density_direct(dg, T, ell, max_nodes=config.node_budget)
+                direct = necklace_density_direct(dg, T, ell, max_nodes=NODE_BUDGET)
                 trace = necklace_density_trace(dm, ell)
                 if direct != trace:
                     trace_bad.append((idx, ell))
                 spec = necklace_density_spectral(dm, ell)
                 gap = float(abs(spec - trace) * unit**ell)
-                if gap > config.rel_tol * (float(abs(trace) * unit**ell) or 1.0):
+                if gap > REL_TOL * (float(abs(trace) * unit**ell) or 1.0):
                     spectral_bad.append((idx, ell, gap))
         report.check(
             "spectral.trace",
@@ -338,21 +333,21 @@ def run_claims(config: ExperimentConfig) -> RunReport:
         "claims",
         {
             "seed": config.seed,
-            "n": config.n_base,
-            "a": config.biclique_size,
-            "t3": config.transitive_threshold,
-            "s": config.s,
+            "n": N_BASE,
+            "a": BICLIQUE_SIZE,
+            "t3": TRANSITIVE_THRESHOLD,
+            "s": S,
         },
     )
     with report.timed("family"):
-        fam = _full_family(config)
+        fam = _full_family(config.seed, S)
         report.params["k"] = list(fam.k)
 
     # (a) self-homomorphisms are root-preserving bijections
     with report.timed("self_homs"):
         for i, gadget in enumerate(fam.gadgets, start=1):
             graph = gadget.rooted.graph
-            homs = list(iter_homs(graph, graph, cap=config.enumeration_cap))
+            homs = list(iter_homs(graph, graph, cap=ENUMERATION_CAP))
             ok = bool(homs)
             details = f"{len(homs)} homomorphisms"
             for images in homs:
@@ -375,8 +370,8 @@ def run_claims(config: ExperimentConfig) -> RunReport:
     with report.timed("cross_empty"):
         g1 = fam.gadgets[0].rooted.graph
         g2 = fam.gadgets[1].rooted.graph
-        n12 = count_hom(g1, g2, max_nodes=config.node_budget)
-        n21 = count_hom(g2, g1, max_nodes=config.node_budget)
+        n12 = count_hom(g1, g2, max_nodes=NODE_BUDGET)
+        n21 = count_hom(g2, g1, max_nodes=NODE_BUDGET)
         report.check(
             "claims.cross_empty",
             "exhausted search finds no homomorphism between distinct gadgets",
@@ -390,17 +385,17 @@ def run_claims(config: ExperimentConfig) -> RunReport:
         total = 0
         non_injective = 0
         hosts_used = 0
-        while total < config.hom_samples:
+        while total < HOM_SAMPLES:
             gadget = fam.gadgets[hosts_used % fam.s]
             host = _twin_planted_host(gadget, dups=5, extras=3, rng=rng)
             hosts_used += 1
-            for images in iter_homs(gadget.rooted.graph, host, cap=config.enumeration_cap):
+            for images in iter_homs(gadget.rooted.graph, host, cap=ENUMERATION_CAP):
                 total += 1
                 if len(set(images)) != len(images):
                     non_injective += 1
         report.check(
             "claims.injective",
-            f"{config.hom_samples} enumerated homomorphisms into tournaments are injective",
+            f"{HOM_SAMPLES} enumerated homomorphisms into tournaments are injective",
             non_injective == 0,
             f"{total} homomorphisms over {hosts_used} hosts, {non_injective} non-injective",
         )
@@ -418,11 +413,10 @@ def _graphon_one_host(
     r: int,
     sample_pairs: int,
     rng: random.Random,
-    node_budget: int,
 ) -> None:
     host, atlas = build_host(G, fam, [r])
     with report.timed(f"{tag}.matrix"):
-        [dm] = density_matrices(fam.doubled[:1], host, node_budget)
+        [dm] = density_matrices(fam.doubled[:1], host, NODE_BUDGET)
     verdict = graphon_pattern_check(dm, atlas, 1)
     details = (
         f"N={host.n}, b={verdict.b}, a={verdict.a}"
@@ -448,7 +442,7 @@ def _graphon_one_host(
                 pairs.append((x, y))
         bad = []
         for x, y in pairs:
-            if count_hom_rooted(fam.doubled[0].rooted, host, x, y, node_budget) != dm.count(x, y):
+            if count_hom_rooted(fam.doubled[0].rooted, host, x, y, NODE_BUDGET) != dm.count(x, y):
                 bad.append((x, y))
         report.check(
             f"{tag}.recount",
@@ -463,45 +457,29 @@ def run_graphon(config: ExperimentConfig) -> RunReport:
         "graphon",
         {
             "seed": config.seed,
-            "n": config.n_base,
-            "a": config.biclique_size,
-            "t3": config.transitive_threshold,
-            "r_values": list(config.r_values),
+            "n": N_BASE,
+            "a": BICLIQUE_SIZE,
+            "t3": TRANSITIVE_THRESHOLD,
+            "r_values": list(R_VALUES),
         },
     )
-    fam = _full_family(config, s=1)
+    fam = _full_family(config.seed, 1)
     report.params["k"] = list(fam.k)
     rng = random.Random(config.seed + 3)
-    for r in config.r_values:
+    for r in R_VALUES:
         _graphon_one_host(
-            report,
-            f"graphon.edge_r{r}",
-            single_edge_graph(),
-            fam,
-            r,
-            sample_pairs=40,
-            rng=rng,
-            node_budget=config.node_budget,
+            report, f"graphon.edge_r{r}", single_edge_graph(), fam, r, sample_pairs=40, rng=rng
         )
-    _graphon_one_host(
-        report,
-        "graphon.c5",
-        cycle_graph(5),
-        fam,
-        1,
-        sample_pairs=config.sample_pairs,
-        rng=rng,
-        node_budget=config.node_budget,
-    )
-    _block_landing_check(report, config)
+    _graphon_one_host(report, "graphon.c5", cycle_graph(5), fam, 1, SAMPLE_PAIRS, rng)
+    _block_landing_check(report, config.seed)
     return report
 
 
-def _block_landing_check(report: RunReport, config: ExperimentConfig) -> None:
+def _block_landing_check(report: RunReport, seed: int) -> None:
     """Enumerate every gadget homomorphism into a two-gadget host and check
     it lands inside a single cell of the single block with matching index."""
     with report.timed("landing"):
-        fam = _full_family(config, s=2)
+        fam = _full_family(seed, 2)
         host, atlas = build_host(single_edge_graph(), fam, [1, 1])
         vertex_block: dict[int, BlockAtlas] = {}
         vertex_cell: dict[int, tuple] = {}
@@ -514,7 +492,7 @@ def _block_landing_check(report: RunReport, config: ExperimentConfig) -> None:
                     vertex_cell[v] = cell.edge
         for i, gadget in enumerate(fam.gadgets, start=1):
             homs = list(
-                iter_homs(gadget.rooted.graph, host, cap=config.enumeration_cap)
+                iter_homs(gadget.rooted.graph, host, cap=ENUMERATION_CAP)
             )
             bad = ""
             for images in homs:
@@ -552,13 +530,19 @@ def run_region(config: ExperimentConfig) -> RunReport:
     dg = toy_family(3, (2,)).doubled[0]
     rng = random.Random(config.seed + 4)
     tol = Fraction(1, 10**9)
+    extra_hosts = []
+    if config.hosts_dir:
+        hosts_dir = Path(config.hosts_dir)
+        if not hosts_dir.is_dir():
+            raise ValueError(f"the hosts path {hosts_dir} is not a directory")
+        paths = sorted(hosts_dir.glob("*.txt"))
+        if not paths:
+            raise ValueError(f"the hosts directory {hosts_dir} holds no *.txt file")
+        extra_hosts = [load_tournament(path) for path in paths]
 
     with report.timed("containment"):
         hosts = [random_tournament(rng.randint(3, 7), rng.randrange(2**30)) for _ in range(200)]
-        hosts += [rotational_tournament(7), rotational_tournament(9)]
-        if config.hosts_dir:
-            for path in sorted(Path(config.hosts_dir).glob("*.txt")):
-                hosts.append(load_tournament(path))
+        hosts += [rotational_tournament(7), rotational_tournament(9)] + extra_hosts
         containment = verify_region_on_hosts(dg, hosts, tol)
         report.check(
             "region.containment",
@@ -569,12 +553,9 @@ def run_region(config: ExperimentConfig) -> RunReport:
         )
 
     with report.timed("hull_vertices"):
+        # (1/r, 1/r^2) with no tolerance, as integer ratios
         bad_vertex = next(
-            (
-                r
-                for r in range(1, 10**6 + 1)
-                if not in_region(Fraction(1, r), Fraction(1, r * r))
-            ),
+            (r for r in range(1, 10**6 + 1) if not in_region_ratio(1, r, 1, r * r, 0, 1)),
             None,
         )
         report.check(
@@ -604,7 +585,7 @@ def run_region(config: ExperimentConfig) -> RunReport:
         xs = sorted((rng.random() for _ in range(3)), reverse=True)
         p = (sum(xs), sum(x * x for x in xs), sum(x**3 for x in xs))
         q = power_from_elementary(*elementary_from_power(*p))
-        if any(abs(a - b) > config.newton_tol * max(1.0, abs(a)) for a, b in zip(p, q)):
+        if any(abs(a - b) > NEWTON_TOL * max(1.0, abs(a)) for a, b in zip(p, q)):
             bad_newton.append(trial)
     report.check(
         "region.newton",
@@ -715,12 +696,12 @@ def run_convergence(config: ExperimentConfig) -> RunReport:
     # the pipeline identity on a host whose spectrum is not just +-1
     with report.timed("crosscheck_literal"):
         r0 = config.converge_r[0]
-        fam36 = _full_family(config, s=1)
-        res = pipeline_cross_check(cycle_graph(5), fam36, r=r0, max_nodes=config.node_budget)
+        fam36 = _full_family(config.seed, 1)
+        res = pipeline_cross_check(cycle_graph(5), fam36, r=r0, max_nodes=NODE_BUDGET)
         report.check(
             "converge.crosscheck_literal",
             f"full-gadget pipeline on the 5-cycle host (r={r0}) matches the closed form to 1e-9",
-            res["gap_x"] <= config.rel_tol and res["gap_y"] <= config.rel_tol,
+            res["gap_x"] <= REL_TOL and res["gap_y"] <= REL_TOL,
             f"host {res['host_size']}, gaps ({res['gap_x']:.2e}, {res['gap_y']:.2e})",
         )
 
@@ -730,7 +711,7 @@ def run_convergence(config: ExperimentConfig) -> RunReport:
         report.check(
             "converge.crosscheck_full_gadget",
             "full-gadget pipeline on the edge host matches the closed form to 1e-9",
-            res["gap_x"] <= config.rel_tol and res["gap_y"] <= config.rel_tol,
+            res["gap_x"] <= REL_TOL and res["gap_y"] <= REL_TOL,
             f"host {res['host_size']}, gaps ({res['gap_x']:.2e}, {res['gap_y']:.2e})",
         )
     return report

@@ -219,6 +219,21 @@ class TestHostAndMatrix:
         assert (f"the atlas is of a {sizes[atlas_of]}-vertex host, "
                 f"the matrix has {sizes[host_of]} rows") in err
 
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0]], ids=["three-ids", "one-id"])
+    def test_atlas_cell_edge_not_a_pair_exits_2(self, tmp_path, capsys, edge):
+        fam = toy_family(3, (2,))
+        dg = fam.doubled[0]
+        host, atlas = build_host(single_edge_graph(), fam, [1])
+        fd, host_path, atlas_path = tmp_path / "fd.txt", tmp_path / "h.txt", tmp_path / "a.json"
+        save_digraph(fd, dg.rooted.graph, roots=dg.rooted.roots)
+        save_digraph(host_path, host)
+        doc = atlas.to_json()
+        doc["blocks"][0]["cells"][0]["edge"] = edge
+        atlas_path.write_text(json.dumps(doc))
+        assert run(["density-matrix", "--gadget", fd, "--host", host_path, "--atlas", atlas_path,
+                    "--out", tmp_path / "c.csv", "--out-density", tmp_path / "d.csv"]) == 2
+        assert "an atlas cell's field 'edge' must be a pair of vertex ids" in capsys.readouterr().err
+
     def test_doubled_gadget_roots_not_last_exits_2(self, tmp_path, capsys):
         dg = toy_family(3, (2,)).doubled[0]
         fd, host = tmp_path / "fd.txt", tmp_path / "host.txt"
@@ -613,13 +628,13 @@ class TestVerify:
             ({"seed": 1.5}, "field 'seed' must be an integer"),  # ran on, exit 0
             ({"seed": True}, "field 'seed' must be an integer"),
             ([], "cfg.json must be an object"),  # a TypeError, exit 1
-            ({"r_values": 3}, "field 'r_values' must be a list of integers"),
+            ({"converge_r": 3}, "field 'converge_r' must be a list of integers"),
             ({"sizes": [64, 128.5]}, "field 'sizes' must be a list of integers"),
-            ({"rel_tol": "tiny"}, "field 'rel_tol' must be a number"),
+            ({"out_dir": 7}, "field 'out_dir' must be a string"),
             ({"hosts_dir": 7}, "field 'hosts_dir' must be a string"),
         ],
         ids=["seed-str", "seed-float", "seed-bool", "list", "r-values-int", "sizes-float",
-             "tol-str", "hosts-dir-int"],
+             "out-dir-int", "hosts-dir-int"],
     )
     def test_mistyped_config_exits_2(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
@@ -661,6 +676,39 @@ class TestVerify:
         assert run(["converge"] + args) == 2
         err = capsys.readouterr().err
         assert "two or more sizes" in err and message in err
+
+    def test_suite_parameter_in_config_exits_2(self, tmp_path, capsys):
+        # s = 1 indexed a second gadget that was not built, a raw IndexError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": 1}))
+        assert run(["verify", "--suite", "claims", "--config", cfg]) == 2
+        assert "unknown config fields: ['s']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [(["--sizes=-8,64"], None), ([], {"sizes": [-8, 64]})],  # a TypeError before
+        ids=["flag", "config"],
+    )
+    def test_converge_with_a_size_below_1_exits_2(self, tmp_path, capsys, args, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run(["converge"] + args) == 2
+        assert "the sizes n must be integers >= 1, got sizes [-8, 64]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: None, "is not a directory"),  # read nothing and passed before
+            (lambda path: path.mkdir(), "holds no *.txt file"),
+        ],
+        ids=["missing", "empty"],
+    )
+    def test_region_suite_with_no_hosts_exits_2(self, tmp_path, capsys, make, message):
+        hosts = tmp_path / "hosts"
+        make(hosts)
+        assert run(["verify", "--suite", "region", "--hosts", hosts]) == 2
+        assert f"{hosts} {message}" in capsys.readouterr().err
 
     def test_region_suite_accepts_hosts_dir(self, tmp_path, capsys):
         hosts = tmp_path / "hosts"
@@ -928,7 +976,7 @@ def test_generated_inputs_of_the_other_commands_exit_0_1_or_2(case):
     --atlas` and `verify --hosts` on generated files return 0, 1 or 2."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), \
-            mock.patch.object(suites, "in_region", side_effect=_HullLoop):
+            mock.patch.object(suites, "in_region_ratio", side_effect=_HullLoop):
         d = Path(tmp)
         name, values = case
         if name == "check-f0":

@@ -197,8 +197,17 @@ class TestAtlas:
                 lambda doc: doc.update(edge_order=[0, 1]),
                 "field 'edge_order' must be a list of lists of integers",
             ),
+            (
+                lambda doc: doc["blocks"][0]["cells"][0].update(edge=[0, 1, 2]),
+                "an atlas cell's field 'edge' must be a pair of vertex ids",
+            ),
+            (
+                lambda doc: doc["blocks"][0]["cells"][0].update(edge=[0]),
+                "an atlas cell's field 'edge' must be a pair of vertex ids",
+            ),
         ],
-        ids=["empty", "m-str", "blocks-object", "no-i", "k-bool", "left-float", "edge-order-flat"],
+        ids=["empty", "m-str", "blocks-object", "no-i", "k-bool", "left-float", "edge-order-flat",
+             "edge-three-ids", "edge-one-id"],
     )
     def test_from_json_names_a_bad_field(self, edit, message):
         _, atlas = build_host(path_graph(3), toy_family(3, (2,)), [1])
