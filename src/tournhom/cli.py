@@ -51,7 +51,7 @@ from .reduction import (
 )
 from .region import in_region
 from .spectral import density_matrices, graphon_pattern_check, xy_from_matrix
-from .suites import ExperimentConfig, run_convergence, run_suite, SUITES
+from .suites import ExperimentConfig, run_suite, SUITES
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -318,7 +318,7 @@ def cmd_converge(args) -> int:
         config = replace(config, sizes=tuple(_parse_int_list(args.sizes)))
     if args.r:
         config = replace(config, converge_r=tuple(_parse_int_list(args.r)))
-    report = run_convergence(config)
+    report = run_suite("converge", config)
     _print_report(report)
     if args.out_csv:
         rows = report.params.get("rows", [])

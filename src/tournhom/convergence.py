@@ -170,6 +170,13 @@ def convergence_study(
     check_copy_counts(r_values)
     if min(sizes, default=1) < 1:
         raise ValueError(f"the sizes n must be integers >= 1, got sizes {sizes}")
+    for n in sizes:
+        d = default_degree(n)
+        if d >= n or n * d % 2:
+            raise ValueError(
+                f"size n={n} has no {d}-regular graph (d = ceil(n^(2/3)) needs d < n "
+                f"and n * d even), got sizes {sizes}"
+            )
     rows = []
     for idx, n in enumerate(sizes):
         d = default_degree(n)

@@ -51,7 +51,9 @@ __all__ = [
 class Digraph:
     """A loopless digraph with at most one arc per ordered pair."""
 
-    __slots__ = ("n", "_out", "_in", "_arcs", "_strong")
+    # weak references let a search keep what it learns of a host only while
+    # the host lives
+    __slots__ = ("n", "_out", "_in", "_arcs", "_strong", "__weakref__")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         out = [0] * max(n, 0)

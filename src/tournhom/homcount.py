@@ -10,6 +10,23 @@ connected components of the free (unpinned) vertices, and one clique per
 component: its vertices in rank order, each kept when it is adjacent to
 every vertex kept before it.
 
+Domains.  The plan also gives each vertex v four need lists, the
+neighbourhood-degree filter of Solnon's LAD (2010).  K+ is a greedy
+clique of v's out-neighbours and K- one of its in-neighbours; for each u
+in K+, and then in K-, the sizes of greedy cliques of u's out- and of
+u's in-neighbours make the lists, each in descending order.  Adjacent
+pattern vertices take distinct images, so a map h sends K+ injectively
+into the out-neighbours of h(v), and the clique of u's out-neighbours
+into those of h(u).  So h(v) has at least |K+| out-neighbours, and their
+out-degrees, in descending order, dominate v's first list entry by
+entry; likewise the in-degrees of its out-neighbours, and the out- and
+in-degrees of its in-neighbours.  The domain of v is the set of host
+vertices that pass all four (`_domains`).  It is computed with numpy
+once per plan and host, kept in the plan under the host's identity, and
+dropped when the host is: the pinned and planted hosts of a run compute
+it once, a sweep's component hosts once per call.  No map is lost, so
+every count, matrix and set of maps is what it would be without them.
+
 The search state is a list of classes.  Forward checking (Haralick and
 Elliott 1980) is the only step that narrows a vertex's candidate mask of
 host vertices, so two unplaced vertices with the same relation (out, in,
@@ -20,10 +37,14 @@ most four pieces: its out-neighbours AND the out-mask of g into their
 host mask, its in-neighbours the in-mask, its digon neighbours both, and
 the vertices not adjacent to it keep their mask.  A piece with an empty
 mask prunes the placement.  Each frame of the search keeps its own class
-list, so backtracking restores nothing.  The next vertex is the first by
-rank of the class with the smallest mask, which is the first by rank of
-all the vertices with the smallest mask, so renaming the host's vertices
-changes no search decision and no node count.
+list, so backtracking restores nothing.  The next vertex is the unplaced
+vertex with the fewest candidates left in its class mask AND its domain,
+the first by rank among equals: the fail-first rule of the Glasgow
+subgraph solver (McCreesh, Prosser and Trimble 2020).  When a class's
+mask holds one host vertex, no vertex has fewer candidates but one with
+none, so the first by rank of such classes' vertices is taken without
+the scan.  Domain sizes do not change when the host's vertices are
+renamed, so renaming changes no search decision and no node count.
 
 Maps need not be injective, but adjacent pattern vertices take distinct
 images, since no digraph has a loop.  The vertices of one class all go
@@ -73,20 +94,23 @@ interpreter's recursion limit.
 
 `max_nodes` bounds the number of search nodes.  A node is one free
 pattern vertex chosen for branching: the search then tries each host
-vertex left in its mask.  Pinned vertices are not nodes, nor are the
-one-vertex parts whose count is read off their mask, so a count that the
-pinned vertices' forward checks and Hall tests settle takes no node, and
-a sweep that components share counts its nodes once.  Counts are exact
-Python integers; densities exact Fractions.
+vertex left in its mask and its domain.  Pinned vertices are not nodes,
+nor are the one-vertex parts whose count is read off their mask, so a
+count that the pinned vertices' forward checks and Hall tests settle
+takes no node, and a sweep that components share counts its nodes once.
+Counts are exact Python integers; densities exact Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits, disjoint_union, gather_rows
 from .errors import BudgetExceededError, EnumerationCapError
@@ -141,6 +165,27 @@ class _Plan(NamedTuple):
     free: int  # the unpinned vertices
     parts: tuple[int, ...]  # the components of the free vertices, as `_split` orders them
     clique: int  # the union of the parts' greedy cliques
+    # need[j][t]: entry t of need list j of each distinct set of four lists,
+    # as a column, -1 past a list's end; vertex i has the row which[i]
+    need: tuple[np.ndarray, ...]
+    which: tuple[int, ...]
+    domains: dict[int, tuple[int, ...]]  # id(host) -> each vertex's domain, by rank
+
+
+# the entries of the need lists and of the host's lists are cut to _CAP, so
+# that they and one more fit int16; min(d, _CAP) >= min(s, _CAP) whenever
+# d >= s, so the cut keeps every image in its domain
+_CAP = (1 << 15) - 2
+
+
+def _greedy_clique(mask: int, adj: Sequence[int]) -> int:
+    """The vertices of mask in rank order, each kept when it is adjacent to
+    every vertex kept before it."""
+    kept = 0
+    for i in _bits(mask):
+        if adj[i] & kept == kept:
+            kept |= 1 << i
+    return kept
 
 
 @lru_cache(maxsize=512)
@@ -149,10 +194,10 @@ def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
 
     The vertices are numbered by rank, more neighbours first and then the
     lower label, and every pattern-vertex mask of the search is in that
-    numbering.  Each vertex gets its out-only, in-only and digon masks;
-    the free vertices fall into parts, and each part gets a greedy clique.
-    The rank depends on F alone, so the search decides nothing from host
-    labels."""
+    numbering.  Each vertex gets its out-only, in-only and digon masks and
+    its need lists; the free vertices fall into parts, and each part gets
+    a greedy clique.  The rank depends on F alone, so the search decides
+    nothing from host labels."""
     n = F.n
     degree = [(F.out_mask(v) | F.in_mask(v)).bit_count() for v in range(n)]
     label = tuple(sorted(range(n), key=lambda v: (-degree[v], v)))
@@ -169,15 +214,82 @@ def _plan(F: Digraph, pinned: tuple[int, ...]) -> _Plan:
     for p in pinned:
         free &= ~(1 << rank[p])
     parts = tuple(_split(free, adj))
+    # any clique is sound, a tournament core is whole
     clique = 0
     for part in parts:
-        # greedy in rank order; any clique is sound, a tournament core is whole
-        kept = 0
-        for i in _bits(part):
-            if adj[i] & kept == kept:
-                kept |= 1 << i
-        clique |= kept
-    return _Plan(label, tuple(rank), adj, out, sides, free, parts, clique)
+        clique |= _greedy_clique(part, adj)
+    # the need lists of i: for each u in K+ (a clique of i's out-neighbours)
+    # and then in K-, u's clique sizes in its out- and in-neighbourhoods
+    cliques = [[_greedy_clique(m, adj) for m in masks] for masks in (out, ins)]
+    sizes = [[k.bit_count() for k in ks] for ks in cliques]
+    rows: dict[tuple[tuple[int, ...], ...], int] = {}
+    which = tuple(
+        rows.setdefault(
+            tuple(
+                tuple(sorted((size[u] for u in _bits(ks[i])), reverse=True))
+                for ks in cliques
+                for size in sizes
+            ),
+            len(rows),
+        )
+        for i in range(n)
+    )
+    need = []
+    for j in range(4):
+        lists = [row[j] for row in rows]
+        table = np.full((max(map(len, lists), default=0), len(lists), 1), -1, np.int16)
+        for r, lst in enumerate(lists):
+            table[: len(lst), r, 0] = [min(x, _CAP) for x in lst]
+        need.append(table)
+    return _Plan(label, tuple(rank), adj, out, sides, free, parts, clique, tuple(need), which, {})
+
+
+def _domains(plan: _Plan, T: Digraph) -> tuple[int, ...]:
+    """The host mask of the vertices each pattern vertex, by rank, can map to.
+
+    Host vertex g's four lists are the out-degrees and the in-degrees of
+    its out-neighbours, then of its in-neighbours, each in descending
+    order.  g is in the domain of v when each of its lists is at least as
+    long as v's need list and dominates it entry by entry.  The domains
+    are computed once per plan and host, and dropped with the host."""
+    known = plan.domains.get(id(T))
+    if known is not None:
+        return known
+    n = T.n
+    size = (n + 7) >> 3
+    # each host vertex's out- and in-degree, cut to _CAP, plus one
+    degree = [
+        np.array([min(m.bit_count(), _CAP) + 1 for m in masks], np.int16)
+        for masks in (T.out_masks, T.in_masks)
+    ]
+    ok = np.ones((plan.need[0].shape[1], n), bool)
+    # host rows taken at once, and entries compared at once: bounds on the
+    # temporary arrays
+    block = 128
+    step = max(1, (1 << 16) // (len(ok) * block or 1))
+    for masks, needs in ((T.out_masks, plan.need[:2]), (T.in_masks, plan.need[2:])):
+        for lo in range(0, n, block):
+            raw = b"".join(m.to_bytes(size, "little") for m in masks[lo : lo + block])
+            rows = np.frombuffer(raw, np.uint8).reshape(-1, size)
+            nbrs = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+            here = ok[:, lo : lo + block]
+            for need, deg in zip(needs, degree):
+                width = len(need)
+                # a neighbour's degree, -1 for a vertex that is not one
+                lists = nbrs * deg - np.int16(1)
+                lists.sort(axis=1)
+                # row t: entry t of each host vertex's list, -1 past its end
+                have = np.full((width, len(lists)), -1, np.int16)
+                top = lists[:, : -width - 1 : -1]
+                have[: top.shape[1]] = top.T
+                for t in range(0, width, step):
+                    here &= (have[t : t + step, None] >= need[t : t + step]).all(0)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(ok, axis=1, bitorder="little")]
+    known = tuple(masks[r] for r in plan.which)
+    # keyed by identity, which costs no hash of the host, and dropped with it
+    plan.domains[id(T)] = known
+    weakref.finalize(T, plan.domains.pop, id(T), None)
+    return known
 
 
 # -- the executor ------------------------------------------------------------------
@@ -268,23 +380,50 @@ def _search(plan, T, mode, images, parts, max_nodes):
     """
     outm, inm = T.out_masks, T.in_masks
     label, adj, sides, clique = plan.label, plan.adj, plan.sides, plan.clique
+    dom = {1 << i: d for i, d in enumerate(_domains(plan, T))}
+    # the host vertices in every free vertex's domain: a class mask K leaves
+    # each of its vertices at least |K & common| candidates
+    common = (1 << T.n) - 1
+    for i in _bits(plan.free):
+        common &= dom[1 << i]
     counting = mode == _COUNT
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = 0
 
     def open_part(classes, mask):
-        """A node on the first vertex by rank of the class with the smallest mask."""
+        """A node on the unplaced vertex with the fewest candidates left in its
+        class mask and its domain, the first by rank among equals."""
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise BudgetExceededError("homomorphism search budget exceeded")
-        c = min(classes, key=lambda c: (c[1].bit_count(), c[0] & -c[0]))
-        P, H = c
-        b = P & -P
+        c = None
+        for d in classes:
+            H = d[1]
+            if not H & (H - 1) and (c is None or d[0] & -d[0] < b):
+                c, b = d, d[0] & -d[0]
+        if c is not None:
+            # a mask of one host vertex: no vertex has fewer candidates but 0
+            P, H = c
+            cands = H & dom[b]
+        else:
+            best = sys.maxsize
+            for d in classes:
+                Q, K = d
+                if (K & common).bit_count() > best:
+                    continue
+                while Q:
+                    e = Q & -Q
+                    Q ^= e
+                    m = K & dom[e]
+                    s = m.bit_count()
+                    if s < best or s == best and e < b:
+                        c, b, cands, best = d, e, m, s
+            P, H = c
         rest = [d for d in classes if d is not c]
         if P != b:
             rest.append((P ^ b, H))
-        return [False, rest, mask ^ b, b.bit_length() - 1, H, 0]
+        return [False, rest, mask ^ b, b.bit_length() - 1, cands, 0]
 
     if counting:
         stack = [[True, parts, 0, 1]]

@@ -696,6 +696,22 @@ class TestVerify:
         assert run(["converge"] + args) == 2
         assert "the sizes n must be integers >= 1, got sizes [-8, 64]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (5, 3), (9, 5), (27, 9)])
+    def test_converge_with_a_size_without_a_regular_graph_exits_2(self, capsys, n, d):
+        # d = ceil(n^(2/3)) is n or more, or n * d is odd: the pairing model
+        # said only "need 0 <= d < n" or "n * d must be even"
+        assert run(["converge", f"--sizes={n},64"]) == 2
+        assert f"size n={n} has no {d}-regular graph" in capsys.readouterr().err
+
+    def test_converge_writes_the_report_to_out_dir(self, tmp_path, capsys):
+        # converge ran its suite outside run_suite and wrote nothing there
+        out = tmp_path / "reports"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(out)}))
+        assert run(["converge", "--sizes=8,64", "--config", cfg]) == 0
+        doc = json.loads((out / "converge.json").read_text())
+        assert doc["suite"] == "converge" and doc["params"]["sizes"] == [8, 64]
+
     @pytest.mark.parametrize(
         "make, message",
         [

@@ -1,8 +1,10 @@
 """Homomorphism counting engine against the brute-force oracle."""
 
 import contextlib
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -392,6 +394,21 @@ class TestRootedCountMatrices:
         with pytest.raises(BudgetExceededError):
             density_matrices(fam.doubled, host, max_nodes=529)
 
+    def test_full_scale_half_node_count_is_pinned(self):
+        # the k = 29 left half of the full-scale family on its 74-vertex
+        # single-edge host: 167 nodes when each node took the first vertex of
+        # the class with the smallest mask, 91 on the vertex with the fewest
+        # candidates left in its domain
+        from tournhom.hosts import build_host, single_edge_graph
+        from tournhom.suites import _full_family
+
+        fam = _full_family(0, 1)
+        host, _ = build_host(single_edge_graph(), fam, [1])
+        assert host.n == 74
+        left = fam.doubled[0].halves[0]
+        expected = rooted_count_matrix(left, host)
+        assert_budget(lambda b: rooted_count_matrix(left, host, max_nodes=b), expected, 91)
+
 
 # -- the search engine ---------------------------------------------------------------
 
@@ -757,6 +774,79 @@ class TestPigeonholeCut:
         assert len(maps) == 30
         assert_budget(lambda b: list(iter_homs(F, host, max_nodes=b)), maps, 194)
         assert_budget(lambda b: count_hom(F, host, max_nodes=b), 30, 172)
+
+
+class TestDomains:
+    """A free vertex branches only over its domain: the host vertices whose
+    neighbours' degrees dominate its need lists."""
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=60, deadline=None)
+    def test_every_map_lies_in_the_domains(self, seed):
+        # digons, neighbourhoods that are not cliques and second components
+        # in the pattern, and digons in the host; the maps are found by
+        # exhaustion, so a domain that left out an image would show
+        rng = random.Random(seed)
+        F, T = cut_case(rng)
+        plan = homcount._plan(F, ())
+        dom = homcount._domains(plan, T)
+        maps = all_maps(F, T)
+        assert all(dom[plan.rank[v]] >> g & 1 for images in maps for v, g in enumerate(images))
+        assert set(iter_homs(F, T)) == maps
+        assert count_hom(F, T) == count_hom_bruteforce(F, T) == len(maps)
+        z, w = rng.sample(range(F.n), 2)
+        x, y = rng.randrange(T.n), rng.randrange(T.n)
+        rooted = RootedDigraph(F, (z, w))
+        assert count_hom_rooted(rooted, T, x, y) == count_hom_bruteforce(F, T, {z: x, w: y})
+        if rooted.roots_nonadjacent():
+            assert rooted_count_matrices([rooted], T) == [
+                [
+                    [count_hom_bruteforce(F, T, {z: a, w: b}) for b in range(T.n)]
+                    for a in range(T.n)
+                ]
+            ]
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=30, deadline=None)
+    def test_entries_cut_to_the_cap_keep_every_map(self, seed):
+        # the lists are int16, with every entry cut to a cap; no host or
+        # pattern here reaches the real cap, so a cap of 2 stands in for it
+        rng = random.Random(seed)
+        F, T = cut_case(rng)
+        with mock.patch.object(homcount, "_CAP", 2):
+            plan = homcount._plan.__wrapped__(F, ())
+            dom = homcount._domains(plan, T)
+        maps = all_maps(F, T)
+        assert all(dom[plan.rank[v]] >> g & 1 for images in maps for v, g in enumerate(images))
+
+    def test_a_domain_leaves_out_the_vertices_without_the_degrees(self):
+        # the transitive triangle 0 -> 1 -> 2, 0 -> 2: vertex 0 needs two
+        # adjacent out-neighbours, one of them with an out-neighbour; in a
+        # host of the same triangle and the arc 3 -> 4, only host vertex 0
+        # has them
+        TT3 = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+        host = Digraph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        plan = homcount._plan(TT3, ())
+        assert homcount._domains(plan, host)[plan.rank[0]] == 0b1
+        assert list(iter_homs(TT3, host)) == [(0, 1, 2)]
+
+    def test_domains_are_dropped_with_the_host(self):
+        # a pattern no other test counts, so that no other host shares its plan
+        F = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (3, 1)])
+        T = random_tournament(9, 11)
+        count_hom(F, T)
+        plan = homcount._plan(F, ())
+        assert list(plan.domains) == [id(T)]
+        host = weakref.ref(T)
+        del T
+        gc.collect()
+        assert host() is None and plan.domains == {}
+        # a block-diagonal sweep builds each component's host in the call:
+        # none of their domains is left once it returns
+        T = forward_stack([random_tournament(5, 1), random_tournament(6, 2)])
+        rooted_count_matrices([C4], T)
+        gc.collect()
+        assert homcount._sweep_plan((C4,)).plan.domains == {}
 
 
 def forward_stack(blocks):
