@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -182,10 +183,13 @@ def _read_matrix_csv(path: str) -> list[list[Fraction]]:
         header = next(reader, None)
         if not header or header[0] != "vertex":
             raise ValueError(f"{path}: expected a 'vertex' header row")
+        # a matrix repeats few distinct entries: parse each once per read
+        # (an exception is not cached, so a bad token fails where it stands)
+        parse = functools.lru_cache(maxsize=None)(Fraction)
         rows = []
         try:
             for line in reader:
-                rows.append([Fraction(tok) for tok in line[1:]])
+                rows.append(list(map(parse, line[1:])))
         except (ValueError, ZeroDivisionError, csv.Error) as exc:
             raise ValueError(
                 f"{path}, line {reader.line_num}: not a row of exact rationals ({exc})"

@@ -14,13 +14,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence
 
 from .digraphs import Tournament
 from .errors import DegenerateHostError
 from .gadgets import DoubledGadget
-from .spectral import density_matrices, xy_point
+from .spectral import _ratio, density_matrices, xy_point
 
 __all__ = [
     "in_region",
@@ -36,22 +35,6 @@ __all__ = [
 ]
 
 
-def _ratio(value) -> tuple[int, int]:
-    """Numerator and positive denominator, as Python ints, of a rational or finite float."""
-    if isinstance(value, (int, Fraction)):
-        return value.as_integer_ratio()
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise ValueError("NaN is not a point")
-        if math.isinf(value):
-            raise ValueError(f"{value} is not a point")
-        return value.as_integer_ratio()  # floats are dyadic rationals, exactly
-    if isinstance(value, Rational):
-        # e.g. numpy integers, whose fixed-width products would wrap
-        return int(value.numerator), int(value.denominator)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a coordinate")
-
-
 def chord(r: int) -> tuple[Fraction, Fraction]:
     """Slope and intercept of the hull edge between x = 1/(r+1) and x = 1/r."""
     if r < 1:
@@ -63,7 +46,8 @@ def in_region(x, y, tol=Fraction(0)) -> bool:
     """Exact membership in the hull of {(1/r, 1/r^2)}, within an additive tolerance.
 
     Each hull inequality is relaxed by tol.  Each argument is read as an
-    integer ratio and in_region_ratio decides.
+    integer ratio by `spectral._ratio`, the reader `xy_from_matrix` uses
+    too, and in_region_ratio decides.
     """
     a, b = _ratio(x)
     c, d = _ratio(y)

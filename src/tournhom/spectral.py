@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, mul
+from numbers import Rational
+from operator import attrgetter, itemgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +75,9 @@ class DensityMatrix:
         support, bad = _scan(self.counts)
         if bad is not None:
             raise ValueError(f"count matrix not symmetric at {bad}")
-        object.__setattr__(self, "support", support)
+        rows = self.counts
+        restricted = tuple(tuple(rows[i][j] for j in support) for i in support)
+        object.__setattr__(self, "support", restricted)
 
     def count(self, x: int, y: int) -> int:
         return self.counts[x][y]
@@ -160,22 +163,49 @@ def _glued(dg: DoubledGadget, left, right) -> DensityMatrix:
 # -- the support, and exact traces on it ------------------------------------------------
 
 
-def _scan(rows) -> tuple[tuple[tuple, ...], tuple[int, int] | None]:
-    """A square matrix restricted to its support, and its first asymmetry, in one pass.
+# CPython keeps a Fraction's parts in the slots `_numerator` and `_denominator` (a
+# test pins the layout); attrgetter reads one in C, where Fraction.__bool__ and the
+# `numerator` property each run a Python frame
+_numerator = attrgetter("_numerator")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator, as Python ints, of a rational or finite float."""
+    if type(value) is Fraction:
+        return value._numerator, value._denominator
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError(f"{value} is not a point of the real line")
+        return value.as_integer_ratio()  # floats are dyadic rationals, exactly
+    if isinstance(value, Rational):
+        # e.g. numpy integers, whose fixed-width products would wrap
+        return int(value.numerator), int(value.denominator)
+    raise TypeError(f"cannot read {type(value).__name__} as an exact number")
+
+
+def _scan(rows, read=None) -> tuple[list[int], tuple[int, int] | None]:
+    """The support of a square matrix, and its first asymmetry, in one pass.
 
     The support is the indices whose row and column both hold a nonzero
     entry.  The first asymmetry is the first (i, j), j < i in row-major
     order, with rows[i][j] != rows[j][i], or None.  Only nonzero entries
     are compared with their mirror: a zero entry whose mirror is nonzero
     is found from the mirror's side.
+
+    An entry is nonzero when it tests true, or, given `read`, when
+    read(entry) does; `read` runs on every entry, so it must be a C
+    callable to keep the pass free of Python frames.  A zero row is
+    rejected by one `any`.
     """
     nonzero_rows = []
     nonzero_cols = set()
     bad = None
     for i, row in enumerate(rows):
-        cols = list(compress(range(len(row)), row))
-        if not cols:
+        if not any(row if read is None else map(read, row)):
             continue
+        cols = list(compress(range(len(row)), row if read is None else map(read, row)))
         nonzero_rows.append(i)
         nonzero_cols.update(cols)
         for j in cols:
@@ -183,22 +213,22 @@ def _scan(rows) -> tuple[tuple[tuple, ...], tuple[int, int] | None]:
                 pair = (max(i, j), min(i, j))
                 if bad is None or pair < bad:
                     bad = pair
-    support = [i for i in nonzero_rows if i in nonzero_cols]
-    return tuple(tuple(rows[i][j] for j in support) for i in support), bad
+    return [i for i in nonzero_rows if i in nonzero_cols], bad
 
 
 def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """A B, visiting only the nonzero entries of both factors."""
     n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i, row in enumerate(A):
-        out_i = out[i]
-        for k, a in enumerate(row):
-            if a:
-                Bk = B[k]
-                for j in range(n):
-                    b = Bk[j]
-                    if b:
-                        out_i[j] += a * b
+    cols = range(n)
+    # each row of B as its nonzero (column, entry) pairs
+    sparse = [list(zip(compress(cols, row), compress(row, row))) for row in B]
+    out = []
+    for row in A:
+        acc = [0] * n
+        for k, a in zip(compress(cols, row), compress(row, row)):
+            for j, b in sparse[k]:
+                acc[j] += a * b
+        out.append(acc)
     return out
 
 
@@ -213,9 +243,11 @@ def _power_traces(H, ells) -> dict[int, int]:
     if any(ell < 1 for ell in ells):
         raise ValueError("trace powers must be at least 1")
     n = len(H)
-    powers = {0: [[int(i == j) for j in range(n)] for i in range(n)], 1: H}
+    powers = {1: H}
 
     def get(e: int):
+        if e == 0:
+            return [[int(i == j) for j in range(n)] for i in range(n)]
         if e not in powers:
             p = max(k for k in powers if k < e)
             powers[e] = _mat_mul(powers[p], get(e - p))
@@ -224,7 +256,7 @@ def _power_traces(H, ells) -> dict[int, int]:
     out = {}
     for ell in sorted(ells):
         A, B = get(ell // 2), get(ell - ell // 2)
-        out[ell] = sum(a * b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+        out[ell] = sum(sum(map(mul, ra, rb)) for ra, rb in zip(A, B))
     return {ell: out[ell] for ell in ells}
 
 
@@ -321,19 +353,36 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
 
     The host-size normalization cancels in both ratios, so this works on
     count and density matrices alike.  A matrix that is not square or not
-    symmetric raises ValueError.  The traces are taken in integers, on the
-    support times the lcm `den` of its denominators: that scales tr H^l by
-    den^l, which x and y do not see and p_l divides out.
+    symmetric raises ValueError.  Each support entry is read exactly by
+    `_ratio`, as `region.in_region` reads a coordinate, so a float is the
+    dyadic rational it holds; a NaN, an infinity or a non-number raises
+    ValueError or TypeError naming its (i, j).  The traces are taken in
+    integers, on the support times the lcm `den` of its denominators: that
+    scales tr H^l by den^l, which x and y do not see and p_l divides out.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    H, bad = _scan(rows)
+    try:
+        support, bad = _scan(rows, _numerator)
+    except AttributeError:  # an entry that is not a Fraction: test the entries themselves
+        support, bad = _scan(rows)
     if bad is not None:
+        for i, j in (bad, bad[::-1]):
+            _entry(rows, i, j)  # a NaN is unequal to itself: refuse it as a NaN
         raise ValueError(f"matrix not symmetric at {bad}")
-    den = math.lcm(*(c.denominator for row in H for c in row))
-    H = [[int(c.numerator) * (den // int(c.denominator)) for c in row] for row in H]
+    ratios = [[_entry(rows, i, j) for j in support] for i in support]
+    den = math.lcm(*(d for row in ratios for _, d in row))
+    H = [[a * (den // d) for a, d in row] for row in ratios]
     return _xy(H, den)
+
+
+def _entry(rows, i: int, j: int) -> tuple[int, int]:
+    """rows[i][j] read by `_ratio`; a refusal names the entry."""
+    try:
+        return _ratio(rows[i][j])
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"matrix entry ({i}, {j}): {exc}") from None
 
 
 def xy_point(dm: DensityMatrix) -> XYPoint:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tournhom import suites
+from tournhom import cli, suites
 from tournhom.cli import _scientific, main
 from tournhom.digraphs import (
     Digraph,
@@ -37,6 +37,7 @@ from tournhom.reduction import (
     parse_poly_text,
     save_reduced,
 )
+from tournhom.spectral import xy_from_matrix
 from tournhom.suites import ExperimentConfig
 
 
@@ -274,6 +275,30 @@ class TestXY:
         (tmp_path / "m.csv").write_text(text)
         assert run(["xy", "--matrix", tmp_path / "m.csv"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_repeated_tokens_parsed_once_and_a_bad_one_named(self, tmp_path, capsys):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        rows = [[0, half, third, half], [half, 0, half, third], [third, half, 0, half],
+                [half, third, half, 0]]
+        csv_path = self.write_csv(tmp_path / "m.csv", rows)
+        parsed = []
+
+        def counting(tok):
+            parsed.append(tok)
+            return Fraction(tok)
+
+        with mock.patch.object(cli, "Fraction", counting):
+            assert run(["xy", "--matrix", csv_path]) == 0
+            assert sorted(parsed) == ["0", "1/2", "1/3"]
+            pt = xy_from_matrix(rows)
+            assert json.loads(capsys.readouterr().out) == {
+                "x": pt.x, "y": pt.y, "x_exact": str(pt.x_exact), "y_exact": str(pt.y_exact)
+            }
+            lines = csv_path.read_text().splitlines()
+            lines[3] = lines[3].replace("1/2", "1//2", 1)
+            csv_path.write_text("\n".join(lines) + "\n")
+            assert run(["xy", "--matrix", csv_path]) == 2
+        assert "m.csv, line 4: not a row of exact rationals" in capsys.readouterr().err
 
     def test_huge_entries(self, tmp_path, capsys):
         c = 10**400

@@ -30,6 +30,7 @@ from tournhom.spectral import (
     DensityMatrix,
     PatternVerdict,
     _power_traces,
+    _ratio,
     _scaled_eigenvalues,
     density_matrices,
     density_matrix,
@@ -218,6 +219,23 @@ class TestSupport:
             assert {ell: necklace_count_trace(dm, ell) for ell in self.ELLS} == expected
             assert _power_traces(H, self.ELLS) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sparse_products_match_dense_reference(self, data):
+        # blocks on random indices, zero rows between them: the support of a sweep
+        n = data.draw(st.integers(1, 12))
+        block = data.draw(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=n, max_size=n))
+        entries = st.integers(-(10**12), 10**12) | st.just(0)
+        H = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if block[i] is not None and block[i] == block[j]:
+                    H[i][j] = H[j][i] = data.draw(entries)
+        ells = (1, 2, 3, 4, 8, 12)
+        expected = object_traces(H, ells)
+        assert _power_traces(H, ells) == expected
+        assert _power_traces(synthetic(H).support, ells) == expected
+
     def test_symmetric_support_takes_three_products(self, monkeypatch):
         import tournhom.spectral as spectral
 
@@ -387,6 +405,53 @@ class TestXYFromMatrix:
         with pytest.raises(ValueError, match=r"not symmetric at \(2, 1\)"):
             xy_from_matrix([[0, 1, 1], [1, 0, 0], [1, 4, 0]])
 
+    def test_asymmetric_denominators_rejected(self):
+        # equal numerators do not make equal entries; all Fractions, so the
+        # numerators are what the scan tests
+        zero = Fraction(0)
+        with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+            xy_from_matrix([[zero, Fraction(1, 2)], [Fraction(1, 3), zero]])
+
+    def test_every_way_of_writing_a_matrix_reads_alike(self):
+        counts = random_symmetric(random.Random(8), 9, [1, 6])
+
+        class Sub(Fraction):
+            pass
+
+        shared = Fraction(0)
+        written = [
+            [[Fraction(c) for c in row] for row in counts],
+            counts,
+            [[c if (i + j) % 2 else Fraction(c) for j, c in enumerate(row)]
+             for i, row in enumerate(counts)],
+            [[Sub(c) for c in row] for row in counts],
+            [[Fraction(c) if c else Fraction(0, 7) for c in row] for row in counts],
+            [[Fraction(c) if c else shared for c in row] for row in counts],
+        ]
+        points = [xy_from_matrix(rows) for rows in written]
+        assert all(pt == points[0] for pt in points)
+
+    def test_floats_read_exactly(self):
+        floats = [[0.0, 0.1, 2.5], [0.1, 0.0, 1e-300], [2.5, 1e-300, 0.0]]
+        twin = xy_from_matrix([[Fraction(c) for c in row] for row in floats])
+        for rows in (floats, np.array(floats)):
+            pt = xy_from_matrix(rows)
+            assert (pt.x_exact, pt.y_exact) == (twin.x_exact, twin.y_exact)
+            assert pt == twin
+
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ("1", TypeError, r"matrix entry \(0, 1\): cannot read str"),
+            (math.nan, ValueError, r"matrix entry \(1, 0\): nan is not a point"),
+            (math.inf, ValueError, r"matrix entry \(0, 1\): inf is not a point"),
+        ],
+        ids=["str", "nan", "inf"],
+    )
+    def test_non_numbers_refused_by_index(self, entry, error, message):
+        with pytest.raises(error, match=message):
+            xy_from_matrix([[0, entry, 0], [entry, 0, 1], [0, 1, 0]])
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="not square"):
             xy_from_matrix([[0, 1], [1]])
@@ -402,6 +467,22 @@ class TestXYFromMatrix:
         for pt in points:
             assert pt.x_exact == pt.x == 0.5
             assert pt.y_exact == pt.y == 0.25
+
+
+class TestExactReader:
+    def test_fraction_slot_layout(self):
+        # `_ratio` and `xy_from_matrix` read these slots directly
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    def test_ratio_agrees_with_integer_ratio(self):
+        class Sub(Fraction):
+            pass
+
+        values = [Fraction(-7, 3), Sub(5, 4), -12, True, 0.1, np.int64(-9), np.float64(2.75)]
+        for v in values:
+            got = _ratio(v)
+            assert got == Fraction(v).as_integer_ratio()
+            assert tuple(map(type, got)) == (int, int)
 
 
 class TestPatternCheck:
