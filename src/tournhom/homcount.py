@@ -24,8 +24,9 @@ in-degrees of its in-neighbours.  The domain of v is the set of host
 vertices that pass all four (`_domains`).  It is computed with numpy
 once per plan and host, kept in the plan under the host's identity, and
 dropped when the host is: the pinned and planted hosts of a run compute
-it once, a sweep's component hosts once per call.  No map is lost, so
-every count, matrix and set of maps is what it would be without them.
+it once, and so do the component hosts of a sweep, which are kept with
+their host.  No map is lost, so every count, matrix and set of maps is
+what it would be without them.
 
 The search state is a list of classes.  Forward checking (Haralick and
 Elliott 1980) is the only step that narrows a vertex's candidate mask of
@@ -83,10 +84,13 @@ of the host's strong components, and its block on a component C is the
 matrix of the subdigraph induced on C, since a map into C reads only arcs
 inside C.  So such a sweep runs once per component, on that subdigraph
 relabelled in ascending order, and components whose relabelled out-masks
-are equal (the blocks of a stacked host) share one sweep.  The search
-makes the same decisions on a sub-host as on any other host.  Patterns
-that are not strongly connected, and hosts of one component, are swept
-whole.
+are equal (the blocks of a stacked host) share one sub-host and one
+sweep.  The sub-hosts are built on a host's first sweep and kept, under
+the host's identity, until the host is dropped; counts and matrices are
+never kept.  The search makes the same decisions on a sub-host as on any
+other host.  Patterns that are not strongly connected, and hosts of one
+component, are swept whole.  A sweep makes a row of a matrix only when a
+map first adds to it, so the work after the search is on touched rows.
 
 The search runs on an explicit stack, and the plan builder does not
 recurse either, so pattern size is bounded by memory, not by the
@@ -108,6 +112,7 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -703,43 +708,71 @@ def rooted_count_matrices(
     component of T is swept on its own, and components with equal
     relabelled out-masks share one sweep (the block-diagonal sweep of the
     module docstring).  `max_nodes` bounds the nodes of the whole call.
+    Each matrix is T.n fresh row lists.
     """
     patterns = tuple(patterns)
     if not patterns:
         return []
     sp = _sweep_plan(patterns)
-    comps = T.strong_components if sp.strong else ()
-    if len(comps) < 2:
-        return _sweep(sp, T, max_nodes)[0]
-    totals = [[[0] * T.n for _ in range(T.n)] for _ in patterns]
-    swept: dict[tuple[int, ...], list[list[list[int]]]] = {}
-    left = max_nodes
-    for comp in comps:
+    n = T.n
+    if not sp.strong or len(T.strong_components) < 2:
+        mats = _sweep(sp, T, max_nodes)[0]
+    else:
+        mats = [[None] * n for _ in patterns]
+        swept: dict[int, list[list[list[int] | None]]] = {}
+        left = max_nodes
+        for verts, sub in _component_hosts(T):
+            if id(sub) not in swept:
+                swept[id(sub)], left = _sweep(sp, sub, left)
+            for total, S in zip(mats, swept[id(sub)]):
+                for x, sub_row in zip(verts, S):
+                    if sub_row is not None:
+                        row = total[x] = [0] * n
+                        for j in itertools.compress(range(len(verts)), sub_row):
+                            row[verts[j]] = sub_row[j]
+    return [[[0] * n if row is None else row for row in S] for S in mats]
+
+
+# id(host) -> (vertices, sub-host) of each strong component of the host
+_components: dict[int, tuple[tuple[tuple[int, ...], Digraph], ...]] = {}
+
+
+def _component_hosts(T: Digraph) -> tuple[tuple[tuple[int, ...], Digraph], ...]:
+    """Each strong component of T: its vertices, ascending, and the subdigraph
+    they induce, relabelled in that order.  Components whose relabelled
+    out-masks are equal share one sub-host.  Kept as the domains are, under
+    the host's identity and dropped with it, so the sweeps of one host build
+    the sub-hosts, and their domains, once."""
+    known = _components.get(id(T))
+    if known is not None:
+        return known
+    subs: dict[tuple[int, ...], Digraph] = {}
+    found = []
+    for comp in T.strong_components:
         verts = _bits(comp)
         rows = tuple(gather_rows(T, verts))
-        if rows not in swept:
-            swept[rows], left = _sweep(sp, Digraph.from_out_masks(len(verts), rows), left)
-        for total, sub in zip(totals, swept[rows]):
-            for x, sub_row in zip(verts, sub):
-                row = total[x]
-                for j in itertools.compress(range(len(verts)), sub_row):
-                    row[verts[j]] = sub_row[j]
-    return totals
+        if rows not in subs:
+            subs[rows] = Digraph.from_out_masks(len(verts), rows)
+        found.append((verts, subs[rows]))
+    _components[id(T)] = known = tuple(found)
+    weakref.finalize(T, _components.pop, id(T), None)
+    return known
 
 
 def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
     """The sweep's matrices on all of T, one enumeration per part of the core,
     and what is left of the node budget `left`.  At each map, a root may go
     to the host vertices with the arcs it needs to and from the images of
-    its core neighbours."""
+    its core neighbours.  A row is made when a map first adds to it; a row
+    that no map of some part touched is None."""
     n, full, sides = T.n, (1 << T.n) - 1, (T.in_masks, T.out_masks)
     state = _start(sp.plan, T, {})
     if state is None:  # a part's clique has more vertices than T
-        return [[[0] * n for _ in range(n)] for _ in sp.roots], left
+        return [[None] * n for _ in sp.roots], left
     classes, images = state
-    totals: list[list[list[int]]] | None = None
+    totals: list[list[list[int] | None]] | None = None
     for i, part in enumerate(sp.plan.parts):
-        mats = [[[0] * n for _ in range(n)] for _ in sp.roots]
+        mats: list[list[list[int] | None]] = [[None] * n for _ in sp.roots]
         # each root's arcs with the host masks they read: in-masks for root -> u
         here = [[[(u, sides[k]) for u, k in arcs] for arcs in roots[i]] for roots in sp.roots]
 
@@ -757,6 +790,8 @@ def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
                     ys = _bits(ys)
                     for x in _bits(xs):
                         row = S[x]
+                        if row is None:
+                            row = S[x] = [0] * n
                         for y in ys:
                             row[y] += 1
 
@@ -769,9 +804,9 @@ def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):
             totals = mats
             continue
         for total, S in zip(totals, mats):
-            for tx, sx in zip(total, S):
-                for y in range(n):
-                    tx[y] *= sx[y]
+            for x, (tx, sx) in enumerate(zip(total, S)):
+                if tx is not None:
+                    total[x] = None if sx is None else list(map(mul, tx, sx))
     if totals is None:
         totals = [[[1] * n for _ in range(n)] for _ in sp.roots]
     return totals, left

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from numbers import Rational
+from numbers import Number, Rational
 from operator import attrgetter, itemgetter, mul
 from typing import Sequence
 
@@ -151,11 +151,12 @@ def density_matrices(
 
 def _glued(dg: DoubledGadget, left, right) -> DensityMatrix:
     """The parallel gluing of the two halves: their root-pair matrices multiplied
-    entrywise.  A zero row of `left` is one shared zero row, and its row of
-    `right`, which may be an iterator, is not read."""
+    entrywise.  A row of `left` that is one shared zero (`_zero_row`) is
+    one shared zero row, and its row of `right`, which may be an iterator,
+    is not read."""
     zero = (0,) * len(left)
     counts = tuple(
-        tuple(map(mul, lrow, rrow)) if any(lrow) else zero for lrow, rrow in zip(left, right)
+        zero if _zero_row(lrow) else tuple(map(mul, lrow, rrow)) for lrow, rrow in zip(left, right)
     )
     return DensityMatrix(order=len(counts), m=dg.m, counts=counts)
 
@@ -185,6 +186,27 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"cannot read {type(value).__name__} as an exact number")
 
 
+def _zero_row(row, read=None) -> bool:
+    """Whether a list or tuple row is zero, by one C pass: its first two
+    entries are one object, that object is zero (it tests false, or, given
+    `read`, read(object) does), and every entry equals it.  `list.count`
+    compares by identity first, so a row of one shared zero costs about
+    1 ns an entry: the zeros of `[z] * n`, of small ints and of the CLI's
+    reader.  An entry that is another object is compared by `==`, which no
+    NaN or None passes, so the rule is exact for any row.  The guard reads
+    the second entry, not the last: on rows of distinct zero objects,
+    reading the last entry first made the scan about 2.5% slower.  Any
+    other row, and a numpy row, is False here and is read entry by entry."""
+    if (type(row) is list or type(row) is tuple) and row:
+        z = row[0]
+        return (
+            (len(row) == 1 or z is row[1])
+            and not (z if read is None else read(z))
+            and row.count(z) == len(row)
+        )
+    return False
+
+
 def _scan(rows, read=None) -> tuple[list[int], tuple[int, int] | None]:
     """The support of a square matrix, and its first asymmetry, in one pass.
 
@@ -196,14 +218,14 @@ def _scan(rows, read=None) -> tuple[list[int], tuple[int, int] | None]:
 
     An entry is nonzero when it tests true, or, given `read`, when
     read(entry) does; `read` runs on every entry, so it must be a C
-    callable to keep the pass free of Python frames.  A zero row is
-    rejected by one `any`.
+    callable to keep the pass free of Python frames.  A row of one shared
+    zero is passed over by `_zero_row`, any other zero row by one `any`.
     """
     nonzero_rows = []
     nonzero_cols = set()
     bad = None
     for i, row in enumerate(rows):
-        if not any(row if read is None else map(read, row)):
+        if _zero_row(row, read) or not any(row if read is None else map(read, row)):
             continue
         cols = list(compress(range(len(row)), row if read is None else map(read, row)))
         nonzero_rows.append(i)
@@ -355,10 +377,11 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     count and density matrices alike.  A matrix that is not square or not
     symmetric raises ValueError.  Each support entry is read exactly by
     `_ratio`, as `region.in_region` reads a coordinate, so a float is the
-    dyadic rational it holds; a NaN, an infinity or a non-number raises
-    ValueError or TypeError naming its (i, j).  The traces are taken in
-    integers, on the support times the lcm `den` of its denominators: that
-    scales tr H^l by den^l, which x and y do not see and p_l divides out.
+    dyadic rational it holds; a NaN, an infinity or a non-number, even
+    one that tests false, raises ValueError or TypeError naming its
+    (i, j).  The traces are taken in integers, on the support times the
+    lcm `den` of its denominators: that scales tr H^l by den^l, which x
+    and y do not see and p_l divides out.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -366,6 +389,7 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     try:
         support, bad = _scan(rows, _numerator)
     except AttributeError:  # an entry that is not a Fraction: test the entries themselves
+        _refuse_non_numbers(rows)
         support, bad = _scan(rows)
     if bad is not None:
         for i, j in (bad, bad[::-1]):
@@ -375,6 +399,36 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     den = math.lcm(*(d for row in ratios for _, d in row))
     H = [[a * (den // d) for a, d in row] for row in ratios]
     return _xy(H, den)
+
+
+def _refuse_non_numbers(rows) -> None:
+    """Refuse, as `_entry` does, the first entry in row-major order that is
+    not a `numbers.Number`: a truth test would read None, "" or [] as zero.
+
+    Each row is checked in C.  A numpy matrix of a numeric dtype passes at
+    once, and a row of one shared zero (`_zero_row`) by that object.  A row
+    that starts with a float passes when `math.fsum` reads it, at about
+    10 ns an entry on floats and ints; any other row passes when the set of
+    its entries' types holds only numbers, at about 35 ns an entry of any
+    type, since fsum runs Python code on a Fraction.  Only a row that does
+    not pass is searched entry by entry."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biufc":
+        return
+    for i, row in enumerate(rows):
+        if _zero_row(row):
+            passed = isinstance(row[0], Number)
+        elif type(row[0]) is float:
+            try:
+                math.fsum(row)
+                passed = True
+            except (TypeError, ValueError, OverflowError):
+                passed = False
+        else:
+            passed = all(issubclass(kind, Number) for kind in set(map(type, row)))
+        if not passed:
+            for j, c in enumerate(row):
+                if not isinstance(c, Number):
+                    _entry(rows, i, j)
 
 
 def _entry(rows, i: int, j: int) -> tuple[int, int]:

@@ -300,6 +300,13 @@ class TestXY:
             assert run(["xy", "--matrix", csv_path]) == 2
         assert "m.csv, line 4: not a row of exact rationals" in capsys.readouterr().err
 
+    def test_zero_tokens_read_as_one_object(self, tmp_path):
+        # the zero-row rule of `spectral._zero_row` serves the rows this makes
+        rows = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+        read = cli._read_matrix_csv(self.write_csv(tmp_path / "m.csv", rows))
+        assert read == rows
+        assert len({id(c) for row in read for c in row if c == 0}) == 1
+
     def test_huge_entries(self, tmp_path, capsys):
         c = 10**400
         csv_path = self.write_csv(tmp_path / "m.csv", [[0, c], [c, 0]])

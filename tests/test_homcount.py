@@ -841,12 +841,22 @@ class TestDomains:
         del T
         gc.collect()
         assert host() is None and plan.domains == {}
-        # a block-diagonal sweep builds each component's host in the call:
-        # none of their domains is left once it returns
+        # a block-diagonal sweep keeps each component's sub-host with the
+        # host, and so their domains: a second call builds neither, and
+        # both are gone once the host is
         T = forward_stack([random_tournament(5, 1), random_tournament(6, 2)])
-        rooted_count_matrices([C4], T)
+        first = rooted_count_matrices([C4], T)
+        subs = homcount._component_hosts(T)
+        domains = homcount._sweep_plan((C4,)).plan.domains
+        kept = dict(domains)
+        assert kept and set(kept) <= {id(sub) for _, sub in subs}
+        assert rooted_count_matrices([C4], T) == first
+        assert homcount._component_hosts(T) is subs and domains == kept
+        key, host, sub_hosts = id(T), weakref.ref(T), [weakref.ref(sub) for _, sub in subs]
+        del T, subs, kept
         gc.collect()
-        assert homcount._sweep_plan((C4,)).plan.domains == {}
+        assert host() is None and all(sub() is None for sub in sub_hosts)
+        assert key not in homcount._components and domains == {}
 
 
 def forward_stack(blocks):
@@ -946,6 +956,51 @@ class TestBlockDiagonalSweep:
                     for x in range(T.n):
                         i, bx = divmod(x, block.n)
                         assert S[x] == [0] * (i * block.n) + B[bx] + [0] * ((r - i - 1) * block.n)
+
+
+class TestSweepCalls:
+    """What a sweep keeps between calls on one host is its component
+    sub-hosts: never a count, a matrix or a row."""
+
+    HOSTS = {
+        "equal": [random_tournament(5, 3)] * 3,
+        "unequal": [random_tournament(4, 1), random_tournament(6, 2), random_tournament(5, 4)],
+    }
+
+    @pytest.mark.parametrize("blocks", sorted(HOSTS))
+    @pytest.mark.parametrize("patterns", [[C4], [TWO_CYCLES, ONE_CYCLE]], ids=["c4", "shared-core"])
+    def test_first_and_second_call_match_pinned_counts(self, blocks, patterns):
+        T = forward_stack(self.HOSTS[blocks])
+        assert len(T.strong_components) > 1
+        for _ in range(2):
+            result = rooted_count_matrices(patterns, T)
+            for F, S in zip(patterns, result):
+                assert S == [[count_hom_rooted(F, T, x, y) for y in range(T.n)] for x in range(T.n)]
+
+    @pytest.mark.parametrize("blocks", sorted(HOSTS))
+    def test_returned_rows_are_fresh(self, blocks):
+        # with a one-vertex block, so that zero rows and touched rows both show
+        T = forward_stack(self.HOSTS[blocks] + [Digraph(1, [])])
+        patterns = [TWO_CYCLES, ONE_CYCLE]
+        first = rooted_count_matrices(patterns, T)
+        expected = [[list(row) for row in S] for S in first]
+        rows = [row for S in first for row in S]
+        assert any(map(any, rows)) and not all(map(any, rows))
+        assert len(set(map(id, rows))) == len(patterns) * T.n
+        for row in rows:
+            row[0] = -1
+        assert rooted_count_matrices(patterns, T) == expected
+
+    @pytest.mark.parametrize("blocks", sorted(HOSTS))
+    def test_budget_holds_on_each_call(self, blocks):
+        T = forward_stack(self.HOSTS[blocks])
+        run = lambda b: rooted_count_matrices([TWO_CYCLES, ONE_CYCLE], T, max_nodes=b)
+        result, k = search_nodes(run)
+        assert k
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                run(k - 1)
+            assert run(k) == result
 
 
 class TestLongPattern:

@@ -29,9 +29,11 @@ from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
     PatternVerdict,
+    _numerator,
     _power_traces,
     _ratio,
     _scaled_eigenvalues,
+    _scan,
     density_matrices,
     density_matrix,
     graphon_pattern_check,
@@ -101,6 +103,22 @@ class TestDensityMatrix:
         with pytest.raises(BudgetExceededError):
             density_matrices(doubled, t, max_nodes=1)
         assert density_matrices(doubled, t, max_nodes=10**6) == density_matrices(doubled, t)
+
+    def test_one_sweep_is_one_public_call(self, monkeypatch):
+        # the sweep stays behind homcount's public name, so a trace of the
+        # calls between layers books it to homcount
+        import tournhom.spectral as spectral
+
+        calls = []
+        real = spectral.rooted_count_matrices
+        monkeypatch.setattr(
+            spectral, "rooted_count_matrices", lambda *a: calls.append(1) or real(*a)
+        )
+        doubled = toy_family(3, (2, 1)).doubled
+        t = rotational_tournament(9)
+        for i in range(1, 3):
+            density_matrices(doubled, t)
+            assert len(calls) == i
 
     def test_one_sweep_needs_one_base(self):
         t = random_tournament(5, 0)
@@ -235,6 +253,50 @@ class TestSupport:
         expected = object_traces(H, ells)
         assert _power_traces(H, ells) == expected
         assert _power_traces(synthetic(H).support, ells) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_zero_row_rule_matches_plain_scan(self, data):
+        # rows of one shared zero, of distinct zeros and of int zeros, and
+        # rows of the shared zero but for one entry: nonzero, a distinct
+        # zero, NaN or None, first, second, last or between
+        shared = Fraction(0)
+        n = data.draw(st.integers(1, 7))
+        other = st.sampled_from(["nonzero", "distinct", "nan", "none"])
+        entry = st.sampled_from(["shared", "distinct", "int", "nonzero"])
+        rows = []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["shared", "distinct", "int", "one-off", "mixed"]))
+            row = [shared] * n
+            if kind == "distinct":
+                row = [Fraction(0) for _ in range(n)]
+            elif kind == "int":
+                row = [0] * n
+            elif kind == "one-off":
+                row[data.draw(st.integers(0, n - 1))] = {
+                    "nonzero": Fraction(data.draw(st.integers(1, 3))),
+                    "distinct": Fraction(0),
+                    "nan": math.nan,
+                    "none": None,
+                }[data.draw(other)]
+            elif kind == "mixed":
+                zeros = {"shared": shared, "distinct": Fraction(0), "int": 0}
+                row = [
+                    zeros[e] if e in zeros else Fraction(data.draw(st.integers(1, 3)))
+                    for e in data.draw(st.lists(entry, min_size=n, max_size=n))
+                ]
+            rows.append(data.draw(st.sampled_from([list, tuple]))(row))
+
+        def plain(read):
+            nonzero = [[bool(read(c)) for c in row] for row in rows]
+            support = [i for i in range(n) if any(nonzero[i]) and any(r[i] for r in nonzero)]
+            pairs = [(max(i, j), min(i, j)) for i in range(n) for j in range(n)
+                     if nonzero[i][j] and rows[j][i] != rows[i][j]]
+            return support, min(pairs, default=None)
+
+        assert _scan(rows) == plain(lambda c: c)
+        if all(type(c) is Fraction for row in rows for c in row):
+            assert _scan(rows, _numerator) == plain(_numerator)
 
     def test_symmetric_support_takes_three_products(self, monkeypatch):
         import tournhom.spectral as spectral
@@ -451,6 +513,31 @@ class TestXYFromMatrix:
     def test_non_numbers_refused_by_index(self, entry, error, message):
         with pytest.raises(error, match=message):
             xy_from_matrix([[0, entry, 0], [entry, 0, 1], [0, 1, 0]])
+
+    @pytest.mark.parametrize("entry", [None, "", []], ids=["None", "empty-str", "empty-list"])
+    @pytest.mark.parametrize("zero", [0, 0.0], ids=["int-row", "float-row"])
+    def test_falsy_non_numbers_refused_by_index(self, entry, zero):
+        # a truth test reads each as a zero; rows that start with a float
+        # are checked by fsum, the others by their entries' types
+        with pytest.raises(TypeError, match=r"matrix entry \(0, 1\): cannot read"):
+            xy_from_matrix([[zero + 1, entry], [entry, zero]])
+        # a row of one shared non-number
+        with pytest.raises(TypeError, match=r"matrix entry \(1, 0\): cannot read"):
+            xy_from_matrix([[zero + 1, zero], [entry] * 2])
+
+    def test_float_rows_that_fsum_refuses_are_read(self):
+        big = 10**400
+        assert xy_from_matrix([[0.0, big], [big, 0.0]]).x_exact == Fraction(1, 2)
+        # the first row's sum overflows a float
+        rows = [[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]
+        assert xy_from_matrix(rows) == xy_from_matrix([[Fraction(c) for c in row] for row in rows])
+
+    def test_numpy_floats_with_zero_rows_read_as_their_twin(self):
+        H = random_symmetric(random.Random(9), 12, [0, 5, 11])
+        floats = np.array(H, dtype=float) / 8
+        twin = xy_from_matrix([[Fraction(c, 8) for c in row] for row in H])
+        assert xy_from_matrix(floats) == twin
+        assert xy_from_matrix(floats.tolist()) == twin
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="not square"):
