@@ -5,10 +5,11 @@ bit masks (bit u of out_mask(v) is set iff the arc (v, u) is present),
 which makes neighborhood intersection the cheap primitive the
 homomorphism search needs.  Every constructor ends in one core that checks
 the out-masks and derives the in-masks from them; the builders here and
-in `gadgets` and `hosts` write masks directly.  The arc set `arcs` and
-the strong components `strong_components` are derived from the masks on
-first read.  All types are immutable after construction.  A quantum
-digraph keeps its terms as given, since its density is linear in them.
+in `gadgets` and `hosts` write masks directly.  The arc set `arcs`, the
+strong components `strong_components` and the components' relabelled
+sub-hosts are derived from the masks on first read.  All types are
+immutable after construction.  A quantum digraph keeps its terms as
+given, since its density is linear in them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Digraph:
 
     # weak references let a search keep what it learns of a host only while
     # the host lives
-    __slots__ = ("n", "_out", "_in", "_arcs", "_strong", "__weakref__")
+    __slots__ = ("n", "_out", "_in", "_arcs", "_strong", "_hosts", "__weakref__")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         out = [0] * max(n, 0)
@@ -92,6 +93,7 @@ class Digraph:
         self._in = _transpose(n, out)
         self._arcs = None
         self._strong = None
+        self._hosts = None
         self._validate()
 
     def _validate(self) -> None:
@@ -129,6 +131,24 @@ class Digraph:
         if self._strong is None:
             self._strong = _strong_components(self.n, self._out, self._in)
         return self._strong
+
+    def _component_hosts(self) -> tuple[tuple[tuple[int, ...], Digraph], ...]:
+        """Each strong component: its vertices, ascending, and the subdigraph
+        they induce, relabelled in that order.  Components whose relabelled
+        out-masks are equal share one sub-host.  Derived on first call and
+        kept, so what a search keeps of a sub-host lives as long as this
+        digraph."""
+        if self._hosts is None:
+            subs: dict[tuple[int, ...], Digraph] = {}
+            found = []
+            for comp in self.strong_components:
+                verts = _bits(comp)
+                rows = tuple(gather_rows(self, verts))
+                if rows not in subs:
+                    subs[rows] = Digraph.from_out_masks(len(verts), rows)
+                found.append((verts, subs[rows]))
+            self._hosts = tuple(found)
+        return self._hosts
 
     @property
     def arc_count(self) -> int:

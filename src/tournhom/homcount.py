@@ -24,9 +24,9 @@ in-degrees of its in-neighbours.  The domain of v is the set of host
 vertices that pass all four (`_domains`).  It is computed with numpy
 once per plan and host, kept in the plan under the host's identity, and
 dropped when the host is: the pinned and planted hosts of a run compute
-it once, and so do the component hosts of a sweep, which are kept with
-their host.  No map is lost, so every count, matrix and set of maps is
-what it would be without them.
+it once, and so do the component hosts of a sweep, which their host
+keeps (`Digraph._component_hosts`).  No map is lost, so every count,
+matrix and set of maps is what it would be without them.
 
 The search state is a list of classes.  Forward checking (Haralick and
 Elliott 1980) is the only step that narrows a vertex's candidate mask of
@@ -721,7 +721,7 @@ def rooted_count_matrices(
         mats = [[None] * n for _ in patterns]
         swept: dict[int, list[list[list[int] | None]]] = {}
         left = max_nodes
-        for verts, sub in _component_hosts(T):
+        for verts, sub in T._component_hosts():
             if id(sub) not in swept:
                 swept[id(sub)], left = _sweep(sp, sub, left)
             for total, S in zip(mats, swept[id(sub)]):
@@ -731,32 +731,6 @@ def rooted_count_matrices(
                         for j in itertools.compress(range(len(verts)), sub_row):
                             row[verts[j]] = sub_row[j]
     return [[[0] * n if row is None else row for row in S] for S in mats]
-
-
-# id(host) -> (vertices, sub-host) of each strong component of the host
-_components: dict[int, tuple[tuple[tuple[int, ...], Digraph], ...]] = {}
-
-
-def _component_hosts(T: Digraph) -> tuple[tuple[tuple[int, ...], Digraph], ...]:
-    """Each strong component of T: its vertices, ascending, and the subdigraph
-    they induce, relabelled in that order.  Components whose relabelled
-    out-masks are equal share one sub-host.  Kept as the domains are, under
-    the host's identity and dropped with it, so the sweeps of one host build
-    the sub-hosts, and their domains, once."""
-    known = _components.get(id(T))
-    if known is not None:
-        return known
-    subs: dict[tuple[int, ...], Digraph] = {}
-    found = []
-    for comp in T.strong_components:
-        verts = _bits(comp)
-        rows = tuple(gather_rows(T, verts))
-        if rows not in subs:
-            subs[rows] = Digraph.from_out_masks(len(verts), rows)
-        found.append((verts, subs[rows]))
-    _components[id(T)] = known = tuple(found)
-    weakref.finalize(T, _components.pop, id(T), None)
-    return known
 
 
 def _sweep(sp: _SweepPlan, T: Digraph, left: int | None):

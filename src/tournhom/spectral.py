@@ -405,27 +405,16 @@ def _refuse_non_numbers(rows) -> None:
     """Refuse, as `_entry` does, the first entry in row-major order that is
     not a `numbers.Number`: a truth test would read None, "" or [] as zero.
 
-    Each row is checked in C.  A numpy matrix of a numeric dtype passes at
-    once, and a row of one shared zero (`_zero_row`) by that object.  A row
-    that starts with a float passes when `math.fsum` reads it, at about
-    10 ns an entry on floats and ints; any other row passes when the set of
-    its entries' types holds only numbers, at about 35 ns an entry of any
-    type, since fsum runs Python code on a Fraction.  Only a row that does
-    not pass is searched entry by entry."""
+    One check, in C, on the types of each row's entries: a row of one
+    shared zero (`_zero_row`) has the type of that object, any other row
+    the set of its entries' types, at about 35 ns an entry.  A numpy
+    matrix of a numeric dtype passes by its dtype, as iterating it would
+    box every entry.  Only a row that fails is searched entry by entry."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "biufc":
         return
     for i, row in enumerate(rows):
-        if _zero_row(row):
-            passed = isinstance(row[0], Number)
-        elif type(row[0]) is float:
-            try:
-                math.fsum(row)
-                passed = True
-            except (TypeError, ValueError, OverflowError):
-                passed = False
-        else:
-            passed = all(issubclass(kind, Number) for kind in set(map(type, row)))
-        if not passed:
+        kinds = (type(row[0]),) if _zero_row(row) else set(map(type, row))
+        if not all(issubclass(kind, Number) for kind in kinds):
             for j, c in enumerate(row):
                 if not isinstance(c, Number):
                     _entry(rows, i, j)

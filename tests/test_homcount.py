@@ -841,22 +841,20 @@ class TestDomains:
         del T
         gc.collect()
         assert host() is None and plan.domains == {}
-        # a block-diagonal sweep keeps each component's sub-host with the
-        # host, and so their domains: a second call builds neither, and
-        # both are gone once the host is
+        # the host keeps each component's sub-host, and a sweep's plan their
+        # domains: a second call builds neither, and both go with the host
         T = forward_stack([random_tournament(5, 1), random_tournament(6, 2)])
         first = rooted_count_matrices([C4], T)
-        subs = homcount._component_hosts(T)
+        subs = T._component_hosts()
         domains = homcount._sweep_plan((C4,)).plan.domains
         kept = dict(domains)
         assert kept and set(kept) <= {id(sub) for _, sub in subs}
         assert rooted_count_matrices([C4], T) == first
-        assert homcount._component_hosts(T) is subs and domains == kept
-        key, host, sub_hosts = id(T), weakref.ref(T), [weakref.ref(sub) for _, sub in subs]
+        assert T._component_hosts() is subs and domains == kept
+        sub_hosts = [weakref.ref(sub) for _, sub in subs]
         del T, subs, kept
         gc.collect()
-        assert host() is None and all(sub() is None for sub in sub_hosts)
-        assert key not in homcount._components and domains == {}
+        assert all(sub() is None for sub in sub_hosts) and domains == {}
 
 
 def forward_stack(blocks):
