@@ -8,7 +8,6 @@ from .digraphs import (
     disjoint_union,
     induced_subdigraph,
     is_acyclic,
-    make_tournament,
     random_tournament,
     transitive_tournament,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Tournament",
     "RootedDigraph",
     "QuantumDigraph",
-    "make_tournament",
     "transitive_tournament",
     "random_tournament",
     "disjoint_union",

@@ -30,7 +30,6 @@ __all__ = [
     "Tournament",
     "RootedDigraph",
     "QuantumDigraph",
-    "make_tournament",
     "transitive_tournament",
     "random_tournament",
     "disjoint_union",
@@ -317,11 +316,6 @@ class QuantumDigraph:
 
 
 # -- constructors ----------------------------------------------------------
-
-
-def make_tournament(arcs: Iterable[tuple[int, int]], n: int) -> Tournament:
-    """Validate an arc set as a tournament on 0..n-1."""
-    return Tournament(n, arcs)
 
 
 def transitive_tournament(n: int) -> Tournament:

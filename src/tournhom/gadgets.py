@@ -24,8 +24,10 @@ from .digraphs import (
     _draw_tournament,
     gather_rows,
     induced_subdigraph,
+    transitive_tournament,
 )
 from .errors import BudgetExceededError, SamplingError
+from .homcount import iter_homs
 
 __all__ = [
     "BaseTournament",
@@ -35,7 +37,6 @@ __all__ = [
     "GadgetFamily",
     "check_degree_bound",
     "find_one_way_biclique",
-    "largest_transitive_subtournament",
     "find_transitive_subtournament",
     "default_biclique_size",
     "default_transitive_threshold",
@@ -52,6 +53,8 @@ __all__ = [
 
 # -- condition checkers -------------------------------------------------------
 
+_MAX_NODES = 10**7  # the node budget of each search the sampler runs
+
 
 def check_degree_bound(T: Tournament, bound: int) -> tuple[bool, int | None]:
     """All out- and in-degrees <= bound; witness is a violating vertex."""
@@ -61,90 +64,53 @@ def check_degree_bound(T: Tournament, bound: int) -> tuple[bool, int | None]:
     return True, None
 
 
-def find_one_way_biclique(
-    T: Digraph, a: int, max_nodes: int = 10**7
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def find_one_way_biclique(T: Digraph, a: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Disjoint A1, A2 of size a with every arc A1 -> A2, or None.
 
-    Exact branch and bound: A1 is grown in ascending vertex order while C,
-    the common out-neighborhood, shrinks; A2 must fit inside C \\ A1.
+    Exact branch and bound on an explicit stack of frames [next vertex, A1,
+    C]: A1 is grown in ascending vertex order while C, the common
+    out-neighbourhood, shrinks, and a vertex is taken only if C keeps a
+    vertices.  C never meets A1, as T has no loops, so A2 is any a of C.
+
+    This is not an engine search: A1 and A2 have no arcs inside, and a map
+    may send two non-adjacent pattern vertices to one host vertex, so no
+    pattern makes the engine find a distinct vertices on each side.
     """
     if a < 1:
         raise ValueError("a must be positive")
-    n = T.n
-    full = (1 << n) - 1
+    out, n = T.out_masks, T.n
     nodes = 0
-
-    def rec(start: int, a1_mask: int, size: int, C: int):
-        nonlocal nodes
-        if size == a:
-            avail = C & ~a1_mask
-            if avail.bit_count() >= a:
-                return _bits(a1_mask), _bits(avail)[:a]
-            return None
-        for v in range(start, n - (a - size) + 1):
-            C2 = C & T.out_mask(v)
-            if (C2 & ~a1_mask & ~(1 << v)).bit_count() < a:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError("one-way biclique search budget exceeded")
-            got = rec(v + 1, a1_mask | (1 << v), size + 1, C2)
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, 0, 0, full)
-
-
-def find_transitive_subtournament(
-    T: Digraph, size: int, max_nodes: int = 10**7
-) -> tuple[int, ...] | None:
-    """A vertex set of the given size inducing a transitive subtournament, or None."""
-    got, witness = _transitive_search(T, stop_at=size, max_nodes=max_nodes)
-    return tuple(witness) if got >= size else None
-
-
-def largest_transitive_subtournament(
-    T: Digraph, max_nodes: int = 10**7
-) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum transitive subtournament (size, witness)."""
-    got, witness = _transitive_search(T, stop_at=None, max_nodes=max_nodes)
-    return got, tuple(witness)
-
-
-def _transitive_search(T: Digraph, stop_at: int | None, max_nodes: int):
-    # a transitive set has a unique topological order, so growing chains by
-    # successive domination visits every transitive subset exactly once
-    n = T.n
-    by_out_degree = sorted(range(n), key=lambda v: (-T.out_degree(v), v))
-    best = 0
-    best_chain: list[int] = []
-    chain: list[int] = []
-    nodes = 0
-
-    def ext(C: int) -> bool:
-        nonlocal best, best_chain, nodes
-        if len(chain) > best:
-            best = len(chain)
-            best_chain = list(chain)
-            if stop_at is not None and best >= stop_at:
-                return True
-        if len(chain) + C.bit_count() <= best:
-            return False
+    stack = [[0, 0, (1 << n) - 1]]
+    while stack:
+        frame = stack[-1]
+        start, a1_mask, C = frame
+        for v in range(start, n - a + len(stack)):
+            C2 = C & out[v]
+            if C2.bit_count() >= a:
+                break
+        else:
+            stack.pop()
+            continue
+        frame[0] = v + 1
         nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError("transitive subtournament search budget exceeded")
-        for v in by_out_degree:
-            if C >> v & 1:
-                chain.append(v)
-                if ext(C & T.out_mask(v)):
-                    return True
-                chain.pop()
-        return False
+        if nodes > _MAX_NODES:
+            raise BudgetExceededError("one-way biclique search budget exceeded")
+        if len(stack) == a:
+            return _bits(a1_mask | 1 << v), _bits(C2)[:a]
+        stack.append([v + 1, a1_mask | 1 << v, C2])
+    return None
 
-    ext((1 << n) - 1)
-    return best, best_chain
+
+def find_transitive_subtournament(T: Digraph, size: int) -> tuple[int, ...] | None:
+    """A vertex set of the given size inducing a transitive subtournament, in
+    its transitive order, or None.
+
+    Such a set in that order is exactly a map of the transitive tournament:
+    a map sends adjacent pattern vertices to distinct host vertices, and a
+    tournament's vertices are pairwise adjacent."""
+    if size < 0:
+        raise ValueError(f"transitive subtournament size must be nonnegative, got {size}")
+    return next(iter_homs(transitive_tournament(size), T, max_nodes=_MAX_NODES), None)
 
 
 # -- base tournament sampling ---------------------------------------------------
@@ -198,9 +164,7 @@ def default_transitive_threshold(n: int) -> int:
     return max(t, asymptotic, 3)
 
 
-def check_base_conditions(
-    T: Tournament, a: int, t3: int, max_nodes: int = 10**7
-) -> tuple[bool, dict]:
+def check_base_conditions(T: Tournament, a: int, t3: int) -> tuple[bool, dict]:
     """Evaluate the three base conditions; details include witnesses on failure."""
     bound = (2 * T.n) // 3
     ok1, bad_vertex = check_degree_bound(T, bound)
@@ -208,11 +172,11 @@ def check_base_conditions(
     if not ok1:
         details["degree_witness"] = bad_vertex
         return False, details
-    biclique = find_one_way_biclique(T, a, max_nodes)
+    biclique = find_one_way_biclique(T, a)
     if biclique is not None:
         details["biclique_witness"] = biclique
         return False, details
-    trans = find_transitive_subtournament(T, t3, max_nodes)
+    trans = find_transitive_subtournament(T, t3)
     if trans is not None:
         details["transitive_witness"] = trans
         return False, details
@@ -225,7 +189,6 @@ def sample_base_tournament(
     t3: int | None = None,
     seed: int = 0,
     max_tries: int = 200,
-    max_nodes: int = 10**7,
 ) -> BaseTournament:
     """Draw random tournaments until one meets all three conditions."""
     if n < 3:
@@ -241,7 +204,7 @@ def sample_base_tournament(
     last_details: dict = {}
     for attempt in range(1, max_tries + 1):
         T = _draw_tournament(rng, n)
-        ok, details = check_base_conditions(T, a, t3, max_nodes)
+        ok, details = check_base_conditions(T, a, t3)
         if not ok:
             [witness] = [key for key in details if key.endswith("_witness")]
             failures[witness.removesuffix("_witness")] += 1
@@ -254,8 +217,8 @@ def sample_base_tournament(
             degree_bound=details["degree_bound"],
             max_out_degree=T.max_out_degree(),
             max_in_degree=T.max_in_degree(),
-            largest_one_way_biclique=_largest_biclique_size(T, a, max_nodes),
-            largest_transitive=largest_transitive_subtournament(T, max_nodes)[0],
+            largest_one_way_biclique=_largest_below(find_one_way_biclique, T, a),
+            largest_transitive=_largest_below(find_transitive_subtournament, T, t3),
             tries_used=attempt,
             seed=seed,
         )
@@ -266,12 +229,11 @@ def sample_base_tournament(
     )
 
 
-def _largest_biclique_size(T: Tournament, a: int, max_nodes: int) -> int:
-    # the sampled tournament has no a x a one-way biclique; scan downward
-    for size in range(a - 1, 0, -1):
-        if find_one_way_biclique(T, size, max_nodes) is not None:
-            return size
-    return 0
+def _largest_below(find, T: Tournament, size: int) -> int:
+    """The largest s < size with a witness find(T, s), or 0, for a T with none
+    of the given size: a witness holds one of every smaller size, so the first
+    size found scanning down is the largest."""
+    return next((s for s in range(size - 1, 0, -1) if find(T, s) is not None), 0)
 
 
 # -- gadget family ---------------------------------------------------------------

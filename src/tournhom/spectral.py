@@ -260,7 +260,8 @@ def _power_traces(H, ells) -> dict[int, int]:
     tr H^l is the sum of the entries of H^a o H^(l-a), a = floor(l/2), as
     H^(l-a) is symmetric (H^0, the identity, serves l = 1).  Each power is
     the largest one already at hand times the rest, so l = 4, 8, 12 take
-    H^2, H^4 = H^2 H^2 and H^6 = H^4 H^2: three products.
+    H^2, H^4 = H^2 H^2 and H^6 = H^4 H^2: three products.  The chain of
+    exponents that a power needs is found first and multiplied bottom-up.
     """
     if any(ell < 1 for ell in ells):
         raise ValueError("trace powers must be at least 1")
@@ -270,9 +271,14 @@ def _power_traces(H, ells) -> dict[int, int]:
     def get(e: int):
         if e == 0:
             return [[int(i == j) for j in range(n)] for i in range(n)]
-        if e not in powers:
-            p = max(k for k in powers if k < e)
-            powers[e] = _mat_mul(powers[p], get(e - p))
+        chain = []  # (exponent, the largest power at hand below it)
+        rest = e
+        while rest not in powers:
+            p = max(k for k in powers if k < rest)
+            chain.append((rest, p))
+            rest -= p
+        for f, p in reversed(chain):
+            powers[f] = _mat_mul(powers[p], powers[f - p])
         return powers[e]
 
     out = {}

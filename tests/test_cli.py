@@ -63,6 +63,14 @@ class TestSampling:
         # stricter thresholds must fail with exit 1
         assert run(["check-f0", "--input", out, "--a", 1, "--t3", 5]) == 1
 
+    def test_transitive_size_zero_has_the_empty_witness(self, f0_file, capsys):
+        assert run(["check-f0", "--input", f0_file, "--a", 3, "--t3", 0]) == 1
+        assert json.loads(capsys.readouterr().out)["transitive_witness"] == "()"
+
+    def test_negative_transitive_size_exits_2(self, f0_file, capsys):
+        assert run(["check-f0", "--input", f0_file, "--a", 3, "--t3", -1]) == 2
+        assert "size must be nonnegative, got -1" in capsys.readouterr().err
+
     def test_infeasible_parameters_exit_2(self, tmp_path):
         assert run(["sample-f0", "--n", 4, "--a", 1, "--t3", 3,
                     "--max-tries", 5, "--out", tmp_path / "x.txt"]) == 2

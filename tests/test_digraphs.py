@@ -20,7 +20,6 @@ from tournhom.digraphs import (
     load_quantum,
     load_rooted,
     load_tournament,
-    make_tournament,
     parse_digraph,
     random_tournament,
     save_digraph,
@@ -61,21 +60,23 @@ class TestDigraph:
 
 
 class TestMakeTournament:
+    """Making a tournament from its arc set: `Tournament(n, arcs)`."""
+
     def test_single_pair(self):
-        t = make_tournament({(0, 1)}, 2)
+        t = Tournament(2, {(0, 1)})
         assert t.has_arc(0, 1)
 
     def test_cyclic_triangle_is_valid(self):
-        t = make_tournament({(0, 1), (1, 2), (2, 0)}, 3)
+        t = Tournament(3, {(0, 1), (1, 2), (2, 0)})
         assert len(t.arcs) == 3
 
     def test_double_orientation_names_pair(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            make_tournament({(0, 1), (1, 0), (1, 2), (2, 0)}, 3)
+            Tournament(3, {(0, 1), (1, 0), (1, 2), (2, 0)})
 
     def test_missing_pair_names_pair(self):
         with pytest.raises(ValueError, match=r"missing arc on pair \(0, 2\)"):
-            make_tournament({(0, 1), (1, 2)}, 3)
+            Tournament(3, {(0, 1), (1, 2)})
 
     @pytest.mark.parametrize(
         "digons, missing, message",

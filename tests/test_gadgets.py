@@ -26,7 +26,6 @@ from tournhom.gadgets import (
     degree_bound_ok,
     find_one_way_biclique,
     find_transitive_subtournament,
-    largest_transitive_subtournament,
     make_k_sequence,
     sample_base_tournament,
     symmetrize,
@@ -83,25 +82,50 @@ class TestTransitiveSubtournament:
         assert is_acyclic(induced_subdigraph(transitive_tournament(8), witness))
 
     def test_triangle_max_two(self):
-        assert largest_transitive_subtournament(CYCLE3)[0] == 2
+        assert find_transitive_subtournament(CYCLE3, 2) is not None
         assert find_transitive_subtournament(CYCLE3, 3) is None
 
     def test_rotational_5(self):
         # frozen by exhaustive check over all subsets
-        assert largest_transitive_subtournament(rotational(5, {1, 2}))[0] == 3
+        rot5 = rotational(5, {1, 2})
+        assert find_transitive_subtournament(rot5, 3) is not None
+        assert find_transitive_subtournament(rot5, 4) is None
 
     def test_quadratic_residue_7(self):
         # frozen by exhaustive check over all subsets
         qr7 = rotational(7, {1, 2, 4})
-        assert largest_transitive_subtournament(qr7)[0] == 3
+        assert find_transitive_subtournament(qr7, 3) is not None
         assert find_transitive_subtournament(qr7, 4) is None
 
     def test_witness_is_transitive(self):
         for seed in range(6):
             t = random_tournament(10, seed)
-            size, chain = largest_transitive_subtournament(t)
-            assert len(chain) == size
-            assert is_acyclic(induced_subdigraph(t, chain))
+            for size in range(11):
+                chain = find_transitive_subtournament(t, size)
+                if chain is None:
+                    break
+                assert len(chain) == size
+                assert is_acyclic(induced_subdigraph(t, chain))
+            # the largest size found is the exhaustive maximum
+            assert size - 1 == max(
+                len(S)
+                for k in range(1, 11)
+                for S in combinations(range(10), k)
+                if is_acyclic(induced_subdigraph(t, S))
+            )
+
+    def test_witness_in_transitive_order(self):
+        for seed in range(6):
+            t = random_tournament(10, seed)
+            chain = find_transitive_subtournament(t, 4)
+            assert all(t.has_arc(u, v) for i, u in enumerate(chain) for v in chain[i + 1 :])
+
+    def test_size_zero_is_empty(self):
+        assert find_transitive_subtournament(CYCLE3, 0) == ()
+
+    def test_negative_size_is_named(self):
+        with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
+            find_transitive_subtournament(CYCLE3, -1)
 
 
 class TestDefaults:
@@ -128,6 +152,16 @@ class TestSampler:
         # a = 1 forbids every arc, impossible for any tournament
         with pytest.raises(SamplingError, match="biclique"):
             sample_base_tournament(3, 1, 3, seed=0, max_tries=20)
+
+    @pytest.mark.parametrize(
+        "seed, pinned",
+        enumerate([(9, 10, 5), (5, 10, 5), (24, 9, 5), (1, 10, 5),
+                   (2, 10, 5), (2, 10, 5), (9, 10, 5), (4, 10, 5)]),
+    )
+    def test_reports_pinned(self, seed, pinned):
+        # (tries_used, largest_transitive, largest_one_way_biclique)
+        r = sample_base_tournament(36, 6, 11, seed=seed).report
+        assert (r.tries_used, r.largest_transitive, r.largest_one_way_biclique) == pinned
 
     def test_five_vertex_rotational_regime(self):
         bt = sample_base_tournament(5, 3, 4, seed=0, max_tries=2000)
