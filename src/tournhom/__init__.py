@@ -12,7 +12,6 @@ from .digraphs import (
     transitive_tournament,
 )
 from .homcount import (
-    conditional_density,
     count_hom,
     count_hom_bruteforce,
     count_hom_rooted,
@@ -35,7 +34,6 @@ __all__ = [
     "count_hom_bruteforce",
     "count_hom_rooted",
     "density",
-    "conditional_density",
     "eval_quantum",
     "iter_homs",
 ]

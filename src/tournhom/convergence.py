@@ -41,7 +41,7 @@ def default_degree(n: int) -> int:
     return math.ceil(n ** (2 / 3))
 
 
-def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 200) -> SimpleGraph:
+def random_regular_graph(n: int, d: int, seed: int) -> SimpleGraph:
     """Pairing-model d-regular graph; clashing stubs are reshuffled and repaired
     rather than restarting the whole pairing, which would never succeed at
     the densities used here."""
@@ -80,11 +80,11 @@ def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 200) -> Sim
             stubs = [v for v, count in sorted(leftover.items()) for _ in range(count)]
         return frozenset(edges)
 
-    for _ in range(max_tries):
+    for _ in range(200):
         edges = attempt()
         if edges is not None:
             return SimpleGraph(n, edges)
-    raise SamplingError(f"no simple {d}-regular pairing on {n} vertices in {max_tries} tries")
+    raise SamplingError(f"no simple {d}-regular pairing on {n} vertices in 200 tries")
 
 
 def adjacency_spectrum(G: SimpleGraph) -> np.ndarray:
@@ -207,12 +207,7 @@ def convergence_study(
     return rows
 
 
-def pipeline_cross_check(
-    G: SimpleGraph,
-    family: GadgetFamily,
-    r: int,
-    max_nodes: int | None = None,
-) -> dict:
+def pipeline_cross_check(G: SimpleGraph, family: GadgetFamily, r: int) -> dict:
     """Full tournament pipeline versus the adjacency-spectrum closed form.
 
     Builds the stacked host with r copies of the first gadget's block,
@@ -222,7 +217,7 @@ def pipeline_cross_check(
     gadget's scale.
     """
     host, atlas = build_host(G, family, [r] + [1] * (family.s - 1))
-    [dm] = density_matrices(family.doubled[:1], host, max_nodes)
+    [dm] = density_matrices(family.doubled[:1], host)
     pt = xy_point(dm)
     eigs = adjacency_spectrum(G)
     cx, cy = closed_form_xy(eigs, r)

@@ -413,19 +413,29 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple[int, int] | None]:
     return Digraph(n, pairs), roots
 
 
-def read_text_format(text: str) -> tuple[int, tuple[int, int] | None, list[list[int]]]:
+def read_text_format(text: str) -> tuple[int, tuple[int, int] | None, list[tuple[int, int]]]:
     """The vertex count, the roots if given, and the pairs of a digraph text.
 
-    A malformed line raises ValueError naming its number."""
-    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1][0] != "digraph":
+    One pass splits each line once; a malformed line raises ValueError
+    naming its number."""
+    numbered = enumerate(map(str.split, text.splitlines()), 1)
+    lines = ((number, tokens) for number, tokens in numbered if tokens)
+    header = next(lines, None)
+    if header is None or header[1][0] != "digraph":
         raise ValueError("expected 'digraph <n>' header")
-    (n,) = _int_fields(lines[0], "digraph <n>")
-    roots = None
-    if len(lines) > 1 and lines[1][1][0] == "roots":
-        z, w = _int_fields(lines.pop(1), "roots <z> <w>")
-        roots = (z, w)
-    return n, roots, [_int_fields(line, "<u> <v>") for line in lines[1:]]
+    (n,) = _int_fields(header, "digraph <n>")
+    roots, pairs = None, []
+    for line in lines:
+        try:
+            u, v = line[1]
+            pairs.append((int(u), int(v)))
+        except ValueError:
+            # the line after the header may be the roots line, which never reads as a pair
+            if line[1][0] != "roots" or roots is not None or pairs:
+                _int_fields(line, "<u> <v>")  # raises, naming the line
+            z, w = _int_fields(line, "roots <z> <w>")
+            roots = (z, w)
+    return n, roots, pairs
 
 
 def _int_fields(line: tuple[int, list[str]], form: str) -> list[int]:

@@ -4,13 +4,12 @@ The base tournament must avoid large one-sided bicliques and large
 transitive subtournaments while keeping all degrees below 2n/3; a random
 tournament has all three properties with decent probability once the two
 size parameters are calibrated to n (the asymptotic values sqrt(n) and
-2n/13 - sqrt(n) are meaningless at desk scale, so defaults come from a
-first-moment calculation and both thresholds stay explicit inputs).
+2n/13 - sqrt(n) are meaningless at desk scale, so both thresholds are
+required inputs).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,8 +37,6 @@ __all__ = [
     "check_degree_bound",
     "find_one_way_biclique",
     "find_transitive_subtournament",
-    "default_biclique_size",
-    "default_transitive_threshold",
     "sample_base_tournament",
     "check_base_conditions",
     "make_k_sequence",
@@ -48,6 +45,9 @@ __all__ = [
     "build_necklace",
     "glue",
     "build_family",
+    "degree_bound_ok",
+    "rotational_tournament",
+    "toy_family",
 ]
 
 
@@ -142,28 +142,6 @@ class BaseTournament:
         return self.tournament.n
 
 
-def default_biclique_size(n: int) -> int:
-    """ceil(sqrt(n)); measured feasible at desk scale for random tournaments."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
-def default_transitive_threshold(n: int) -> int:
-    """Smallest t with expected transitive t-subset count <= 1/2.
-
-    The asymptotic threshold ceil(2n/13 - sqrt(n)) is kept as a lower clamp
-    once it turns positive; below that it would demand cycle-free-free sets
-    of size < 3, which no tournament on 4+ vertices can satisfy.
-    """
-    t = 3
-    while math.comb(n, t) * math.factorial(t) / 2 ** (t * (t - 1) // 2) > 0.5:
-        t += 1
-    asymptotic = math.ceil(2 * n / 13 - math.sqrt(n))
-    return max(t, asymptotic, 3)
-
-
 def check_base_conditions(T: Tournament, a: int, t3: int) -> tuple[bool, dict]:
     """Evaluate the three base conditions; details include witnesses on failure."""
     bound = (2 * T.n) // 3
@@ -184,21 +162,15 @@ def check_base_conditions(T: Tournament, a: int, t3: int) -> tuple[bool, dict]:
 
 
 def sample_base_tournament(
-    n: int,
-    a: int | None = None,
-    t3: int | None = None,
-    seed: int = 0,
-    max_tries: int = 200,
+    n: int, a: int, t3: int, seed: int = 0, max_tries: int = 200
 ) -> BaseTournament:
     """Draw random tournaments until one meets all three conditions."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    if a is None:
-        a = default_biclique_size(n)
-    if t3 is None:
-        t3 = default_transitive_threshold(n)
     if a < 1 or t3 < 3:
         raise ValueError("need a >= 1 and t3 >= 3")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     rng = random.Random(seed)
     failures = {"degree": 0, "biclique": 0, "transitive": 0}
     last_details: dict = {}

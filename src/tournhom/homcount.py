@@ -125,7 +125,6 @@ __all__ = [
     "count_hom_bruteforce",
     "count_hom_rooted",
     "density",
-    "conditional_density",
     "disjoint_union_density_check",
     "eval_quantum",
     "iter_homs",
@@ -589,15 +588,6 @@ def density(F: Digraph, T: Digraph, max_nodes: int | None = None) -> Fraction:
     return Fraction(count_hom(F, T, max_nodes), T.n**F.n)
 
 
-def conditional_density(
-    F: RootedDigraph, T: Digraph, x: int, y: int, max_nodes: int | None = None
-) -> Fraction:
-    """hom_{x,y}(F, T) / |V(T)|^(|V(F)|-2)."""
-    if T.n == 0:
-        raise ValueError("empty host")
-    return Fraction(count_hom_rooted(F, T, x, y, max_nodes), T.n ** (F.graph.n - 2))
-
-
 def eval_quantum(g: QuantumDigraph, T: Digraph, max_nodes: int | None = None) -> Fraction:
     """Sum of coef * density(term, T) over g's terms as given, exact, since
     density is linear in the terms.  Only terms equal as labelled digraphs are
@@ -625,8 +615,11 @@ def iter_homs(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every homomorphism as an image tuple, in a deterministic order.
 
-    Raises EnumerationCapError after `cap` maps have been produced.
+    Raises EnumerationCapError after `cap` maps have been produced, and
+    ValueError for a negative `cap`.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     pins = dict(root_images or {})
     if T.n == 0 and F.n > 0:
         return

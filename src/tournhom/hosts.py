@@ -27,7 +27,6 @@ __all__ = [
     "single_edge_graph",
     "path_graph",
     "cycle_graph",
-    "edge_order_succ",
     "edge_sort_key",
     "CellAtlas",
     "BlockAtlas",
@@ -96,13 +95,9 @@ def save_simple_graph(path: str | Path, g: SimpleGraph) -> None:
 
 
 def edge_sort_key(edge: tuple[int, int]) -> tuple[int, int]:
+    """The edge order: a larger endpoint sum succeeds, ties by first endpoint."""
     a, b = edge
     return (a + b, a)
-
-
-def edge_order_succ(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """True iff e2 strictly succeeds e1: larger endpoint sum, ties by first endpoint."""
-    return edge_sort_key(e2) > edge_sort_key(e1)
 
 
 # -- atlas ------------------------------------------------------------------------
@@ -141,14 +136,9 @@ class HostAtlas:
                     return ("cell", block, cell.edge, "right")
         raise ValueError(f"vertex {v} not in atlas")
 
-    def base_edge_pairs(self, i: int | None = None) -> set[tuple[int, int]]:
+    def base_edge_pairs(self, i: int) -> set[tuple[int, int]]:
         """Host-id root pairs (tail, head) of blocks with the given gadget index."""
-        pairs = set()
-        for block in self.blocks:
-            if i is not None and block.i != i:
-                continue
-            pairs.update(cell.edge for cell in block.cells)
-        return pairs
+        return {cell.edge for block in self.blocks if block.i == i for cell in block.cells}
 
     def to_json(self) -> dict:
         return {
@@ -229,11 +219,11 @@ def _block_rows(
     edges = sorted(G.edges)
     cell = (1 << 2 * m) - 1
     starts = {e: offset + n + idx * 2 * m for idx, e in enumerate(edges)}
-    # step 5: higher-order cells point at lower-order cells (disjoint masks,
-    # so their sum is their union)
-    below = {
-        e1: sum(cell << starts[e2] for e2 in edges if edge_order_succ(e2, e1)) for e1 in edges
-    }
+    # step 5: higher-order cells point at lower-order cells
+    below, lower = {}, 0
+    for e in sorted(edges, key=edge_sort_key):
+        below[e] = lower
+        lower |= cell << starts[e]
     # step 1: transitive base, low to high
     rows = [((1 << n) - 1) >> x + 1 << offset + x + 1 for x in range(n)]
     cells = []

@@ -436,15 +436,15 @@ def nonnegativity_report(
     p: IntPolynomial,
     family: GadgetFamily,
     hosts: Sequence[Tournament],
-    grid_max: int = 8,
 ) -> NonnegativityReport:
-    """Compare the sign of p on inverse-integer points with reduced values on hosts.
+    """Compare the sign of p on the inverse-integer points (1/n_1, ..., 1/n_s),
+    1 <= n_i <= 8, with reduced values on hosts.
 
     Values are exact rationals, so negativity is exact; no float threshold.
     """
     rq = build_reduction(p, family, mode="minimal")
     grid_min = None
-    for ns in itertools.product(range(1, grid_max + 1), repeat=p.s):
+    for ns in itertools.product(range(1, 9), repeat=p.s):
         val = p.evaluate([Fraction(1, n) for n in ns])
         grid_min = val if grid_min is None else min(grid_min, val)
     values = []

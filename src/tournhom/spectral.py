@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from numbers import Number, Rational
+from numbers import Integral, Number, Rational
 from operator import attrgetter, itemgetter, mul
 from typing import Sequence
 
@@ -57,7 +57,9 @@ class DensityMatrix:
 
     `support` is the count matrix restricted to its support, found by the
     same pass that checks symmetry; every trace and spectrum reads it.
-    Counts that are not `order` x `order` or not symmetric raise ValueError.
+    Counts that are not `order` x `order` or not symmetric raise ValueError,
+    and the first entry in row-major order that is not an integer raises
+    TypeError naming it.
     """
 
     order: int
@@ -72,6 +74,10 @@ class DensityMatrix:
                 f"count matrix has {len(self.counts)} rows of lengths {sorted(lengths)}, "
                 f"not {self.order} x {self.order}"
             )
+        bad = _first_not(self.counts, Integral)
+        if bad is not None:
+            entry = self.counts[bad[0]][bad[1]]
+            raise TypeError(f"count matrix entry {bad} is {entry!r}, not an integer")
         support, bad = _scan(self.counts)
         if bad is not None:
             raise ValueError(f"count matrix not symmetric at {bad}")
@@ -97,12 +103,7 @@ class DensityMatrix:
         return not self.support
 
 
-def density_matrix(
-    dg: DoubledGadget,
-    T: Tournament,
-    method: str = "sweep",
-    max_nodes: int | None = None,
-) -> DensityMatrix:
+def density_matrix(dg: DoubledGadget, T: Tournament, method: str = "sweep") -> DensityMatrix:
     """All conditional counts of the doubled gadget in the host, by an
     independent route: the check of `density_matrices`.
 
@@ -116,12 +117,12 @@ def density_matrix(
         rows = [[0] * n for _ in range(n)]
         for x in range(n):
             for y in range(x, n):
-                c = count_hom_rooted(dg.rooted, T, x, y, max_nodes)
+                c = count_hom_rooted(dg.rooted, T, x, y)
                 rows[x][y] = c
                 rows[y][x] = c
     elif method == "sweep":
-        left = rooted_count_matrix(dg.halves[0], T, max_nodes)
-        right = rooted_count_matrix(dg.halves[1], T, max_nodes)
+        left = rooted_count_matrix(dg.halves[0], T)
+        right = rooted_count_matrix(dg.halves[1], T)
         return _glued(dg, left, right)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -395,7 +396,12 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     try:
         support, bad = _scan(rows, _numerator)
     except AttributeError:  # an entry that is not a Fraction: test the entries themselves
-        _refuse_non_numbers(rows)
+        # a truth test would read None, "" or [] as zero; a numpy matrix of a
+        # numeric dtype passes by its dtype, as iterating it would box every entry
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "biufc"):
+            bad = _first_not(rows, Number)
+            if bad is not None:
+                _entry(rows, *bad)  # raises, naming the entry
         support, bad = _scan(rows)
     if bad is not None:
         for i, j in (bad, bad[::-1]):
@@ -407,23 +413,22 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     return _xy(H, den)
 
 
-def _refuse_non_numbers(rows) -> None:
-    """Refuse, as `_entry` does, the first entry in row-major order that is
-    not a `numbers.Number`: a truth test would read None, "" or [] as zero.
+def _first_not(rows, kind) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order whose entry is not a `kind`, or None.
 
-    One check, in C, on the types of each row's entries: a row of one
-    shared zero (`_zero_row`) has the type of that object, any other row
-    the set of its entries' types, at about 35 ns an entry.  A numpy
-    matrix of a numeric dtype passes by its dtype, as iterating it would
-    box every entry.  Only a row that fails is searched entry by entry."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biufc":
-        return
+    One check, in C, on the types of each distinct row object's entries: a
+    row of one shared zero (`_zero_row`) has the type of that object, any
+    other row the set of its entries' types, at about 35 ns an entry.  The
+    zero rows of `_glued` are one shared tuple, so they are checked once.
+    Only a row that fails is searched entry by entry."""
+    checked = {}  # id -> row: holding a row keeps its id from passing to a later row
     for i, row in enumerate(rows):
-        kinds = (type(row[0]),) if _zero_row(row) else set(map(type, row))
-        if not all(issubclass(kind, Number) for kind in kinds):
-            for j, c in enumerate(row):
-                if not isinstance(c, Number):
-                    _entry(rows, i, j)
+        if id(row) not in checked:
+            checked[id(row)] = row
+            kinds = (type(row[0]),) if _zero_row(row) else set(map(type, row))
+            if not all(issubclass(k, kind) for k in kinds):
+                return i, next(j for j, c in enumerate(row) if not isinstance(c, kind))
+    return None
 
 
 def _entry(rows, i: int, j: int) -> tuple[int, int]:

@@ -177,13 +177,9 @@ def _full_family(seed: int, s: int) -> GadgetFamily:
     return build_family(base, k_values=make_k_sequence(N_BASE, s))
 
 
-def _random_digraph(rng: random.Random, n: int, arc_prob: float = 0.5) -> Digraph:
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < arc_prob
-    ]
+def _random_digraph(rng: random.Random, n: int) -> Digraph:
+    """Each ordered pair of distinct vertices is an arc with probability 1/2."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.5]
     return Digraph(n, arcs)
 
 
@@ -697,7 +693,7 @@ def run_convergence(config: ExperimentConfig) -> RunReport:
     with report.timed("crosscheck_literal"):
         r0 = config.converge_r[0]
         fam36 = _full_family(config.seed, 1)
-        res = pipeline_cross_check(cycle_graph(5), fam36, r=r0, max_nodes=NODE_BUDGET)
+        res = pipeline_cross_check(cycle_graph(5), fam36, r=r0)
         report.check(
             "converge.crosscheck_literal",
             f"full-gadget pipeline on the 5-cycle host (r={r0}) matches the closed form to 1e-9",

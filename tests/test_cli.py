@@ -75,6 +75,12 @@ class TestSampling:
         assert run(["sample-f0", "--n", 4, "--a", 1, "--t3", 3,
                     "--max-tries", 5, "--out", tmp_path / "x.txt"]) == 2
 
+    def test_negative_tries_exit_2(self, tmp_path, capsys):
+        # reported as a spent budget, "no base tournament in -3 tries", before
+        assert run(["sample-f0", "--n", 9, "--a", 3, "--t3", 5,
+                    "--max-tries", -3, "--out", tmp_path / "x.txt"]) == 2
+        assert capsys.readouterr().err == "error: max_tries must be at least 1, got -3\n"
+
 
 class TestGadgetPipeline:
     def test_build_gadget_and_necklace(self, tmp_path, f0_file):
@@ -110,6 +116,15 @@ class TestHom:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1] == "5" and len(lines) == 6
 
+    def test_negative_cap_exits_2(self, tmp_path, capsys):
+        # reported as a spent budget, "more than -1 homomorphisms", before
+        pat = tmp_path / "p.txt"
+        save_digraph(pat, Digraph(1, []))
+        host = tmp_path / "h.txt"
+        save_digraph(host, rotational_tournament(5))
+        assert run(["hom", "--pattern", pat, "--host", host, "--enumerate", "--cap", -1]) == 2
+        assert capsys.readouterr() == ("", "error: cap must be nonnegative, got -1\n")
+
     def test_rooted_count(self, tmp_path, capsys):
         pat = tmp_path / "p.txt"
         # roots 0, 1 and a middle vertex completing a directed path
@@ -128,8 +143,12 @@ class TestHom:
             ("digraph 3\n\n0 1\n1 2 0\n", "line 4: expected '<u> <v>', got '1 2 0'"),
             ("digraph 3\n0 1\n2\n", "line 3: expected '<u> <v>', got '2'"),
             ("digraph 3\n0 x\n", "line 2: expected '<u> <v>', got '0 x'"),
+            ("\ndigraph 3\n\nroots 0\n", "line 4: expected 'roots <z> <w>', got 'roots 0'"),
+            ("digraph 3\nroots 0 1\n\n2 x\n", "line 4: expected '<u> <v>', got '2 x'"),
+            ("0 1\n", "expected 'digraph <n>' header"),
         ],
-        ids=["header-without-count", "short-roots", "three-fields", "one-field", "not-an-int"],
+        ids=["header-without-count", "short-roots", "three-fields", "one-field", "not-an-int",
+             "blank-lines-before-roots", "after-roots", "no-header"],
     )
     def test_malformed_pattern_exits_2(self, tmp_path, capsys, text, message):
         # the first two raised a bare IndexError, exit 1

@@ -21,8 +21,6 @@ from tournhom.gadgets import (
     build_gadget,
     build_necklace,
     check_degree_bound,
-    default_biclique_size,
-    default_transitive_threshold,
     degree_bound_ok,
     find_one_way_biclique,
     find_transitive_subtournament,
@@ -128,17 +126,6 @@ class TestTransitiveSubtournament:
             find_transitive_subtournament(CYCLE3, -1)
 
 
-class TestDefaults:
-    def test_biclique_default_is_ceil_sqrt(self):
-        assert default_biclique_size(36) == 6
-        assert default_biclique_size(35) == 6
-        assert default_biclique_size(37) == 7
-
-    def test_transitive_default_feasible(self):
-        # at n = 36 the asymptotic formula is negative; calibrated value applies
-        assert default_transitive_threshold(36) == 12
-
-
 class TestSampler:
     def test_spec_parameters_succeed(self):
         bt = sample_base_tournament(36, 6, 11, seed=0, max_tries=200)
@@ -152,6 +139,11 @@ class TestSampler:
         # a = 1 forbids every arc, impossible for any tournament
         with pytest.raises(SamplingError, match="biclique"):
             sample_base_tournament(3, 1, 3, seed=0, max_tries=20)
+
+    @pytest.mark.parametrize("tries", [0, -3])
+    def test_no_tries_is_named(self, tries):
+        with pytest.raises(ValueError, match=f"max_tries must be at least 1, got {tries}"):
+            sample_base_tournament(36, 6, 11, seed=0, max_tries=tries)
 
     @pytest.mark.parametrize(
         "seed, pinned",

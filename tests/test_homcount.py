@@ -24,7 +24,6 @@ from tournhom.digraphs import (
 )
 from tournhom.errors import BudgetExceededError, EnumerationCapError
 from tournhom.homcount import (
-    conditional_density,
     count_hom,
     count_hom_bruteforce,
     count_hom_rooted,
@@ -180,8 +179,9 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(ARC, Digraph(0, []))
 
-    def test_conditional_density_third(self):
-        assert conditional_density(PATH_GADGET, CYCLE3_REV, 0, 1) == Fraction(1, 3)
+    def test_rooted_count_density_third(self):
+        # hom_{0,1}(F, T) / |V(T)|^(|V(F)|-2)
+        assert Fraction(count_hom_rooted(PATH_GADGET, CYCLE3_REV, 0, 1), 3) == Fraction(1, 3)
 
     @given(st.integers(0, 2**30), st.integers(0, 2**30), st.integers(2, 7), st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
@@ -282,6 +282,11 @@ class TestEnumeration:
 
     def test_cap_not_hit(self):
         assert len(list(iter_homs(SINGLE, random_tournament(5, 0), cap=5))) == 5
+
+    def test_negative_cap_is_named(self):
+        assert list(iter_homs(CYCLE3, transitive_tournament(4), cap=0)) == []
+        with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+            list(iter_homs(SINGLE, random_tournament(5, 0), cap=-1))
 
 
 class TestRootedCountMatrix:

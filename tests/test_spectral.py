@@ -131,6 +131,26 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             synthetic([[0, 1], [2, 0]])
 
+    @pytest.mark.parametrize("entry", [None, "", "a", 1.5])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 2)], ids=["on-support", "off-support"])
+    def test_non_integer_entry_named(self, entry, at):
+        # None and "" were read as zeros, "a" and 1.5 refused only by xy_point
+        counts = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+        counts[at[0]][at[1]] = entry
+        with pytest.raises(TypeError, match=rf"entry \({at[0]}, {at[1]}\) is {entry!r}, not an"):
+            synthetic(counts)
+
+    def test_first_non_integer_in_row_major_order(self):
+        bad = (0, "a", None)  # one row object at two indices is named at the first
+        with pytest.raises(TypeError, match=r"entry \(1, 1\)"):
+            DensityMatrix(order=3, m=1, counts=((0, 0, 0), bad, bad))
+
+    def test_numpy_integer_rows_accepted(self):
+        counts = [[0, 2, 1], [2, 0, 3], [1, 3, 0]]
+        dm = synthetic(np.array(counts, dtype=np.int64))
+        assert dm.support == synthetic(counts).support
+        assert xy_point(dm) == xy_point(synthetic(counts))
+
     def test_shape_validated(self):
         with pytest.raises(ValueError, match=r"2 rows of lengths \[1, 2\], not 2 x 2"):
             DensityMatrix(order=2, m=1, counts=((1, 1), (1,)))
@@ -525,6 +545,12 @@ class TestXYFromMatrix:
         # a row of one shared non-number
         with pytest.raises(TypeError, match=r"matrix entry \(1, 0\): cannot read"):
             xy_from_matrix([[zero + 1, zero], [entry] * 2])
+
+    def test_object_array_rows_each_checked(self):
+        # each row of an ndarray is a new view, which may take the id of a freed earlier one
+        rows = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, None]], dtype=object)
+        with pytest.raises(TypeError, match=r"matrix entry \(3, 3\): cannot read"):
+            xy_from_matrix(rows)
 
     def test_numpy_floats_with_zero_rows_read_as_their_twin(self):
         H = random_symmetric(random.Random(9), 12, [0, 5, 11])
