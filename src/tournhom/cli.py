@@ -238,7 +238,7 @@ def cmd_reduce(args) -> int:
     )
     rq = build_reduction(p, family, mode=args.mode)
     save_reduced(args.out, rq)
-    print(json.dumps({"E": list(rq.E), "terms": len(rq.penalized.poly.terms)}))
+    print(json.dumps({"E": list(rq.E), "terms": len(rq.penalized.terms)}))
     return 0
 
 

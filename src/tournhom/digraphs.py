@@ -153,12 +153,6 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self._out)
 
-    def out_neighbors(self, v: int) -> set[int]:
-        return set(_bits(self._out[v]))
-
-    def in_neighbors(self, v: int) -> set[int]:
-        return set(_bits(self._in[v]))
-
     def out_degree(self, v: int) -> int:
         return self._out[v].bit_count()
 
@@ -460,8 +454,8 @@ def save_digraph(path: str | Path, g: Digraph, roots: tuple[int, int] | None = N
 
 
 def load_tournament(path: str | Path) -> Tournament:
-    g = load_digraph(path)
-    return Tournament.from_out_masks(g.n, g.out_masks)
+    n, _, pairs = read_text_format(Path(path).read_text())
+    return Tournament(n, pairs)
 
 
 def load_rooted(path: str | Path) -> RootedDigraph:

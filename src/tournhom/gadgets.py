@@ -137,10 +137,6 @@ class BaseTournament:
     tournament: Tournament
     report: BaseReport
 
-    @property
-    def n(self) -> int:
-        return self.tournament.n
-
 
 def check_base_conditions(T: Tournament, a: int, t3: int) -> tuple[bool, dict]:
     """Evaluate the three base conditions; details include witnesses on failure."""

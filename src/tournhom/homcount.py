@@ -102,7 +102,9 @@ vertex left in its mask and its domain.  Pinned vertices are not nodes,
 nor are the one-vertex parts whose count is read off their mask, so a
 count that the pinned vertices' forward checks and Hall tests settle
 takes no node, and a sweep that components share counts its nodes once.
-Counts are exact Python integers; densities exact Fractions.
+Every public entry point refuses a negative `max_nodes` with ValueError
+before any shortcut.  Counts are exact Python integers; densities exact
+Fractions.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits, disjoint_union, gather_rows
+from .digraphs import Digraph, QuantumDigraph, RootedDigraph, _bits, gather_rows
 from .errors import BudgetExceededError, EnumerationCapError
 
 __all__ = [
@@ -125,7 +127,6 @@ __all__ = [
     "count_hom_bruteforce",
     "count_hom_rooted",
     "density",
-    "disjoint_union_density_check",
     "eval_quantum",
     "iter_homs",
     "rooted_count_matrix",
@@ -512,6 +513,11 @@ def _finish(search, visit=None) -> tuple[int, int]:
         return done.value
 
 
+def _check_budget(max_nodes: int | None) -> None:
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
+
+
 def _count(F: Digraph, T: Digraph, pins: dict[int, int], max_nodes: int | None) -> int:
     plan = _plan(F, tuple(sorted(pins)))
     state = _start(plan, T, pins)
@@ -527,6 +533,7 @@ def _count(F: Digraph, T: Digraph, pins: dict[int, int], max_nodes: int | None) 
 
 def count_hom(F: Digraph, T: Digraph, max_nodes: int | None = None) -> int:
     """Exact number of arc-preserving maps V(F) -> V(T)."""
+    _check_budget(max_nodes)
     if F.n == 0:
         return 1
     if T.n == 0:
@@ -538,6 +545,7 @@ def count_hom_rooted(
     F: RootedDigraph, T: Digraph, x: int, y: int, max_nodes: int | None = None
 ) -> int:
     """Homomorphisms with the roots (z, w) sent to (x, y); x = y is allowed."""
+    _check_budget(max_nodes)
     if not (0 <= x < T.n and 0 <= y < T.n):
         raise ValueError("root images out of range")
     z, w = F.roots
@@ -592,15 +600,11 @@ def eval_quantum(g: QuantumDigraph, T: Digraph, max_nodes: int | None = None) ->
     """Sum of coef * density(term, T) over g's terms as given, exact, since
     density is linear in the terms.  Only terms equal as labelled digraphs are
     merged, and a digraph whose merged coefficient is 0 is not searched."""
+    _check_budget(max_nodes)
     merged: dict[Digraph, Fraction] = {}
     for coef, term in g.terms:
         merged[term] = merged.get(term, 0) + coef
     return sum((c * density(F, T, max_nodes) for F, c in merged.items() if c), Fraction(0))
-
-
-def disjoint_union_density_check(F1: Digraph, F2: Digraph, T: Digraph) -> bool:
-    """Exact multiplicativity of densities under disjoint union."""
-    return density(disjoint_union(F1, F2), T) == density(F1, T) * density(F2, T)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -616,10 +620,11 @@ def iter_homs(
     """Yield every homomorphism as an image tuple, in a deterministic order.
 
     Raises EnumerationCapError after `cap` maps have been produced, and
-    ValueError for a negative `cap`.
+    ValueError for a negative `cap` or `max_nodes`.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
+    _check_budget(max_nodes)
     pins = dict(root_images or {})
     if T.n == 0 and F.n > 0:
         return
@@ -703,6 +708,7 @@ def rooted_count_matrices(
     module docstring).  `max_nodes` bounds the nodes of the whole call.
     Each matrix is T.n fresh row lists.
     """
+    _check_budget(max_nodes)
     patterns = tuple(patterns)
     if not patterns:
         return []

@@ -124,18 +124,6 @@ class HostAtlas:
     blocks: tuple[BlockAtlas, ...]
     edge_order: tuple[tuple[int, int], ...]  # base-local edges, ascending under the order
 
-    def role(self, v: int) -> tuple:
-        """("base", block) or ("cell", block, edge, "left"|"right")."""
-        for block in self.blocks:
-            if v in block.base:
-                return ("base", block)
-            for cell in block.cells:
-                if v in cell.left:
-                    return ("cell", block, cell.edge, "left")
-                if v in cell.right:
-                    return ("cell", block, cell.edge, "right")
-        raise ValueError(f"vertex {v} not in atlas")
-
     def base_edge_pairs(self, i: int) -> set[tuple[int, int]]:
         """Host-id root pairs (tail, head) of blocks with the given gadget index."""
         return {cell.edge for block in self.blocks if block.i == i for cell in block.cells}

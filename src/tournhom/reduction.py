@@ -1,13 +1,14 @@
 """Polynomial to quantum-digraph reduction.
 
-A polynomial p in s variables lifts to a penalized polynomial in 2s
-variables, whose monomials then turn into disjoint unions of necklaces
-by one rule (`_necklace_powers`), which both builds and evaluates them:
-one length-8 necklace per x power, one length-12 necklace per y power,
-padded with length-4 necklaces so every monomial consumes the same
-per-gadget clearing exponent E.  Evaluating the resulting quantum digraph
-on any tournament equals the penalized polynomial at that tournament's
-(x, y) statistics times the cleared powers of the 4-necklace density.
+A polynomial p in s variables lifts to a penalized polynomial, an
+`IntPolynomial` in 2s variables, whose monomials then turn into disjoint
+unions of necklaces by one rule (`_necklace_powers`), which both builds
+and evaluates them: one length-8 necklace per x power, one length-12
+necklace per y power, padded with length-4 necklaces so every monomial
+consumes the same per-gadget clearing exponent E.  Evaluating the
+resulting quantum digraph on any tournament equals the penalized
+polynomial at that tournament's (x, y) statistics times the cleared
+powers of the 4-necklace density.
 A saved reduction keeps its inputs (base, thresholds, p, E), from which
 `load_reduced` builds the record, and the record checks them.
 
@@ -27,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +38,7 @@ from .digraphs import (
     Tournament,
     disjoint_union,
     format_digraph,
-    parse_digraph,
+    read_text_format,
     save_quantum,
 )
 from .errors import json_field
@@ -48,7 +50,6 @@ __all__ = [
     "parse_poly_text",
     "poly_from_json",
     "poly_to_json",
-    "PenalizedPolynomial",
     "build_penalized",
     "monomial_to_quantum",
     "ReducedQuantum",
@@ -72,29 +73,30 @@ class IntPolynomial:
 
     @staticmethod
     def of(s: int, mapping: dict[tuple[int, ...], int]) -> "IntPolynomial":
+        """The polynomial of {exponent vector: coefficient}.  A coefficient or
+        exponent that is not an integer raises TypeError naming its vector."""
         clean = {}
         for exps, coef in mapping.items():
             if len(exps) != s:
                 raise ValueError(f"exponent vector {exps} needs length {s}")
+            if not all(isinstance(v, Integral) for v in (*exps, coef)):
+                raise TypeError(
+                    f"exponent vector {exps} with coefficient {coef!r}: "
+                    "exponents and coefficients must be integers"
+                )
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
             if coef:
-                clean[tuple(int(e) for e in exps)] = clean.get(tuple(exps), 0) + int(coef)
+                key = tuple(map(int, exps))
+                clean[key] = clean.get(key, 0) + int(coef)
         items = tuple(sorted((e, c) for e, c in clean.items() if c))
         return IntPolynomial(s, items)
-
-    @staticmethod
-    def zero(s: int) -> "IntPolynomial":
-        return IntPolynomial(s, ())
 
     def deg(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
     def coeff_abs_sum(self) -> int:
         return sum(abs(c) for _, c in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, point: Sequence) -> Fraction:
         total = Fraction(0)
@@ -176,24 +178,9 @@ def poly_to_json(p: IntPolynomial) -> dict:
 # -- penalized lift -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PenalizedPolynomial:
-    """p * prod(x_i^6) + M * sum(y_i - x_i^2), in 2s variables (x's then y's)."""
-
-    s: int
-    M: int
-    poly: IntPolynomial  # 2s variables
-
-    @property
-    def degenerate(self) -> bool:
-        """M = 0: the penalty vanished."""
-        return self.M == 0
-
-    def evaluate(self, xs: Sequence, ys: Sequence) -> Fraction:
-        return self.poly.evaluate(list(xs) + list(ys))
-
-
-def build_penalized(p: IntPolynomial) -> PenalizedPolynomial:
+def build_penalized(p: IntPolynomial) -> IntPolynomial:
+    """The lift p * prod(x_i^6) + M * sum(y_i - x_i^2) in 2s variables, the
+    x's then the y's, with M = 100 * deg(p) * sum |coef|."""
     s = p.s
     M = p.coeff_abs_sum() * 100 * p.deg()
     mapping: dict[tuple[int, ...], int] = {}
@@ -205,7 +192,7 @@ def build_penalized(p: IntPolynomial) -> PenalizedPolynomial:
         mapping[y_exps] = mapping.get(y_exps, 0) + M
         x2_exps = tuple(2 if j == i else 0 for j in range(s)) + (0,) * s
         mapping[x2_exps] = mapping.get(x2_exps, 0) - M
-    return PenalizedPolynomial(s=s, M=M, poly=IntPolynomial.of(2 * s, mapping))
+    return IntPolynomial.of(2 * s, mapping)
 
 
 # -- monomials to digraphs -------------------------------------------------------------
@@ -230,17 +217,13 @@ def _necklace_powers(exps: Sequence[int], E: Sequence[int]) -> list[tuple]:
     return powers
 
 
-def monomial_to_quantum(
-    exps_x: Sequence[int],
-    exps_y: Sequence[int],
-    family: GadgetFamily,
-    E: Sequence[int],
-) -> Digraph:
-    """Disjoint union of necklaces whose density is x^a * y^b * prod t4^E."""
-    if not (len(exps_x) == len(exps_y) == family.s == len(E)):
+def monomial_to_quantum(exps: Sequence[int], family: GadgetFamily, E: Sequence[int]) -> Digraph:
+    """Disjoint union of necklaces whose density is x^a * y^b * prod t4^E,
+    for the exponent vector exps = a + b of a monomial of the lift."""
+    if not (len(exps) == 2 * family.s and len(E) == family.s):
         raise ValueError("exponent vectors must match the family size")
     parts = []
-    powers = _necklace_powers([*exps_x, *exps_y], E)
+    powers = _necklace_powers(exps, E)
     for dg, gadget_powers in zip(family.doubled, powers):
         for ell, copies in gadget_powers:
             if copies:
@@ -248,10 +231,10 @@ def monomial_to_quantum(
     return disjoint_union(*parts)
 
 
-def _required_exponents(pbar: PenalizedPolynomial) -> list[int]:
-    s = pbar.s
+def _required_exponents(lift: IntPolynomial) -> list[int]:
+    s = lift.s // 2
     req = [0] * s
-    for exps, _ in pbar.poly.terms:
+    for exps, _ in lift.terms:
         for i in range(s):
             req[i] = max(req[i], 2 * exps[i] + 3 * exps[s + i])
     return req
@@ -269,7 +252,7 @@ class ReducedQuantum:
     family: GadgetFamily
     source: IntPolynomial
     E: tuple[int, ...]
-    penalized: PenalizedPolynomial = field(init=False, repr=False)
+    penalized: IntPolynomial = field(init=False, repr=False)
 
     def __post_init__(self):
         s = self.family.s
@@ -278,21 +261,20 @@ class ReducedQuantum:
         object.__setattr__(self, "E", tuple(self.E))
         if len(self.E) != s:
             raise ValueError(f"E has {len(self.E)} exponents, the family {s} gadgets")
-        pbar = build_penalized(self.source)
-        required = _required_exponents(pbar)
+        lift = build_penalized(self.source)
+        required = _required_exponents(lift)
         for i, (e, need) in enumerate(zip(self.E, required)):
             if e < need:
                 raise ValueError(
                     f"exponent {e} cannot clear gadget {i + 1} "
                     f"(needs {need}); minimal exponents are {required}"
                 )
-        object.__setattr__(self, "penalized", pbar)
+        object.__setattr__(self, "penalized", lift)
 
     def quantum(self) -> QuantumDigraph:
-        s = self.family.s
         return QuantumDigraph.of(
-            (coef, monomial_to_quantum(exps[:s], exps[s:], self.family, self.E))
-            for exps, coef in self.penalized.poly.terms
+            (coef, monomial_to_quantum(exps, self.family, self.E))
+            for exps, coef in self.penalized.terms
         )
 
 
@@ -358,7 +340,7 @@ def _eval_terms(rq: ReducedQuantum, traces: list[tuple[dict[int, int], int]]) ->
     prod unit_i^(4 E_i): the terms are summed as integers and divided once.
     """
     total = 0
-    for exps, coef in rq.penalized.poly.terms:
+    for exps, coef in rq.penalized.terms:
         value = coef
         for (t, _), gadget_powers in zip(traces, _necklace_powers(exps, rq.E)):
             for ell, copies in gadget_powers:
@@ -375,7 +357,7 @@ def _rhs(rq: ReducedQuantum, traces: list[tuple[dict[int, int], int]]) -> Fracti
         return None
     xs = [Fraction(t[8], t[4] ** 2) for t, _ in traces]
     ys = [Fraction(t[12], t[4] ** 3) for t, _ in traces]
-    value = rq.penalized.evaluate(xs, ys)
+    value = rq.penalized.evaluate([*xs, *ys])
     for (t, unit), e in zip(traces, rq.E):
         value *= Fraction(t[4], unit**4) ** e
     return value
@@ -408,8 +390,8 @@ def load_reduced(source: str | Path | dict) -> ReducedQuantum:
     def read(key, kind):
         return json_field(meta, key, kind, "the reduction")
 
-    base_graph, _ = parse_digraph(read("base", str))
-    base = Tournament.from_out_masks(base_graph.n, base_graph.out_masks)
+    n, _, pairs = read_text_format(read("base", str))
+    base = Tournament(n, pairs)
     family = build_family(base, k_values=read("k", [int]), enforce_interval=False)
     p = poly_from_json(read("poly", dict))
     return ReducedQuantum(family, p, read("E", [int]))
@@ -425,11 +407,6 @@ class NonnegativityReport:
     values: tuple[Fraction, ...]
     degenerate_hosts: tuple[int, ...]
     negative_hosts: tuple[int, ...]
-
-    @property
-    def consistent(self) -> bool:
-        """The falsifiable direction: p >= 0 on the grid forbids negative values."""
-        return not (self.grid_nonnegative and self.negative_hosts)
 
 
 def nonnegativity_report(

@@ -31,8 +31,8 @@ import numpy as np
 
 from .digraphs import Tournament
 from .errors import DegenerateHostError
-from .gadgets import DoubledGadget, build_necklace
-from .homcount import count_hom, count_hom_rooted, rooted_count_matrices, rooted_count_matrix
+from .gadgets import DoubledGadget
+from .homcount import count_hom_rooted, rooted_count_matrices, rooted_count_matrix
 from .hosts import HostAtlas
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "density_matrices",
     "necklace_count_trace",
     "necklace_density_trace",
-    "necklace_density_direct",
     "necklace_density_spectral",
     "xy_from_matrix",
     "xy_point",
@@ -56,7 +55,9 @@ class DensityMatrix:
     """Symmetric conditional-count matrix of a doubled gadget in a host.
 
     `support` is the count matrix restricted to its support, found by the
-    same pass that checks symmetry; every trace and spectrum reads it.
+    same pass that checks symmetry, with each entry read as a Python int
+    (a fixed-width numpy integer would wrap in the traces); every trace and
+    spectrum reads it.  `counts` stay as given.
     Counts that are not `order` x `order` or not symmetric raise ValueError,
     and the first entry in row-major order that is not an integer raises
     TypeError naming it.
@@ -82,14 +83,11 @@ class DensityMatrix:
         if bad is not None:
             raise ValueError(f"count matrix not symmetric at {bad}")
         rows = self.counts
-        restricted = tuple(tuple(rows[i][j] for j in support) for i in support)
+        restricted = tuple(tuple(int(rows[i][j]) for j in support) for i in support)
         object.__setattr__(self, "support", restricted)
 
     def count(self, x: int, y: int) -> int:
         return self.counts[x][y]
-
-    def density(self, x: int, y: int) -> Fraction:
-        return Fraction(self.counts[x][y], self.density_denominator())
 
     def density_denominator(self) -> int:
         """N^(2m): a count over it is a conditional density."""
@@ -297,16 +295,6 @@ def necklace_count_trace(dm: DensityMatrix, ell: int) -> int:
 def necklace_density_trace(dm: DensityMatrix, ell: int) -> Fraction:
     """Necklace density via the exact trace; denominator N^(l(2m+1))."""
     return Fraction(necklace_count_trace(dm, ell), dm.necklace_unit() ** ell)
-
-
-def necklace_density_direct(
-    dg: DoubledGadget, T: Tournament, ell: int, max_nodes: int | None = None
-) -> Fraction:
-    """Necklace density by direct backtracking count of the necklace digraph."""
-    necklace = build_necklace(dg.rooted, ell)
-    if T.n == 0:
-        raise ValueError("empty host")
-    return Fraction(count_hom(necklace, T, max_nodes), T.n**necklace.n)
 
 
 def _scaled_eigenvalues(H) -> tuple[np.ndarray, int]:

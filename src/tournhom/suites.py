@@ -18,11 +18,19 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .digraphs import Digraph, RootedDigraph, Tournament, load_tournament, random_tournament
+from .digraphs import (
+    Digraph,
+    RootedDigraph,
+    Tournament,
+    disjoint_union,
+    load_tournament,
+    random_tournament,
+)
 from .errors import json_field
 from .gadgets import (
     GadgetFamily,
     build_family,
+    build_necklace,
     make_k_sequence,
     rotational_tournament,
     sample_base_tournament,
@@ -32,7 +40,7 @@ from .homcount import (
     count_hom,
     count_hom_bruteforce,
     count_hom_rooted,
-    disjoint_union_density_check,
+    density,
     iter_homs,
 )
 from .hosts import BlockAtlas, SimpleGraph, build_host, cycle_graph, single_edge_graph
@@ -58,7 +66,6 @@ from .region import (
 from .spectral import (
     density_matrices,
     graphon_pattern_check,
-    necklace_density_direct,
     necklace_density_spectral,
     necklace_density_trace,
 )
@@ -228,7 +235,7 @@ def run_core(config: ExperimentConfig) -> RunReport:
             F1 = _random_digraph(rng, rng.randint(1, 4))
             F2 = _random_digraph(rng, rng.randint(1, 4))
             T = random_tournament(rng.randint(2, 7), rng.randrange(2**30))
-            if not disjoint_union_density_check(F1, F2, T):
+            if density(disjoint_union(F1, F2), T) != density(F1, T) * density(F2, T):
                 bad.append(trial)
         report.check(
             "core.multiplicativity",
@@ -265,7 +272,7 @@ def run_spectral(config: ExperimentConfig) -> RunReport:
             # vanishes exactly (only an odd length can) is compared to that 1
             unit = Fraction(dm.necklace_unit(), max(map(max, dm.support), default=1))
             for ell in (3, 4):
-                direct = necklace_density_direct(dg, T, ell, max_nodes=NODE_BUDGET)
+                direct = density(build_necklace(dg.rooted, ell), T, NODE_BUDGET)
                 trace = necklace_density_trace(dm, ell)
                 if direct != trace:
                     trace_bad.append((idx, ell))

@@ -650,6 +650,21 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "0"
 
+    def test_negative_budget_exits_2(self, tmp_path, capsys):
+        # the terms cancel, so no search runs: -1 was accepted silently before
+        quantum = tmp_path / "q.json"
+        arc = "digraph 2\n0 1\n"
+        quantum.write_text(json.dumps({
+            "terms": [{"coef": "1/1", "graph": arc}, {"coef": "-1/1", "graph": arc}]
+        }))
+        host = tmp_path / "host.txt"
+        save_digraph(host, rotational_tournament(5))
+        args = ["eval-quantum", "--quantum", quantum, "--host", host]
+        assert run(args + ["--budget", 0]) == 0
+        capsys.readouterr()
+        assert run(args + ["--budget", -1]) == 2
+        assert capsys.readouterr() == ("", "error: max_nodes must be nonnegative, got -1\n")
+
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
         quantum.write_text(json.dumps({

@@ -47,8 +47,8 @@ class TestDigraph:
 
     def test_adjacency_views_match_arcs(self):
         g = Digraph(4, [(0, 1), (0, 2), (3, 0)])
-        assert g.out_neighbors(0) == {1, 2}
-        assert g.in_neighbors(0) == {3}
+        assert g.out_mask(0) == 0b0110 and g.out_masks[0] == g.out_mask(0)
+        assert g.in_mask(0) == 0b1000 and g.in_masks[0] == g.in_mask(0)
         assert g.out_degree(0) == 2 and g.in_degree(0) == 1
         assert g.has_arc(3, 0) and not g.has_arc(0, 3)
 

@@ -562,6 +562,29 @@ class TestSearchEngine:
         with pytest.raises(BudgetExceededError):
             rooted_count_matrix(PATH_GADGET, T, max_nodes=0)
 
+    def test_negative_budget_refused_before_any_shortcut(self):
+        T = random_tournament(6, 3)
+        roots_only = RootedDigraph(Digraph(2, []), (0, 1))  # no free vertex: no node
+        cancelling = QuantumDigraph.of([(1, CYCLE3), (-1, CYCLE3)])  # nothing searched
+        calls = [
+            lambda b: count_hom(CYCLE3, T, max_nodes=b),
+            lambda b: count_hom(Digraph(0, []), T, max_nodes=b),
+            lambda b: count_hom_rooted(roots_only, T, 0, 1, max_nodes=b),
+            lambda b: list(iter_homs(CYCLE3, T, max_nodes=b)),
+            lambda b: list(iter_homs(SINGLE, Digraph(0, []), max_nodes=b)),
+            lambda b: rooted_count_matrices([PATH_GADGET], T, max_nodes=b),
+            lambda b: rooted_count_matrices([], T, max_nodes=b),
+            lambda b: eval_quantum(cancelling, T, max_nodes=b),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="max_nodes must be nonnegative, got -1"):
+                call(-1)
+        # a zero budget stays valid where no node is needed
+        assert count_hom(Digraph(0, []), T, max_nodes=0) == 1
+        assert count_hom_rooted(roots_only, T, 0, 1, max_nodes=0) == 1
+        assert eval_quantum(cancelling, T, max_nodes=0) == 0
+        assert rooted_count_matrices([], T, max_nodes=0) == []
+
     def test_budget_is_the_node_count(self):
         T = random_tournament(7, 8)
         needed = nodes_needed(lambda b: count_hom(CYCLE3, T, max_nodes=b))

@@ -159,10 +159,14 @@ class TestAtlas:
     def test_roles(self):
         fam = toy_family(3, (2,))
         host, atlas = build_host(single_edge_graph(), fam, [1])
-        assert atlas.role(0)[0] == "base"
-        kind, block, edge, side = atlas.role(2)
-        assert (kind, edge, side) == ("cell", (0, 1), "left")
-        assert atlas.role(5)[3] == "right"
+        [block] = atlas.blocks
+        [cell] = block.cells
+        assert 0 in block.base
+        assert 2 in cell.left and cell.edge == (0, 1)
+        assert 5 in cell.right
+        # each host vertex has exactly one role
+        roles = [*block.base, *cell.left, *cell.right]
+        assert sorted(roles) == list(range(host.n))
 
     def test_base_edge_pairs_by_index(self):
         fam = toy_family(3, (2, 1))

@@ -1,8 +1,12 @@
 """Polynomial lift, monomial encoding, and the evaluation identity."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tournhom.digraphs import QuantumDigraph, random_tournament, transitive_tournament
 from tournhom.gadgets import toy_family
@@ -54,52 +58,95 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             parse_poly_text("3 z1")
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [{(1,): 2.5}, {(1,): 0.5}, {(1.7,): 3}, {(1,): Fraction(2)}],
+        ids=["coef-2.5", "coef-0.5", "exp-1.7", "coef-Fraction"],
+    )
+    def test_non_integers_refused(self, mapping):
+        [exps] = mapping
+        with pytest.raises(TypeError, match=rf"exponent vector \({exps[0]},\)"):
+            IntPolynomial.of(1, mapping)
+
+    def test_numpy_integers_read_as_ints(self):
+        p = IntPolynomial.of(2, {(np.int64(1), np.int32(0)): np.int64(3), (0, 2): 1})
+        assert p == IntPolynomial.of(2, {(1, 0): 3, (0, 2): 1})
+        assert all(type(v) is int for exps, c in p.terms for v in (*exps, c))
+
+
+def y_coefficients(lift):
+    """The coefficient of each y_i in a lift: M, or 0 when M = 0 drops the y terms."""
+    s = lift.s // 2
+    terms = dict(lift.terms)
+    return [terms.get((0,) * s + tuple(int(j == i) for j in range(s)), 0) for i in range(s)]
+
 
 class TestPenalized:
     def test_single_variable(self):
-        pbar = build_penalized(parse_poly_text("x1"))
-        assert pbar.M == 100 and not pbar.degenerate
-        assert dict(pbar.poly.terms) == {(7, 0): 1, (0, 1): 100, (2, 0): -100}
+        lift = build_penalized(parse_poly_text("x1"))
+        assert y_coefficients(lift) == [100]
+        assert dict(lift.terms) == {(7, 0): 1, (0, 1): 100, (2, 0): -100}
 
     def test_two_variables(self):
-        pbar = build_penalized(parse_poly_text("x1 - x2"))
-        assert pbar.M == 200
-        assert pbar.poly.s == 4
+        lift = build_penalized(parse_poly_text("x1 - x2"))
+        assert y_coefficients(lift) == [200, 200]
+        assert lift.s == 4
 
     def test_zero_polynomial(self):
-        pbar = build_penalized(IntPolynomial.zero(1))
-        assert pbar.M == 0 and pbar.degenerate
-        assert pbar.poly.is_zero()
+        lift = build_penalized(IntPolynomial(1, ()))
+        assert lift == IntPolynomial(2, ())
 
     def test_constant_flagged(self):
-        pbar = build_penalized(parse_poly_text("7", s=1))
-        assert pbar.M == 0 and pbar.degenerate
+        lift = build_penalized(parse_poly_text("7", s=1))
+        assert y_coefficients(lift) == [0]
+        assert dict(lift.terms) == {(6, 0): 7}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lift_is_the_penalized_formula(self, data):
+        s = data.draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 3)] * s).filter(lambda e: sum(e) <= 3)
+        mapping = data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=5))
+        p = IntPolynomial.of(s, mapping)
+        rational = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+        xs = data.draw(st.lists(rational, min_size=s, max_size=s))
+        ys = data.draw(st.lists(rational, min_size=s, max_size=s))
+        M = 100 * p.deg() * sum(abs(c) for _, c in p.terms)
+        expected = p.evaluate(xs) * math.prod(x**6 for x in xs)
+        expected += M * sum(y - x * x for x, y in zip(xs, ys))
+        assert build_penalized(p).evaluate([*xs, *ys]) == expected
+        assert y_coefficients(build_penalized(p)) == [M] * s
 
 
 class TestMonomialEncoding:
     def test_pure_x_power(self):
-        g = monomial_to_quantum([1], [0], FAM1, [2])
+        g = monomial_to_quantum([1, 0], FAM1, [2])
         # exactly one length-8 necklace, no fillers
         assert g.n == 8 * 7
 
     def test_pure_y_power(self):
-        g = monomial_to_quantum([0], [1], FAM1, [3])
+        g = monomial_to_quantum([0, 1], FAM1, [3])
         assert g.n == 12 * 7
 
     def test_insufficient_exponent(self):
         with pytest.raises(ValueError, match="clearing exponent too small"):
-            monomial_to_quantum([2], [0], FAM1, [3])
+            monomial_to_quantum([2, 0], FAM1, [3])
 
     def test_fillers_added(self):
-        g = monomial_to_quantum([1], [0], FAM1, [4])
+        g = monomial_to_quantum([1, 0], FAM1, [4])
         assert g.n == 8 * 7 + 2 * 4 * 7
+
+    def test_vector_lengths_checked(self):
+        for exps, E in (([1], [2]), ([1, 0, 0], [2]), ([1, 0], [2, 2])):
+            with pytest.raises(ValueError, match="must match the family size"):
+                monomial_to_quantum(exps, FAM1, E)
 
 
 class TestBuildReduction:
     def test_minimal_exponent_for_linear(self):
         rq = build_reduction(parse_poly_text("x1"), FAM1, mode="minimal")
         assert rq.E == (14,)
-        assert dict(rq.penalized.poly.terms) == {(7, 0): 1, (0, 1): 100, (2, 0): -100}
+        assert dict(rq.penalized.terms) == {(7, 0): 1, (0, 1): 100, (2, 0): -100}
 
     def test_paper_mode_needs_degree_twelve(self):
         with pytest.raises(ValueError, match="minimal exponents"):
@@ -177,7 +224,7 @@ class TestEvaluationIdentity:
     def test_generic_eval_quantum_agrees_on_tiny_union(self):
         # cross-check the generic evaluator against the trace route on the
         # smallest structured object: a single 4-necklace
-        g = monomial_to_quantum([0], [0], FAM1, [1])
+        g = monomial_to_quantum([0, 0], FAM1, [1])
         q = QuantumDigraph.of([(1, g)])
         for seed in (1, 5):
             T = random_tournament(4, seed)
@@ -279,8 +326,9 @@ class TestNonnegativityReport:
     def test_nonnegative_polynomial(self):
         hosts = [random_tournament(5, s) for s in range(6)]
         report = nonnegativity_report(parse_poly_text("x1"), FAM1, hosts)
+        # p >= 0 on the grid forbids a negative value on any host
         assert report.grid_nonnegative
-        assert report.consistent
+        assert not report.negative_hosts
 
     def test_negative_constant_found(self):
         from tournhom.gadgets import rotational_tournament

@@ -20,11 +20,12 @@ from tournhom.errors import BudgetExceededError, DegenerateHostError
 from tournhom.gadgets import (
     DoubledGadget,
     build_gadget,
+    build_necklace,
     rotational_tournament,
     symmetrize,
     toy_family,
 )
-from tournhom.homcount import count_hom_bruteforce, rooted_count_matrix
+from tournhom.homcount import count_hom_bruteforce, density, rooted_count_matrix
 from tournhom.hosts import build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
@@ -38,7 +39,6 @@ from tournhom.spectral import (
     density_matrix,
     graphon_pattern_check,
     necklace_count_trace,
-    necklace_density_direct,
     necklace_density_spectral,
     necklace_density_trace,
     xy_from_matrix,
@@ -151,6 +151,25 @@ class TestDensityMatrix:
         assert dm.support == synthetic(counts).support
         assert xy_point(dm) == xy_point(synthetic(counts))
 
+    def test_int64_counts_give_exact_traces(self):
+        # 3^30 squared overflows 64 bits: the traces must not wrap
+        big = 3**30
+        counts = [[0, big, 1], [big, 0, 2], [1, 2, 0]]
+        wide, exact = synthetic(np.array(counts, dtype=np.int64)), synthetic(counts)
+        for ell in (3, 4, 8, 12):
+            assert necklace_count_trace(wide, ell) == necklace_count_trace(exact, ell)
+        assert necklace_count_trace(exact, 4) > 2**64
+        assert xy_point(wide) == xy_point(exact)
+        assert all(type(c) is int for row in wide.support for c in row)
+
+    def test_int64_host_counts_match_python_ints(self):
+        dm = density_matrix(TOY, rotational_tournament(7))
+        wide = DensityMatrix(dm.order, dm.m, np.array(dm.counts, dtype=np.int64))
+        assert dm.support and wide.support == dm.support
+        for ell in (4, 8, 12):
+            assert necklace_count_trace(wide, ell) == necklace_count_trace(dm, ell)
+        assert xy_point(wide) == xy_point(dm)
+
     def test_shape_validated(self):
         with pytest.raises(ValueError, match=r"2 rows of lengths \[1, 2\], not 2 x 2"):
             DensityMatrix(order=2, m=1, counts=((1, 1), (1,)))
@@ -167,7 +186,7 @@ class TestDensityMatrix:
     def test_density_normalization(self):
         t = random_tournament(4, 3)
         dm = density_matrix(TOY, t)
-        assert dm.density(0, 1) == Fraction(dm.count(0, 1), 4**6)
+        assert Fraction(dm.count(0, 1), dm.density_denominator()) == Fraction(dm.count(0, 1), 4**6)
 
 
 class TestTraceIdentity:
@@ -177,9 +196,8 @@ class TestTraceIdentity:
                 t = random_tournament(n, 31 * seed + n)
                 dm = density_matrix(TOY, t)
                 for ell in (3, 4):
-                    assert necklace_density_direct(TOY, t, ell) == necklace_density_trace(
-                        dm, ell
-                    )
+                    direct = density(build_necklace(TOY.rooted, ell), t)
+                    assert direct == necklace_density_trace(dm, ell)
 
     def test_bare_arc_necklace_is_cycle_density(self):
         from tournhom.gadgets import build_necklace
