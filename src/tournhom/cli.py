@@ -127,12 +127,7 @@ def cmd_hom(args) -> int:
 def cmd_build_host(args) -> int:
     G = load_simple_graph(args.graph)
     f0 = load_tournament(args.f0)
-    if args.m != f0.n:
-        raise ValueError(f"--m {args.m} does not match the base size {f0.n}")
-    k_values = _parse_int_list(args.k)
-    if args.s != len(k_values):
-        raise ValueError("--s must match the number of k values")
-    family = build_family(f0, k_values=k_values, enforce_interval=not args.toy)
+    family = build_family(f0, k_values=_parse_int_list(args.k), enforce_interval=not args.toy)
     r = _parse_int_list(args.r)
     host, atlas = build_host(G, family, r)
     save_digraph(args.out, host)
@@ -274,6 +269,8 @@ def _scientific(value: Fraction) -> str:
 
 
 def cmd_eval_quantum(args) -> int:
+    if args.budget < 0:  # the necklace-reduction branch runs no search that would refuse it
+        raise ValueError(f"--budget must be nonnegative, got {args.budget}")
     host = load_tournament(args.host)
     doc = json.loads(Path(args.quantum).read_text())
     meta = doc.get("meta") if isinstance(doc, dict) else None
@@ -384,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-host", help="build the stacked host tournament and its atlas")
     p.add_argument("--graph", required=True)
     p.add_argument("--f0", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", required=True, help="comma-separated thresholds")
     p.add_argument("--r", required=True, help="comma-separated multiplicities")
     p.add_argument("--toy", action="store_true", help="skip the threshold-interval check")

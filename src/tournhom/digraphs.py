@@ -257,14 +257,20 @@ def _strong_components(n: int, out: tuple[int, ...], ins: tuple[int, ...]) -> tu
     return tuple(sorted(comps, key=lambda c: c & -c))
 
 
+_TRANSPOSE_WORDS = 1 << 14  # mask words unpacked at once, which bounds the arc arrays
+
+
 def _transpose(n: int, out: tuple[int, ...]) -> tuple[int, ...]:
     """The in-masks of the out-masks: bit u of the v-th is bit v of out[u]."""
-    us, vs = _arc_arrays(n, out)
     words = (n + 63) >> 6
     cols = np.zeros(n * words, dtype="<u8")
-    # arcs into one word of a column set distinct bits, so adding is OR-ing
-    bits = np.left_shift(np.uint64(1), (us & 63).astype(np.uint64))
-    np.add.at(cols, vs * words + (us >> 6), bits)
+    step = max(1, _TRANSPOSE_WORDS // max(words, 1))
+    for lo in range(0, n, step):
+        us, vs = _arc_arrays(n, out[lo : lo + step])
+        us += lo
+        # arcs into one word of a column set distinct bits, so adding is OR-ing
+        bits = np.left_shift(np.uint64(1), (us & 63).astype(np.uint64))
+        np.add.at(cols, vs * words + (us >> 6), bits)
     data = memoryview(cols.tobytes())
     size = 8 * words
     return tuple(int.from_bytes(data[v * size : (v + 1) * size], "little") for v in range(n))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .digraphs import Digraph, Tournament, read_text_format, save_digraph
@@ -43,9 +44,11 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"edge ({a}, {b}) invalid for n={self.n}")
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        for e in self.edges:
+            if len(e) != 2 or not 0 <= e[0] < e[1] < self.n:
+                raise ValueError(f"edge {e} invalid for n={self.n}")
 
     @property
     def edge_count(self) -> int:
@@ -120,70 +123,68 @@ class BlockAtlas:
 
 @dataclass(frozen=True)
 class HostAtlas:
+    """The role of every vertex of the host of a graph, m and multiplicities r.
+
+    The host stacks r[i-1] copies of block i, gadget by gadget, each at the
+    next multiple of the block size.  A block is the graph's base vertices,
+    then one cell of 2m vertices per edge in ascending edge order, its left
+    half first.  `blocks` and `order` are derived from the inputs, which are
+    all that the JSON form keeps.
+    """
+
+    graph: SimpleGraph
     m: int
-    blocks: tuple[BlockAtlas, ...]
-    edge_order: tuple[tuple[int, int], ...]  # base-local edges, ascending under the order
+    r: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"the gadget base size m must be positive, got {self.m}")
+        if not self.r or min(self.r) < 1:
+            raise ValueError("multiplicities must be a nonempty list of positive integers")
+        object.__setattr__(self, "r", tuple(self.r))
+
+    @property
+    def order(self) -> int:
+        """The host's vertex count, read without laying out the blocks."""
+        return (self.graph.n + self.graph.edge_count * 2 * self.m) * sum(self.r)
+
+    @cached_property
+    def blocks(self) -> tuple[BlockAtlas, ...]:
+        """The blocks in host order, laid out on first use, so that a short
+        file naming a huge host is refused by `order` before it costs memory."""
+        n, m = self.graph.n, self.m
+        edges = sorted(self.graph.edges)
+        size = n + len(edges) * 2 * m
+        blocks = []
+        for i, ri in enumerate(self.r, start=1):
+            for k in range(1, ri + 1):
+                offset = size * len(blocks)
+                cells = []
+                for idx, (a, b) in enumerate(edges):
+                    start = offset + n + idx * 2 * m
+                    halves = tuple(range(start, start + m)), tuple(range(start + m, start + 2 * m))
+                    cells.append(CellAtlas((offset + a, offset + b), *halves))
+                blocks.append(BlockAtlas(i, k, tuple(range(offset, offset + n)), tuple(cells)))
+        return tuple(blocks)
 
     def base_edge_pairs(self, i: int) -> set[tuple[int, int]]:
         """Host-id root pairs (tail, head) of blocks with the given gadget index."""
         return {cell.edge for block in self.blocks if block.i == i for cell in block.cells}
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "edge_order": [list(e) for e in self.edge_order],
-            "blocks": [
-                {
-                    "i": b.i,
-                    "k": b.k,
-                    "base": list(b.base),
-                    "cells": [
-                        {
-                            "edge": list(c.edge),
-                            "left": list(c.left),
-                            "right": list(c.right),
-                        }
-                        for c in b.cells
-                    ],
-                }
-                for b in self.blocks
-            ],
-        }
+        edges = [list(e) for e in sorted(self.graph.edges)]
+        return {"m": self.m, "r": list(self.r), "n": self.graph.n, "edges": edges}
 
     @staticmethod
     def from_json(doc: dict) -> "HostAtlas":
         """The atlas of `to_json`; a missing or mistyped field raises ValueError naming it."""
-
-        def ints(d: dict, key: str, owner: str) -> tuple[int, ...]:
-            return tuple(json_field(d, key, [int], owner))
-
-        def pair(d: dict, key: str, owner: str) -> tuple[int, int]:
-            value = ints(d, key, owner)
-            if len(value) != 2:
-                raise ValueError(f"{owner}'s field {key!r} must be a pair of vertex ids")
-            return value
-
-        blocks = tuple(
-            BlockAtlas(
-                i=json_field(b, "i", int, "an atlas block"),
-                k=json_field(b, "k", int, "an atlas block"),
-                base=ints(b, "base", "an atlas block"),
-                cells=tuple(
-                    CellAtlas(
-                        edge=pair(c, "edge", "an atlas cell"),
-                        left=ints(c, "left", "an atlas cell"),
-                        right=ints(c, "right", "an atlas cell"),
-                    )
-                    for c in json_field(b, "cells", [dict], "an atlas block")
-                ),
-            )
-            for b in json_field(doc, "blocks", [dict], "the atlas")
-        )
-        return HostAtlas(
-            m=json_field(doc, "m", int, "the atlas"),
-            blocks=blocks,
-            edge_order=tuple(tuple(e) for e in json_field(doc, "edge_order", [[int]], "the atlas")),
-        )
+        m = json_field(doc, "m", int, "the atlas")
+        r = json_field(doc, "r", [int], "the atlas")
+        n = json_field(doc, "n", int, "the atlas")
+        edges = [tuple(e) for e in json_field(doc, "edges", [[int]], "the atlas")]
+        if len(set(edges)) != len(edges):
+            raise ValueError("the atlas's field 'edges' lists an edge twice")
+        return HostAtlas(SimpleGraph(n, frozenset(edges)), m, r)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=1))
@@ -196,39 +197,33 @@ class HostAtlas:
 # -- construction -------------------------------------------------------------------
 
 
-def _block_rows(
-    G: SimpleGraph, dg: DoubledGadget, offset: int, i: int, k: int
-) -> tuple[list[int], BlockAtlas]:
-    """Out-masks and atlas of one block, vertex ids shifted by offset.
+def _block_rows(dg: DoubledGadget, block: BlockAtlas) -> list[int]:
+    """Out-masks of one block's vertices, in host order, laid out as its atlas says.
 
     The doubled gadget's layout (left copy, right copy, z, w) is the one
     `glue` takes, so a cell is the gadget's first 2m vertices, shifted."""
-    n, m = G.n, dg.m
-    edges = sorted(G.edges)
+    m, base = dg.m, block.base
     cell = (1 << 2 * m) - 1
-    starts = {e: offset + n + idx * 2 * m for idx, e in enumerate(edges)}
     # step 5: higher-order cells point at lower-order cells
     below, lower = {}, 0
-    for e in sorted(edges, key=edge_sort_key):
-        below[e] = lower
-        lower |= cell << starts[e]
+    for c in sorted(block.cells, key=lambda c: edge_sort_key(c.edge)):
+        below[c.edge] = lower
+        lower |= cell << c.left[0]
     # step 1: transitive base, low to high
-    rows = [((1 << n) - 1) >> x + 1 << offset + x + 1 for x in range(n)]
-    cells = []
-    for (a, b), start in starts.items():
+    rows = {x: (2 << base[-1]) - (2 << x) for x in base}
+    cell_rows = []
+    for c in block.cells:
+        (a, b), start = c.edge, c.left[0]
         # step 2: glue the doubled gadget onto the edge
-        *glued, z_row, w_row = glue(dg.rooted.graph.out_masks, start, offset + a, offset + b)
+        *glued, z_row, w_row = glue(dg.rooted.graph.out_masks, start, a, b)
         rows[a] |= z_row
         rows[b] |= w_row
-        for x in range(n):
+        for x in base:
             if x not in (a, b):  # step 4: every other base vertex points at the whole cell
                 rows[x] |= cell << start
         right = ((1 << m) - 1) << start + m  # step 3: the left half points at the right half
-        rows += [row | (right if p < m else 0) | below[(a, b)] for p, row in enumerate(glued)]
-        halves = tuple(range(start, start + m)), tuple(range(start + m, start + 2 * m))
-        cells.append(CellAtlas((offset + a, offset + b), *halves))
-    atlas = BlockAtlas(i=i, k=k, base=tuple(range(offset, offset + n)), cells=tuple(cells))
-    return rows, atlas
+        cell_rows += [row | (right if p < m else 0) | below[c.edge] for p, row in enumerate(glued)]
+    return [*rows.values(), *cell_rows]
 
 
 def build_host(
@@ -237,23 +232,12 @@ def build_host(
     """The stacked host: r[i-1] copies of block i, earlier blocks beat later ones."""
     if len(r) != family.s:
         raise ValueError("need one multiplicity per gadget")
-    if any(ri < 1 for ri in r):
-        raise ValueError("multiplicities must be positive")
-    block_size = G.n + G.edge_count * 2 * family.m
-    full = (1 << block_size * sum(r)) - 1
+    atlas = HostAtlas(G, family.m, r)
+    full = (1 << atlas.order) - 1
     out: list[int] = []
-    blocks = []
-    for i, dg in enumerate(family.doubled, start=1):
-        for k in range(1, r[i - 1] + 1):
-            rows, block = _block_rows(G, dg, len(out), i, k)
-            # all arcs from earlier blocks to later blocks
-            later = full >> len(out) + block_size << len(out) + block_size
-            out += [row | later for row in rows]
-            blocks.append(block)
-    host = Tournament.from_out_masks(len(out), out)
-    atlas = HostAtlas(
-        m=family.m,
-        blocks=tuple(blocks),
-        edge_order=tuple(sorted(G.edges, key=edge_sort_key)),
-    )
-    return host, atlas
+    for block in atlas.blocks:
+        rows = _block_rows(family.doubled[block.i - 1], block)
+        # all arcs from earlier blocks to later blocks
+        later = full >> len(out) + len(rows) << len(out) + len(rows)
+        out += [row | later for row in rows]
+    return Tournament.from_out_masks(atlas.order, out), atlas

@@ -179,11 +179,10 @@ class TestHostAndMatrix:
         save_digraph(f0, toy_family(3, (2,)).base)
         host = tmp_path / "host.txt"
         atlas = tmp_path / "atlas.json"
-        assert run(["build-host", "--graph", graph, "--f0", f0, "--m", 3,
-                    "--s", 1, "--k", "2", "--r", "2", "--toy",
+        assert run(["build-host", "--graph", graph, "--f0", f0, "--k", "2", "--r", "2", "--toy",
                     "--out", host, "--atlas", atlas]) == 0
         assert load_digraph(host).n == 16
-        assert json.loads(atlas.read_text())["blocks"][1]["k"] == 2
+        assert json.loads(atlas.read_text()) == {"m": 3, "r": [2], "n": 2, "edges": [[0, 1]]}
 
         fd = tmp_path / "fd.txt"
         run(["build-gadget", "--f0", f0, "--k", 2,
@@ -203,14 +202,14 @@ class TestHostAndMatrix:
 
         # a graph file without a vertex count raised a bare IndexError
         graph.write_text("digraph\n0 1\n")
-        assert run(["build-host", "--graph", graph, "--f0", f0, "--m", 3, "--s", 1, "--k", "2",
+        assert run(["build-host", "--graph", graph, "--f0", f0, "--k", "2",
                     "--r", "2", "--toy", "--out", host, "--atlas", atlas]) == 2
-        # an atlas without blocks raised a bare KeyError
+        # an empty atlas raised a bare KeyError
         atlas.write_text("{}")
         capsys.readouterr()
         assert run(["density-matrix", "--gadget", fd, "--host", host, "--atlas", atlas,
                     "--out", counts, "--out-density", dens]) == 2
-        assert "the atlas lacks the field 'blocks'" in capsys.readouterr().err
+        assert "the atlas lacks the field 'm'" in capsys.readouterr().err
 
     def test_non_mirrored_gadget_exits_2(self, tmp_path, capsys):
         # left copy from the k = 2 doubled gadget, right copy from the k = 1 one
@@ -256,11 +255,11 @@ class TestHostAndMatrix:
         save_digraph(fd, dg.rooted.graph, roots=dg.rooted.roots)
         save_digraph(host_path, host)
         doc = atlas.to_json()
-        doc["blocks"][0]["cells"][0]["edge"] = edge
+        doc["edges"][0] = edge  # the edge that the atlas's one cell is glued onto
         atlas_path.write_text(json.dumps(doc))
         assert run(["density-matrix", "--gadget", fd, "--host", host_path, "--atlas", atlas_path,
                     "--out", tmp_path / "c.csv", "--out-density", tmp_path / "d.csv"]) == 2
-        assert "an atlas cell's field 'edge' must be a pair of vertex ids" in capsys.readouterr().err
+        assert f"edge {tuple(edge)} invalid for n=2" in capsys.readouterr().err
 
     def test_doubled_gadget_roots_not_last_exits_2(self, tmp_path, capsys):
         dg = toy_family(3, (2,)).doubled[0]
@@ -663,7 +662,21 @@ class TestReduce:
         assert run(args + ["--budget", 0]) == 0
         capsys.readouterr()
         assert run(args + ["--budget", -1]) == 2
-        assert capsys.readouterr() == ("", "error: max_nodes must be nonnegative, got -1\n")
+        assert capsys.readouterr() == ("", "error: --budget must be nonnegative, got -1\n")
+
+    def test_negative_budget_on_a_reduce_file_exits_2(self, tmp_path, capsys):
+        # the necklace-reduction branch runs no search: it printed a value and exit 0 before
+        fam_dir = tmp_path / "family"
+        fam_dir.mkdir()
+        save_digraph(fam_dir / "f0.txt", toy_family(3, (2,)).base)
+        (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": [2]}))
+        poly, out, host = tmp_path / "p.txt", tmp_path / "fp.json", tmp_path / "host.txt"
+        poly.write_text("x1")
+        assert run(["reduce", "--poly", poly, "--family", fam_dir, "--out", out]) == 0
+        save_digraph(host, rotational_tournament(7))
+        capsys.readouterr()
+        assert run(["eval-quantum", "--quantum", out, "--host", host, "--budget", -1]) == 2
+        assert capsys.readouterr() == ("", "error: --budget must be nonnegative, got -1\n")
 
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
@@ -1022,7 +1035,7 @@ def arguments(draw, good, wild):
 
 HOST_ARGS = st.lists(st.integers(1, 2), min_size=1, max_size=2).flatmap(
     lambda k: st.tuples(
-        SIMPLE_TEXTS, st.just(BASE_TEXT), st.just(3), st.just(len(k)), st.just(_joined(k)),
+        SIMPLE_TEXTS, st.just(BASE_TEXT), st.just(_joined(k)),
         st.lists(st.integers(1, 2), min_size=len(k), max_size=len(k)).map(_joined), st.just(True),
     )
 )
@@ -1040,8 +1053,7 @@ MORE_COMMANDS = st.one_of(
         [GRAPH_TEXTS, st.integers(-1, 5)],
     )),
     st.tuples(st.just("build-host"), arguments(HOST_ARGS, [
-        GRAPH_TEXTS, TOURNAMENT_TEXTS, st.integers(0, 9), st.integers(0, 3),
-        INT_LIST_TEXTS, INT_LIST_TEXTS, st.booleans(),
+        GRAPH_TEXTS, TOURNAMENT_TEXTS, INT_LIST_TEXTS, INT_LIST_TEXTS, st.booleans(),
     ])),
     st.tuples(st.just("density-matrix"), arguments(
         st.sampled_from(BUILT_HOSTS).map(lambda built: built + (1,)),
@@ -1083,11 +1095,11 @@ def test_generated_inputs_of_the_other_commands_exit_0_1_or_2(case):
             (d / "g.txt").write_text(gadget)
             args = ["necklace", "--gadget", d / "g.txt", "--len", length, "--out", d / "n.txt"]
         elif name == "build-host":
-            graph, f0, m, s, k, r, toy = values
+            graph, f0, k, r, toy = values
             (d / "g.txt").write_text(graph)
             (d / "f0.txt").write_text(f0)
-            args = ["build-host", "--graph", d / "g.txt", "--f0", d / "f0.txt", "--m", m,
-                    "--s", s, f"--k={k}", f"--r={r}", "--out", d / "h.txt",
+            args = ["build-host", "--graph", d / "g.txt", "--f0", d / "f0.txt",
+                    f"--k={k}", f"--r={r}", "--out", d / "h.txt",
                     "--atlas", d / "atlas.json"] + ["--toy"] * toy
         elif name == "density-matrix":
             gadget, host, atlas, index = values

@@ -2,12 +2,15 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tournhom import digraphs
 from tournhom.digraphs import (
     Digraph,
     QuantumDigraph,
@@ -305,6 +308,29 @@ class TestMaskStoreAgainstReference:
         assert g.arc_count == len(ref.arcs)
         assert format_digraph(g) == f"digraph {n}\n" + ref.text()
         assert Digraph.from_out_masks(n, ref.masks(ref.succ)) == g
+
+    @given(arc_lists(), st.integers(1, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_in_masks_from_blocks_of_rows(self, case, words):
+        # a budget of a few mask words splits the transpose into many blocks
+        n, arcs = case
+        with mock.patch.object(digraphs, "_TRANSPOSE_WORDS", words):
+            g = Digraph(n, arcs)
+        ref = _Reference(n, arcs)
+        assert g.in_masks == ref.masks(ref.pred)
+
+    def test_transpose_peak_is_bounded(self):
+        # 4.5 M arcs: their arc arrays, made all at once, peaked at 173 MB
+        n = 3000
+        out = [((1 << n) - 1) >> u + 1 << u + 1 for u in range(n)]
+        tracemalloc.start()
+        try:
+            t = Tournament.from_out_masks(n, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.in_masks == tuple((1 << v) - 1 for v in range(n))
+        assert peak < 96 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     @given(arc_lists(max_n=70), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)

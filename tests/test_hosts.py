@@ -181,32 +181,49 @@ class TestAtlas:
         assert HostAtlas.load(tmp_path / "atlas.json") == atlas
 
     @pytest.mark.parametrize(
+        "G", [SimpleGraph(4, frozenset()), single_edge_graph(), path_graph(3), cycle_graph(5)],
+        ids=["edgeless", "edge", "path3", "cycle5"],
+    )
+    @pytest.mark.parametrize("r", [(1,), (2,), (1, 1), (2, 1)])
+    def test_the_atlas_is_its_inputs(self, G, r):
+        fam = toy_family(3, (2, 1)[: len(r)])
+        host, built = build_host(G, fam, list(r))
+        atlas = HostAtlas(G, 3, r)
+        assert HostAtlas.from_json(atlas.to_json()) == atlas == built
+        assert atlas.to_json() == {"m": 3, "r": list(r), "n": G.n,
+                                   "edges": [list(e) for e in sorted(G.edges)]}
+        assert atlas.order == host.n
+        # every host vertex has exactly one role across all blocks
+        roles = [v for b in atlas.blocks for c in b.cells for v in (*c.left, *c.right)]
+        roles += [v for b in atlas.blocks for v in b.base]
+        assert sorted(roles) == list(range(host.n))
+        assert [(b.i, b.k) for b in atlas.blocks] == [
+            (i, k) for i, ri in enumerate(r, start=1) for k in range(1, ri + 1)
+        ]
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc.clear(), "the atlas lacks the field 'blocks'"),  # a bare KeyError
+            (lambda doc: doc.clear(), "the atlas lacks the field 'm'"),  # a bare KeyError
             (lambda doc: doc.update(m="3"), "the atlas's field 'm' must be an integer"),
-            (lambda doc: doc.update(blocks={}), "field 'blocks' must be a list of objects"),
-            (lambda doc: doc["blocks"][0].pop("i"), "an atlas block lacks the field 'i'"),
-            (lambda doc: doc["blocks"][0].update(k=True), "block's field 'k' must be an integer"),
-            (
-                lambda doc: doc["blocks"][0]["cells"][0].update(left=[1.5]),
-                "an atlas cell's field 'left' must be a list of integers",
-            ),
-            (
-                lambda doc: doc.update(edge_order=[0, 1]),
-                "field 'edge_order' must be a list of lists of integers",
-            ),
-            (
-                lambda doc: doc["blocks"][0]["cells"][0].update(edge=[0, 1, 2]),
-                "an atlas cell's field 'edge' must be a pair of vertex ids",
-            ),
-            (
-                lambda doc: doc["blocks"][0]["cells"][0].update(edge=[0]),
-                "an atlas cell's field 'edge' must be a pair of vertex ids",
-            ),
+            (lambda doc: doc.update(m=0), "m must be positive, got 0"),
+            (lambda doc: doc.pop("r"), "the atlas lacks the field 'r'"),
+            (lambda doc: doc.update(r=[True]), "field 'r' must be a list of integers"),
+            (lambda doc: doc.update(r=[1, 0]), "multiplicities must be a nonempty list"),
+            (lambda doc: doc.update(r=[]), "multiplicities must be a nonempty list"),
+            (lambda doc: doc.update(n=1.5), "the atlas's field 'n' must be an integer"),
+            (lambda doc: doc.update(n=-1), "vertex count must be nonnegative, got -1"),
+            (lambda doc: doc.update(edges={}), "field 'edges' must be a list of lists"),
+            (lambda doc: doc.update(edges=[0, 1]), "field 'edges' must be a list of lists"),
+            (lambda doc: doc.update(edges=[[0, 1, 2]]), "edge (0, 1, 2) invalid for n=3"),
+            (lambda doc: doc.update(edges=[[0]]), "edge (0,) invalid for n=3"),
+            (lambda doc: doc.update(edges=[[1, 0]]), "edge (1, 0) invalid for n=3"),
+            (lambda doc: doc.update(edges=[[1, 3]]), "edge (1, 3) invalid for n=3"),
+            (lambda doc: doc["edges"].append([0, 1]), "field 'edges' lists an edge twice"),
         ],
-        ids=["empty", "m-str", "blocks-object", "no-i", "k-bool", "left-float", "edge-order-flat",
-             "edge-three-ids", "edge-one-id"],
+        ids=["empty", "m-str", "m-zero", "no-r", "r-bool", "r-zero", "r-empty", "n-float",
+             "n-negative", "edges-object", "edges-flat", "edge-three-ids", "edge-one-id",
+             "edge-high-low", "edge-out-of-range", "edge-twice"],
     )
     def test_from_json_names_a_bad_field(self, edit, message):
         _, atlas = build_host(path_graph(3), toy_family(3, (2,)), [1])
@@ -215,3 +232,14 @@ class TestAtlas:
         with pytest.raises(ValueError) as err:
             HostAtlas.from_json(doc)
         assert message in str(err.value)
+
+    def test_a_file_of_the_layout_ids_names_a_missing_field(self):
+        # the earlier format: every vertex id of every cell, and the edge order
+        old = {
+            "m": 3,
+            "edge_order": [[0, 1]],
+            "blocks": [{"i": 1, "k": 1, "base": [0, 1],
+                        "cells": [{"edge": [0, 1], "left": [2, 3, 4], "right": [5, 6, 7]}]}],
+        }
+        with pytest.raises(ValueError, match="the atlas lacks the field 'r'"):
+            HostAtlas.from_json(old)

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +25,7 @@ from tournhom.gadgets import (
     toy_family,
 )
 from tournhom.homcount import count_hom_bruteforce, density, rooted_count_matrix
-from tournhom.hosts import build_host, single_edge_graph
+from tournhom.hosts import HostAtlas, SimpleGraph, build_host, single_edge_graph
 from tournhom.spectral import (
     DensityMatrix,
     PatternVerdict,
@@ -668,13 +667,20 @@ class TestPatternCheck:
         zero = synthetic([[0] * n for _ in range(n)], m=3)
         with pytest.raises(ValueError, match=f"a {n // 2}-vertex host, the matrix has {n} rows"):
             graphon_pattern_check(zero, small, 1)
-        # an atlas of the right size whose base edge lies outside the matrix
-        block = atlas.blocks[1]
-        a = block.cells[0].edge[0]
-        cell = replace(block.cells[0], edge=(a, n))
-        moved = replace(atlas, blocks=(atlas.blocks[0], replace(block, cells=(cell,))))
-        with pytest.raises(ValueError, match=rf"base edge \({a}, {n}\) lies outside the matrix"):
-            graphon_pattern_check(zero, moved, 1)
+        # an atlas of the right order is derived from its inputs, so no base
+        # edge can lie outside the matrix
+        assert all(0 <= a < b < n for a, b in atlas.base_edge_pairs(1))
+        verdict = graphon_pattern_check(zero, atlas, 1)
+        assert verdict.violations[0][2] == "expected positive entry, got 0"
+
+    def test_atlas_of_a_larger_host_refused_before_its_layout(self):
+        # four JSON fields can name a host of any order; the check reads the
+        # order before it lays out a single block
+        big = HostAtlas(SimpleGraph(1000, frozenset()), 1, (100,))
+        zero = synthetic([[0] * 8 for _ in range(8)], m=3)
+        with pytest.raises(ValueError, match="a 100000-vertex host, the matrix has 8 rows"):
+            graphon_pattern_check(zero, big, 1)
+        assert "blocks" not in vars(big)
 
     def test_missing_index_degenerates_to_zero_check(self):
         n, atlas = self._atlas(1)
