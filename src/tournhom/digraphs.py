@@ -58,10 +58,12 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         out = [0] * max(n, 0)
         for u, v in arcs:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if type(u) is not int or type(v) is not int:
+                u, v = int(u), int(v)  # e.g. numpy integers, whose shifts wrap
+            # _build finds a loop or a head past n on the masks; a tail out
+            # of range (a negative one would index from the end) or a
+            # negative head never reaches them
+            if not 0 <= u < n or v < 0:
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             out[u] |= 1 << v
         self._build(n, out)

@@ -37,15 +37,21 @@ host mask.  Placing a vertex at host vertex g splits each class into at
 most four pieces: its out-neighbours AND the out-mask of g into their
 host mask, its in-neighbours the in-mask, its digon neighbours both, and
 the vertices not adjacent to it keep their mask.  A piece with an empty
-mask prunes the placement.  Each frame of the search keeps its own class
-list, so backtracking restores nothing.  The next vertex is the unplaced
-vertex with the fewest candidates left in its class mask AND its domain,
-the first by rank among equals: the fail-first rule of the Glasgow
-subgraph solver (McCreesh, Prosser and Trimble 2020).  When a class's
-mask holds one host vertex, no vertex has fewer candidates but one with
-none, so the first by rank of such classes' vertices is taken without
-the scan.  Domain sizes do not change when the host's vertices are
-renamed, so renaming changes no search decision and no node count.
+mask prunes the placement.  Each frame of the search owns its class list:
+a placement builds a new one, and the next node pops its vertex's class
+from that list, which then holds the node's other classes with no copy,
+so backtracking restores nothing.  The next vertex is the unplaced vertex
+with the fewest candidates left in its class mask AND its domain, the
+first by rank among equals: the fail-first rule of the Glasgow subgraph
+solver (McCreesh, Prosser and Trimble 2020).  When a class's mask holds
+one host vertex, no vertex has fewer candidates but one with none, so
+the first such class in list order gives its first vertex by rank,
+without the scan; the placement that built the list has already found
+that class.  Renaming the host's vertices changes no search decision and
+no node count: the list order comes from the pattern (its parts, and the
+order of each vertex's sides) and from which classes are popped, and
+that, like "one host vertex", is decided by mask and domain sizes, which
+renaming keeps.
 
 Maps need not be injective, but adjacent pattern vertices take distinct
 images, since no digraph has a loop.  The vertices of one class all go
@@ -318,10 +324,12 @@ def _too_many(piece: int, size: int, clique: int, adj: Sequence[int]) -> bool:
 
 def _narrow(classes, sides, om: int, im: int, clique: int, adj: Sequence[int]):
     """The classes once a vertex with these sides is placed at a host vertex
-    with out-mask om and in-mask im; None when a piece's mask is empty or
-    fails the Hall test."""
+    with out-mask om and in-mask im, and the index of the first of them, in
+    list order, whose mask holds one host vertex (-1 if none).  (None, -1)
+    when a piece's mask is empty or fails the Hall test."""
     masks = (om, im, om & im)
     new = []
+    one = -1
     for P, H in classes:
         for side, k in sides:
             a = P & side
@@ -329,14 +337,18 @@ def _narrow(classes, sides, om: int, im: int, clique: int, adj: Sequence[int]):
                 h = H & masks[k]
                 s = h.bit_count()
                 if not s or a.bit_count() > s and _too_many(a, s, clique, adj):
-                    return None
+                    return None, -1
+                if one < 0 and s == 1:
+                    one = len(new)
                 new.append((a, h))
                 P ^= a
                 if not P:
                     break
         else:
+            if one < 0 and not H & (H - 1):
+                one = len(new)
             new.append((P, H))
-    return new
+    return new, one
 
 
 def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
@@ -360,7 +372,7 @@ def _start(plan: _Plan, T: Digraph, pins: dict[int, int]):
         i = plan.rank[p]
         if any(not outm[x] >> images[plan.label[j]] & 1 for j in _bits(plan.out[i] & ~plan.free)):
             return None
-        classes = _narrow(classes, plan.sides[i], outm[x], inm[x], clique, adj)
+        classes = _narrow(classes, plan.sides[i], outm[x], inm[x], clique, adj)[0]
         if classes is None:
             return None
     return classes, images
@@ -378,10 +390,12 @@ def _search(plan, T, mode, images, parts, max_nodes):
     A part is (its classes, the mask of their vertices).  A sum frame
     [False, rest, rest_mask, v, cands, acc] places v at each host vertex
     left in cands; rest holds the classes of the part's other unplaced
-    vertices, before v is placed.  A product frame [True, parts, i, acc]
-    multiplies the counts of parts.  Count mode counts a part of one vertex
-    off its mask, so only an enumeration places a part's last vertex, and
-    then every candidate left is a map.
+    vertices, before v is placed.  When its last candidate opens a sum
+    frame, that frame takes its place on the stack and starts from its
+    acc.  A product frame [True, parts, i, acc] multiplies the counts of
+    parts.  Count mode counts a part of one vertex off its mask, so only an
+    enumeration places a part's last vertex, and then every candidate left
+    is a map.
     """
     outm, inm = T.out_masks, T.in_masks
     label, adj, sides, clique = plan.label, plan.adj, plan.sides, plan.clique
@@ -395,26 +409,26 @@ def _search(plan, T, mode, images, parts, max_nodes):
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = 0
 
-    def open_part(classes, mask):
-        """A node on the unplaced vertex with the fewest candidates left in its
-        class mask and its domain, the first by rank among equals."""
+    def open_part(classes, mask, one=None):
+        """A node on an unplaced vertex of a part, whose class is popped from
+        `classes`, a list no other frame reads, which becomes the node's rest.
+        `one` indexes the first class, in list order, whose mask holds one
+        host vertex (-1: none; None: scan for it), and its first vertex by
+        rank is taken; else the vertex with the fewest candidates left in
+        its class mask and its domain, the first by rank among equals."""
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             raise BudgetExceededError("homomorphism search budget exceeded")
-        c = None
-        for d in classes:
-            H = d[1]
-            if not H & (H - 1) and (c is None or d[0] & -d[0] < b):
-                c, b = d, d[0] & -d[0]
-        if c is not None:
-            # a mask of one host vertex: no vertex has fewer candidates but 0
-            P, H = c
+        if one is None:
+            one = next((i for i, (_, H) in enumerate(classes) if not H & (H - 1)), -1)
+        if one >= 0:
+            P, H = classes.pop(one)
+            b = P & -P
             cands = H & dom[b]
         else:
             best = sys.maxsize
-            for d in classes:
-                Q, K = d
+            for i, (Q, K) in enumerate(classes):
                 if (K & common).bit_count() > best:
                     continue
                 while Q:
@@ -423,12 +437,11 @@ def _search(plan, T, mode, images, parts, max_nodes):
                     m = K & dom[e]
                     s = m.bit_count()
                     if s < best or s == best and e < b:
-                        c, b, cands, best = d, e, m, s
-            P, H = c
-        rest = [d for d in classes if d is not c]
+                        one, b, cands, best = i, e, m, s
+            P, H = classes.pop(one)
         if P != b:
-            rest.append((P ^ b, H))
-        return [False, rest, mask ^ b, b.bit_length() - 1, cands, 0]
+            classes.append((P ^ b, H))
+        return [False, classes, mask ^ b, b.bit_length() - 1, cands, 0]
 
     if counting:
         stack = [[True, parts, 0, 1]]
@@ -475,12 +488,12 @@ def _search(plan, T, mode, images, parts, max_nodes):
             b = cands & -cands
             cands ^= b
             g = b.bit_length() - 1
-            classes = _narrow(rest, vs, outm[g], inm[g], clique, adj)
+            classes, one = _narrow(rest, vs, outm[g], inm[g], clique, adj)
             if classes is None:
                 continue
             if not counting:
                 images[u] = g
-                child = open_part(classes, rest_mask)
+                child = open_part(classes, rest_mask, one)
             elif not rest_mask & (rest_mask - 1):
                 acc += classes[0][1].bit_count()
                 continue
@@ -494,9 +507,15 @@ def _search(plan, T, mode, images, parts, max_nodes):
                         pieces = [([(P & c, H) for P, H in classes if P & c], c) for c in comps]
                         child = [True, pieces, 0, 1]
                 if child is None:
-                    child = open_part(classes, rest_mask)
-            fr[4], fr[5] = cands, acc
-            stack.append(child)
+                    child = open_part(classes, rest_mask, one)
+            if cands or child[0]:
+                fr[4], fr[5] = cands, acc
+                stack.append(child)
+            else:
+                # the last candidate opened a sum frame: it takes this
+                # frame's place and adds its count to this frame's sum
+                child[5] = acc
+                stack[-1] = child
             break
         if child is None:
             stack.pop()

@@ -374,6 +374,15 @@ class TestMaskStoreAgainstReference:
             with pytest.raises(ValueError, match=rf"^arc \({v}, {far}\) out of range for n={n}$"):
                 Digraph.from_out_masks(n, masks)
 
+    def test_numpy_arcs_read_as_python_ints(self):
+        # a shift of a numpy int64 by 64 or more wraps, so each end is read as an int
+        import numpy as np
+
+        arcs = [(0, 70), (70, 1), (3, 64)]
+        assert Digraph(71, np.array(arcs, dtype=np.int64)) == Digraph(71, arcs)
+        with pytest.raises(ValueError, match=r"^arc \(-1, 2\) out of range for n=71$"):
+            Digraph(71, np.array([(0, 1), (-1, 2)], dtype=np.int64))
+
     @given(st.integers(0, 90), st.integers(0, 2**32), st.data())
     @settings(max_examples=100, deadline=None)
     def test_tournaments_and_near_tournaments(self, n, seed, data):

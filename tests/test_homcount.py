@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -1027,6 +1028,104 @@ class TestSweepCalls:
             with pytest.raises(BudgetExceededError):
                 run(k - 1)
             assert run(k) == result
+
+
+def golden_pattern(rng):
+    """3 to 9 vertices; each pair a digon, non-adjacent or one arc."""
+    n = rng.randint(3, 9)
+    digon = rng.choice((0, 0, 0.04))
+    apart = rng.choice((0.2, 0.35, 0.5))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            r = rng.random()
+            if r < digon:
+                arcs += [(u, v), (v, u)]
+            elif r >= digon + apart:
+                arcs.append((u, v) if rng.getrandbits(1) else (v, u))
+    return Digraph(n, arcs)
+
+
+class TestEngineGolden:
+    """The engine's outputs and full-scale node counts, recorded on the code
+    whose forced placements took the first by rank of the one-host-vertex
+    classes.  The maps, their order and the counts must not change; a random
+    case's node count may, on branches that end in an empty mask."""
+
+    MAPS = "a8474c504f7415bc06ce414410c215c4fb20d1d7367244651c75758ff3ecda09"
+    COUNTS = "7bbaef67074d17c164218b2d81f1568d8381eb5e77c2954d30d10ab912448d4d"
+
+    def test_random_maps_and_counts(self):
+        rng = random.Random(27)
+        maps_sha, counts_sha = hashlib.sha256(), hashlib.sha256()
+        for _ in range(150):
+            F = golden_pattern(rng)
+            T = random_tournament(rng.randint(5, 14), rng.randrange(2**30))
+            pinned = rng.sample(range(F.n), rng.randint(0, 2))
+            pins = {v: rng.randrange(T.n) for v in pinned}
+            for images in iter_homs(F, T, pins):
+                maps_sha.update(repr(images).encode())
+            maps_sha.update(b";")
+            counts = [count_hom(F, T)]
+            if len(pins) == 2:
+                (z, x), (w, y) = pins.items()
+                counts.append(count_hom_rooted(RootedDigraph(F, (z, w)), T, x, y))
+            counts_sha.update(repr(counts).encode())
+        assert (maps_sha.hexdigest(), counts_sha.hexdigest()) == (self.MAPS, self.COUNTS)
+
+    def test_narrow_finds_the_first_class_of_one_host_vertex(self):
+        narrow = homcount._narrow
+        found = [0, 0]  # placements without and with such a class
+
+        def checked(*args):
+            classes, one = narrow(*args)
+            if classes is not None:
+                first = next((i for i, (_, H) in enumerate(classes) if H.bit_count() == 1), -1)
+                assert one == first
+                found[one >= 0] += 1
+            return classes, one
+
+        rng = random.Random(5)
+        with mock.patch.object(homcount, "_narrow", checked):
+            for _ in range(40):
+                F = golden_pattern(rng)
+                T = random_tournament(rng.randint(5, 12), rng.randrange(2**30))
+                assert len(list(iter_homs(F, T))) == count_hom(F, T)
+        assert min(found) > 100
+
+    def test_full_scale_pinned_node_counts(self):
+        # the doubled k = 29 gadget pinned at a base edge of the 365-vertex
+        # 5-cycle host, in both orientations of each edge
+        from tournhom.hosts import build_host, cycle_graph
+        from tournhom.suites import _full_family
+
+        fam = _full_family(0, 1)
+        G = cycle_graph(5)
+        host, _ = build_host(G, fam, [1])
+        assert host.n == 365
+        pattern = fam.doubled[0].rooted
+        needed = {}
+        for x, y in ((0, 1), (1, 0), (2, 1), (1, 2)):
+            assert count_hom_rooted(pattern, host, x, y) == 1
+            needed[x, y] = nodes_needed(lambda b: count_hom_rooted(pattern, host, x, y, max_nodes=b))
+        assert needed == {(0, 1): 85, (1, 0): 85, (2, 1): 103, (1, 2): 103}
+
+    def test_full_scale_planted_node_counts(self):
+        from tournhom.suites import _full_family, _twin_planted_host
+
+        needed = []
+        for gadget in _full_family(0, 2).gadgets:
+            F = gadget.rooted.graph
+            host = _twin_planted_host(gadget, dups=5, extras=3, rng=random.Random(0))
+            maps = list(iter_homs(F, host))
+            assert len(maps) == count_hom(F, host) == 32
+            needed.append(
+                (
+                    nodes_needed(lambda b: list(iter_homs(F, host, max_nodes=b))),
+                    nodes_needed(lambda b: count_hom(F, host, max_nodes=b)),
+                )
+            )
+        assert needed == [(65, 49), (67, 51)]
 
 
 class TestLongPattern:

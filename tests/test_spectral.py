@@ -1,5 +1,6 @@
 """Density matrices, trace identities, power sums, and the block pattern check."""
 
+import datetime
 import math
 import random
 from fractions import Fraction
@@ -552,7 +553,9 @@ class TestXYFromMatrix:
             xy_from_matrix([[0, entry, 0], [entry, 0, 1], [0, 1, 0]])
 
     @pytest.mark.parametrize(
-        "entry", [None, "", [], np.array(0.0)], ids=["None", "empty-str", "empty-list", "0d-array"]
+        "entry",
+        [None, "", [], np.array(0.0), np.False_, datetime.timedelta(0)],
+        ids=["None", "empty-str", "empty-list", "0d-array", "numpy-false", "zero-timedelta"],
     )
     @pytest.mark.parametrize("zero", [0, 0.0], ids=["int-row", "float-row"])
     def test_falsy_non_numbers_refused_by_index(self, entry, zero):
