@@ -60,10 +60,9 @@ class Digraph:
         for u, v in arcs:
             if type(u) is not int or type(v) is not int:
                 u, v = int(u), int(v)  # e.g. numpy integers, whose shifts wrap
-            # _build finds a loop or a head past n on the masks; a tail out
-            # of range (a negative one would index from the end) or a
-            # negative head never reaches them
-            if not 0 <= u < n or v < 0:
+            # _build finds a loop on the masks; a head past n is refused
+            # here, before its shift builds a far bit
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             out[u] |= 1 << v
         self._build(n, out)

@@ -374,10 +374,9 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     `_ratio`, as `region.in_region` reads a coordinate, so a float is the
     dyadic rational it holds; a NaN, an infinity or a non-number, even
     one that tests false, raises ValueError or TypeError naming its
-    (i, j), unless it is made to add to ints and floats as one (`_plain`).
-    The traces are taken in integers, on the support times the lcm `den`
-    of its denominators: that scales tr H^l by den^l, which x and y do not
-    see and p_l divides out.
+    (i, j).  The traces are taken in integers, on the support times the
+    lcm `den` of its denominators: that scales tr H^l by den^l, which x
+    and y do not see and p_l divides out.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -386,9 +385,8 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
         support, bad = _scan(rows, _numerator)
     except AttributeError:  # an entry that is not a Fraction: test the entries themselves
         # a truth test would read None, "" or [] as zero; a numpy matrix of a
-        # numeric dtype passes by its dtype, as iterating it would box every
-        # entry, and a matrix of ints and floats by its row sums (`_plain`)
-        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "biufc" or _plain(rows)):
+        # numeric dtype passes by its dtype, as iterating it would box every entry
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "biufc"):
             bad = _first_not(rows, Number)
             if bad is not None:
                 _entry(rows, *bad)  # raises, naming the entry
@@ -401,23 +399,6 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
     den = math.lcm(*(d for row in ratios for _, d in row))
     H = [[a * (den // d) for a, d in row] for row in ratios]
     return _xy(H, den)
-
-
-def _plain(rows) -> bool:
-    """Whether every row sums, from the int 0, to a Python int or float.
-
-    CPython's `sum` adds ints, bools and floats in C, at a few ns an entry,
-    about a quarter of `_first_not`'s cost; a row of one shared zero
-    (`_zero_row`) is that object's type, as in `_first_not`.  Any other
-    entry goes to the generic addition, where None, a str, a list, a
-    Decimal or a numpy value raises or gives another type; only an object
-    made to add to an int or a float as one passes, and it is then read
-    as `_scan` and `_ratio` read it.  The first row that fails ends the
-    test, so a Fraction costs at most one row of Python additions."""
-    try:
-        return all(type(row[0] if _zero_row(row) else sum(row, 0)) in (int, float) for row in rows)
-    except (TypeError, ValueError, ArithmeticError):  # a non-number, or an int past float range
-        return False
 
 
 def _first_not(rows, kind) -> tuple[int, int] | None:

@@ -71,6 +71,12 @@ class TestSampling:
         assert run(["check-f0", "--input", f0_file, "--a", 3, "--t3", -1]) == 2
         assert "size must be nonnegative, got -1" in capsys.readouterr().err
 
+    def test_far_head_in_the_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "far.txt"
+        path.write_text("digraph 3\n0 1\n1 2\n2 1000000000000\n")
+        assert run(["check-f0", "--input", path, "--a", 1, "--t3", 1]) == 2
+        assert "arc (2, 1000000000000) out of range for n=3" in capsys.readouterr().err
+
     def test_infeasible_parameters_exit_2(self, tmp_path):
         assert run(["sample-f0", "--n", 4, "--a", 1, "--t3", 3,
                     "--max-tries", 5, "--out", tmp_path / "x.txt"]) == 2

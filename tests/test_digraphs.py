@@ -374,6 +374,14 @@ class TestMaskStoreAgainstReference:
             with pytest.raises(ValueError, match=rf"^arc \({v}, {far}\) out of range for n={n}$"):
                 Digraph.from_out_masks(n, masks)
 
+    def test_far_head_refused_before_its_mask(self):
+        # a head of 10**12 would make a 125 GB mask if shifted before the check
+        far = 10**12
+        with pytest.raises(ValueError, match=rf"^arc \(1, {far}\) out of range for n=3$"):
+            Digraph(3, [(0, 1), (1, far), (2, 0)])
+        with pytest.raises(ValueError, match=rf"^arc \(0, {far}\) out of range for n=3$"):
+            parse_digraph(f"digraph 3\n0 1\n0 {far}\n")
+
     def test_numpy_arcs_read_as_python_ints(self):
         # a shift of a numpy int64 by 64 or more wraps, so each end is read as an int
         import numpy as np
