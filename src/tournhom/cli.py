@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 assertion/verdict failure, 2 budget or
-configuration errors.
+Exit codes: 0 success, 1 assertion/verdict failure, 2 budget or input
+errors, or a run out of memory.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,16 +281,6 @@ def cmd_eval_quantum(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
-
-
 def _print_report(report) -> None:
     for item in report.items:
         mark = "PASS" if item.passed else "FAIL"
@@ -303,10 +292,7 @@ def _print_report(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
-    if getattr(args, "hosts", None):
-        config = replace(config, hosts_dir=args.hosts)
-    report = run_suite(args.suite, config)
+    report = run_suite(args.suite, ExperimentConfig(seed=args.seed, hosts_dir=args.hosts))
     _print_report(report)
     if args.out_report:
         report.save(args.out_report)
@@ -314,11 +300,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    config = _config_from_args(args)
-    if args.sizes:
-        config = replace(config, sizes=tuple(_parse_int_list(args.sizes)))
-    if args.r:
-        config = replace(config, converge_r=tuple(_parse_int_list(args.r)))
+    default = ExperimentConfig()
+    config = ExperimentConfig(
+        seed=args.seed,
+        sizes=default.sizes if args.sizes is None else tuple(_parse_int_list(args.sizes)),
+        converge_r=default.converge_r if args.r is None else tuple(_parse_int_list(args.r)),
+    )
     report = run_suite("converge", config)
     _print_report(report)
     if args.out_csv:
@@ -422,15 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hosts", help="directory of tournament files for the region suite")
     p.add_argument("--out-report")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("converge", help="spectral-gap convergence study")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes")
     p.add_argument("--r")
     p.add_argument("--out-report")
@@ -450,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # e.g. a file header's vertex count past the free memory
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +57,8 @@ class Digraph:
     __slots__ = ("n", "_out", "_in", "_arcs", "_strong", "_hosts", "__weakref__")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+        if n > sys.maxsize:  # [0] * n would raise OverflowError
+            raise ValueError(f"vertex count n={n} is more than a list can index")
         out = [0] * max(n, 0)
         for u, v in arcs:
             if type(u) is not int or type(v) is not int:

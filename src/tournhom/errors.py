@@ -22,19 +22,17 @@ class SamplingError(RuntimeError):
 _KINDS = {  # a kind's name in the singular and the plural
     bool: ("true or false", "booleans"),
     int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
     str: ("a string", "strings"),
     dict: ("an object", "objects"),
-    type(None): ("null", "nulls"),
 }
 
 
 def json_field(doc, key: str, kind, owner: str):
     """doc[key], checked to be of `kind`, else a ValueError naming `owner` and the field.
 
-    `kind` is bool, int, float, str, dict or type(None), a one-element list
-    [kind] for a list of that kind, or a tuple of kinds.  A bool is never a
-    number, and a float is not an int.
+    `kind` is bool, int, str or dict, a one-element list [kind] for a list
+    of that kind, or a tuple of kinds.  A bool is never an int, and neither
+    is a float.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{owner} must be an object")
@@ -52,7 +50,7 @@ def _fits(value, kind) -> bool:
         return any(_fits(value, k) for k in kind)
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    return isinstance(value, kind)
 
 
 def _name(kind, plural: bool = False) -> str:

@@ -404,17 +404,17 @@ def xy_from_matrix(rows: list[list[Fraction]]) -> XYPoint:
 def _first_not(rows, kind) -> tuple[int, int] | None:
     """The first (i, j) in row-major order whose entry is not a `kind`, or None.
 
-    One check, in C, on the types of each distinct row object's entries: a
-    row of one shared zero (`_zero_row`) has the type of that object, any
-    other row the set of its entries' types, at about 35 ns an entry.  The
-    zero rows of `_glued` are one shared tuple, so they are checked once.
-    Only a row that fails is searched entry by entry."""
+    One check, in C, on the set of the types of each distinct row object's
+    entries, at about 20 ns an entry.  A zero row is typed entry by entry
+    too: `_zero_row` compares by `==`, which a 0-d numpy array passes, and
+    a test of each entry's identity costs as much.  The zero rows of
+    `_glued` are one shared tuple, so they are checked once.  Only a row
+    that fails is searched entry by entry."""
     checked = {}  # id -> row: holding a row keeps its id from passing to a later row
     for i, row in enumerate(rows):
         if id(row) not in checked:
             checked[id(row)] = row
-            kinds = (type(row[0]),) if _zero_row(row) else set(map(type, row))
-            if not all(issubclass(k, kind) for k in kinds):
+            if not all(issubclass(k, kind) for k in set(map(type, row))):
                 return i, next(j for j, c in enumerate(row) if not isinstance(c, kind))
     return None
 

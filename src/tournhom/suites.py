@@ -2,9 +2,9 @@
 
 Suites check the paper's claims at the fixed parameters below, which item
 names and report params state; a run sets only the seed, the convergence
-study's sizes and copy counts, and two paths.  Every random object is drawn
-from a seeded generator and all counts are exact, so the timings are the
-one non-reproducible field.
+study's sizes and copy counts, and one path, the region suite's hosts
+directory.  Every random object is drawn from a seeded generator and all
+counts are exact, so the timings are the one non-reproducible field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .digraphs import (
     load_tournament,
     random_tournament,
 )
-from .errors import json_field
 from .gadgets import (
     GadgetFamily,
     build_family,
@@ -111,26 +110,6 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = (64, 128, 256)
     converge_r: tuple[int, ...] = (2, 3)
     hosts_dir: str | None = None  # extra tournament files for the region suite
-    out_dir: str | None = None
-
-    @staticmethod
-    def from_json(path: str | Path) -> "ExperimentConfig":
-        """Read a config file whose fields each have the type of their default
-        (a list of integers for a tuple, a string or null for None)."""
-        doc = json.loads(Path(path).read_text())
-        owner = f"the config {path}"
-        if not isinstance(doc, dict):
-            raise ValueError(f"{owner} must be an object")
-        unknown = set(doc) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        fields = {}
-        for key in doc:
-            default = getattr(ExperimentConfig, key)
-            kind = (str, type(None)) if default is None else type(default)
-            value = json_field(doc, key, [int] if kind is tuple else kind, owner)
-            fields[key] = tuple(value) if kind is tuple else value
-        return ExperimentConfig(**fields)
 
 
 @dataclass
@@ -734,9 +713,4 @@ SUITES = {
 def run_suite(name: str, config: ExperimentConfig) -> RunReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    report = SUITES[name](config)
-    if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.save(out / f"{name}.json")
-    return report
+    return SUITES[name](config)

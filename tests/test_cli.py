@@ -1,9 +1,11 @@
 """End-to-end CLI coverage over temp files."""
 
+import argparse
 import contextlib
 import copy
 import io
 import json
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -38,7 +40,6 @@ from tournhom.reduction import (
     save_reduced,
 )
 from tournhom.spectral import xy_from_matrix
-from tournhom.suites import ExperimentConfig
 
 
 @pytest.fixture
@@ -165,6 +166,22 @@ class TestHom:
         assert run(["hom", "--pattern", pat, "--host", host]) == 2
         assert message in capsys.readouterr().err
 
+    def test_vertex_count_past_a_list_index_exits_2(self, tmp_path, capsys):
+        # an OverflowError traceback, exit 1, before; the header allocates nothing
+        pat = tmp_path / "p.txt"
+        save_digraph(pat, Digraph(2, [(0, 1)]))
+        host = tmp_path / "h.txt"
+        host.write_text("digraph 10000000000000000000\n")
+        assert run(["hom", "--pattern", pat, "--host", host]) == 2
+        assert "n=10000000000000000000" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError traceback, exit 1, before: a host header past the free memory
+        pat = tmp_path / "p.txt"
+        save_digraph(pat, Digraph(2, [(0, 1)]))
+        monkeypatch.setattr(cli, "load_digraph", mock.Mock(side_effect=MemoryError))
+        assert run(["hom", "--pattern", pat, "--host", tmp_path / "h.txt"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("which", ["pattern", "host"])
     def test_directory_path_exits_2(self, tmp_path, capsys, which):
@@ -709,84 +726,46 @@ class TestVerify:
         with _pytest.raises(SystemExit):
             run(["verify", "--suite", "nope"])
 
-    def test_config_file_and_seed_override(self, tmp_path):
+    @pytest.mark.parametrize("command", [["verify", "--suite", "core"], ["converge"]])
+    def test_config_flag_is_unrecognized(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3}))
-        assert run(["verify", "--suite", "core", "--config", cfg, "--seed", 4]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--config", cfg])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "doc, message",
+        "args, message",
         [
-            ({"seed": "a"}, "field 'seed' must be an integer"),  # a TypeError, exit 1
-            ({"seed": 1.5}, "field 'seed' must be an integer"),  # ran on, exit 0
-            ({"seed": True}, "field 'seed' must be an integer"),
-            ([], "cfg.json must be an object"),  # a TypeError, exit 1
-            ({"converge_r": 3}, "field 'converge_r' must be a list of integers"),
-            ({"sizes": [64, 128.5]}, "field 'sizes' must be a list of integers"),
-            ({"out_dir": 7}, "field 'out_dir' must be a string"),
-            ({"hosts_dir": 7}, "field 'hosts_dir' must be a string"),
+            (["--r", "0", "--sizes", "64"], "got [0]"),  # a ZeroDivisionError before
+            (["--r=2,-1"], "got [2, -1]"),
+            (["--r", ","], "got []"),  # an IndexError before
+            (["--r="], "got []"),  # ran the default copy counts before
         ],
-        ids=["seed-str", "seed-float", "seed-bool", "list", "r-values-int", "sizes-float",
-             "out-dir-int", "hosts-dir-int"],
+        ids=["flag-zero", "flag-negative", "flag-empty", "flag-empty-string"],
     )
-    def test_mistyped_config_exits_2(self, tmp_path, capsys, doc, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert run(["verify", "--suite", "region", "--config", cfg]) == 2
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "args, config, message",
-        [
-            (["--r", "0", "--sizes", "64"], None, "got [0]"),  # a ZeroDivisionError before
-            ([], {"converge_r": [0]}, "got [0]"),
-            ([], {"converge_r": [2, -1]}, "got [2, -1]"),
-            (["--r", ","], None, "got []"),  # an IndexError before
-        ],
-        ids=["flag-zero", "config-zero", "config-negative", "flag-empty"],
-    )
-    def test_converge_with_r_below_1_exits_2(self, tmp_path, capsys, args, config, message):
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            args = args + ["--config", tmp_path / "cfg.json"]
+    def test_converge_with_r_below_1_exits_2(self, capsys, args, message):
         assert run(["converge"] + args) == 2
         err = capsys.readouterr().err
         assert "the copy counts r must be one or more integers >= 1" in err and message in err
 
     @pytest.mark.parametrize(
-        "args, config, message",
+        "args, message",
         [
-            (["--sizes", ","], None, "got sizes []"),  # PASS over no rows before
-            (["--sizes", "64"], None, "got sizes [64]"),  # a trend of one size before
-            ([], {"sizes": []}, "got sizes []"),
+            (["--sizes", ","], "got sizes []"),  # PASS over no rows before
+            (["--sizes", "64"], "got sizes [64]"),  # a trend of one size before
+            (["--sizes="], "got sizes []"),  # ran the default sizes before
         ],
-        ids=["flag-empty", "flag-one", "config-empty"],
+        ids=["flag-empty", "flag-one", "flag-empty-string"],
     )
-    def test_converge_with_fewer_than_two_sizes_exits_2(self, tmp_path, capsys, args, config, message):
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            args = args + ["--config", tmp_path / "cfg.json"]
+    def test_converge_with_fewer_than_two_sizes_exits_2(self, capsys, args, message):
         assert run(["converge"] + args) == 2
         err = capsys.readouterr().err
         assert "two or more sizes" in err and message in err
 
-    def test_suite_parameter_in_config_exits_2(self, tmp_path, capsys):
-        # s = 1 indexed a second gadget that was not built, a raw IndexError
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"s": 1}))
-        assert run(["verify", "--suite", "claims", "--config", cfg]) == 2
-        assert "unknown config fields: ['s']" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "args, config",
-        [(["--sizes=-8,64"], None), ([], {"sizes": [-8, 64]})],  # a TypeError before
-        ids=["flag", "config"],
-    )
-    def test_converge_with_a_size_below_1_exits_2(self, tmp_path, capsys, args, config):
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            args = args + ["--config", tmp_path / "cfg.json"]
-        assert run(["converge"] + args) == 2
+    def test_converge_with_a_size_below_1_exits_2(self, capsys):
+        assert run(["converge", "--sizes=-8,64"]) == 2  # a TypeError before
         assert "the sizes n must be integers >= 1, got sizes [-8, 64]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (5, 3), (9, 5), (27, 9)])
@@ -796,13 +775,10 @@ class TestVerify:
         assert run(["converge", f"--sizes={n},64"]) == 2
         assert f"size n={n} has no {d}-regular graph" in capsys.readouterr().err
 
-    def test_converge_writes_the_report_to_out_dir(self, tmp_path, capsys):
-        # converge ran its suite outside run_suite and wrote nothing there
-        out = tmp_path / "reports"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out_dir": str(out)}))
-        assert run(["converge", "--sizes=8,64", "--config", cfg]) == 0
-        doc = json.loads((out / "converge.json").read_text())
+    def test_converge_writes_the_report_to_out_report(self, tmp_path, capsys):
+        out = tmp_path / "converge.json"
+        assert run(["converge", "--sizes=8,64", "--out-report", out]) == 0
+        doc = json.loads(out.read_text())
         assert doc["suite"] == "converge" and doc["params"]["sizes"] == [8, 64]
 
     @pytest.mark.parametrize(
@@ -829,6 +805,16 @@ class TestVerify:
         doc = json.loads(report.read_text())
         item = next(i for i in doc["items"] if i["id"] == "region.containment")
         assert "checked" in item["details"]
+
+
+def test_readme_cli_flags_are_parser_options():
+    """Every --flag that README's "CLI" section names is an option of some subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for p in commands.choices.values() for a in p._actions for o in a.option_strings}
+    assert named and not named - options, sorted(named - options)
 
 
 # -- generated documents ---------------------------------------------------------------
@@ -937,11 +923,6 @@ CSV_TEXTS = st.builds(
         )
     )
 )
-CONFIGS = st.fixed_dictionaries({}, optional={
-    key: st.lists(st.integers(0, 9), max_size=3) if isinstance(default, tuple) else st.just(default)
-    for key, default in vars(ExperimentConfig()).items()
-})
-CONFIG_FILES = documents(CONFIGS).map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=8)
 COMMANDS = st.one_of(
     st.tuples(st.just("hom"), GRAPH_TEXTS, GRAPH_TEXTS, st.lists(st.integers(-1, 9), max_size=2),
               st.sampled_from([None, 0, 3])),
@@ -953,11 +934,11 @@ COMMANDS = st.one_of(
 )
 
 
-@given(COMMANDS, CONFIG_FILES)
+@given(COMMANDS)
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_generated_documents_exit_0_or_2(command, config_doc):
+def test_generated_documents_exit_0_or_2(command):
     """No generated input lets an exception escape `main`: every command
-    returns 0 or 2, and a config file raises nothing but ValueError."""
+    returns 0 or 2."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         d = Path(tmp)
@@ -989,11 +970,6 @@ def test_generated_documents_exit_0_or_2(command, config_doc):
             args = ["reduce", "--poly", d / "p.json", "--family", d / "family", "--mode", mode,
                     "--out", d / "out.json"]
         assert run(args) in (0, 2)
-        (d / "cfg.json").write_bytes(config_doc)
-        try:
-            ExperimentConfig.from_json(d / "cfg.json")
-        except ValueError:
-            pass
 
 
 # the gadgets and doubled gadgets over the 3-vertex base, and the single-edge

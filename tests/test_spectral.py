@@ -3,6 +3,7 @@
 import datetime
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,13 +132,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             synthetic([[0, 1], [2, 0]])
 
-    @pytest.mark.parametrize("entry", [None, "", "a", 1.5])
+    @pytest.mark.parametrize("entry", [None, "", "a", 1.5, np.array(0)])
     @pytest.mark.parametrize("at", [(0, 0), (2, 2)], ids=["on-support", "off-support"])
     def test_non_integer_entry_named(self, entry, at):
-        # None and "" were read as zeros, "a" and 1.5 refused only by xy_point
+        # None and "" were read as zeros, "a" and 1.5 refused only by xy_point;
+        # the 0-d array, which equals 0, passed at (2, 2), after two shared zeros
         counts = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
         counts[at[0]][at[1]] = entry
-        with pytest.raises(TypeError, match=rf"entry \({at[0]}, {at[1]}\) is {entry!r}, not an"):
+        message = rf"entry \({at[0]}, {at[1]}\) is {re.escape(repr(entry))}, not an"
+        with pytest.raises(TypeError, match=message):
             synthetic(counts)
 
     def test_first_non_integer_in_row_major_order(self):
@@ -565,6 +568,11 @@ class TestXYFromMatrix:
         # a row of one shared non-number
         with pytest.raises(TypeError, match=r"matrix entry \(1, 0\): cannot read"):
             xy_from_matrix([[zero + 1, zero], [entry] * 2])
+        # a row that starts with two shared zeros: the 0-d array and np.False_
+        # equal zero, and passed
+        one = zero + 1
+        with pytest.raises(TypeError, match=r"matrix entry \(2, 2\): cannot read"):
+            xy_from_matrix([[one, one, zero], [one, one, zero], [zero, zero, entry]])
 
     def test_object_array_rows_each_checked(self):
         # each row of an ndarray is a new view, which may take the id of a freed earlier one
