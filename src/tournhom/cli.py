@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.0)
     p.set_defaults(func=cmd_region_check)
 
-    p = sub.add_parser("reduce", help="polynomial to quantum digraph")
+    p = sub.add_parser("reduce", help="polynomial to quantum digraph, saved as base, k, p and E")
     p.add_argument("--poly", required=True, help="JSON or plain-text polynomial file")
     p.add_argument("--family", required=True, help="directory with family.json and the base")
     p.add_argument("--mode", default="minimal", choices=["minimal", "paper"])
@@ -435,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # json.loads on a file of deeply nested arrays or objects
+        print("error: a JSON input is nested too deeply", file=sys.stderr)
         return 2
     except MemoryError:  # e.g. a file header's vertex count past the free memory
         print("error: out of memory", file=sys.stderr)

@@ -45,7 +45,6 @@ __all__ = [
     "load_tournament",
     "load_rooted",
     "load_quantum",
-    "save_quantum",
 ]
 
 
@@ -479,23 +478,10 @@ def load_rooted(path: str | Path) -> RootedDigraph:
 #
 # {"terms": [{"coef": "<num>/<den>", "graph": "<path-or-inline>"}], ...}
 # A graph string starting with "digraph" is inline; anything else is a path
-# resolved relative to the JSON file.  An optional "meta" block may carry
-# evaluator hints; it is ignored by the loader here.
-
-
-def _coef_to_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
-
-
-def save_quantum(path: str | Path, q: QuantumDigraph, meta: dict | None = None) -> None:
-    doc: dict = {
-        "terms": [
-            {"coef": _coef_to_str(c), "graph": format_digraph(g)} for c, g in q.terms
-        ]
-    }
-    if meta is not None:
-        doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=1))
+# resolved relative to the JSON file.  The loader reads only "terms".  A file
+# whose "meta" block has kind "necklace-reduction" holds a reduction's inputs
+# (`save_reduced`); `eval-quantum` reads it with `load_reduced` and never
+# parses the terms an older such file carries.
 
 
 def load_quantum(path: str | Path, doc: object = None) -> QuantumDigraph:

@@ -32,15 +32,7 @@ from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
-from .digraphs import (
-    Digraph,
-    QuantumDigraph,
-    Tournament,
-    disjoint_union,
-    format_digraph,
-    read_text_format,
-    save_quantum,
-)
+from .digraphs import Digraph, Tournament, disjoint_union, format_digraph, read_text_format
 from .errors import json_field
 from .gadgets import GadgetFamily, build_family, build_necklace
 from .spectral import _power_traces, density_matrices
@@ -271,12 +263,6 @@ class ReducedQuantum:
                 )
         object.__setattr__(self, "penalized", lift)
 
-    def quantum(self) -> QuantumDigraph:
-        return QuantumDigraph.of(
-            (coef, monomial_to_quantum(exps, self.family, self.E))
-            for exps, coef in self.penalized.terms
-        )
-
 
 def build_reduction(
     p: IntPolynomial, family: GadgetFamily, mode: str = "minimal"
@@ -367,7 +353,11 @@ def _rhs(rq: ReducedQuantum, traces: list[tuple[dict[int, int], int]]) -> Fracti
 
 
 def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
-    """Write the standard quantum JSON plus a meta block of the reduction's inputs."""
+    """Write the reduction's inputs (base, thresholds, p, E) as a JSON meta block.
+
+    The file holds no term digraphs: `load_reduced` rebuilds the record from
+    its inputs, and `eval-quantum` evaluates it by the trace route.
+    """
     meta = {
         "kind": "necklace-reduction",
         "base": format_digraph(rq.family.base),
@@ -375,7 +365,7 @@ def save_reduced(path: str | Path, rq: ReducedQuantum) -> None:
         "poly": poly_to_json(rq.source),
         "E": list(rq.E),
     }
-    save_quantum(path, rq.quantum(), meta)
+    Path(path).write_text(json.dumps({"meta": meta}, indent=1))
 
 
 def load_reduced(source: str | Path | dict) -> ReducedQuantum:

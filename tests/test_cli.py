@@ -20,14 +20,12 @@ from tournhom import cli, suites
 from tournhom.cli import _scientific, main
 from tournhom.digraphs import (
     Digraph,
-    QuantumDigraph,
     Tournament,
     format_digraph,
     load_digraph,
     load_rooted,
     random_tournament,
     save_digraph,
-    save_quantum,
     transitive_tournament,
 )
 from tournhom.gadgets import build_gadget, rotational_tournament, symmetrize, toy_family
@@ -666,7 +664,10 @@ class TestReduce:
         squares = {x * x % p for x in range(1, p)}
         paley = Tournament(p, [(i, j) for i in range(p) for j in range(p) if (j - i) % p in squares])
         quantum = tmp_path / "q.json"
-        save_quantum(quantum, QuantumDigraph.of([(1, paley), (-1, rotational_tournament(p))]))
+        terms = [(1, paley), (-1, rotational_tournament(p))]
+        quantum.write_text(json.dumps(
+            {"terms": [{"coef": c, "graph": format_digraph(g)} for c, g in terms]}
+        ))
         host = tmp_path / "host.txt"
         save_digraph(host, random_tournament(8, 1))
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 0
@@ -701,6 +702,22 @@ class TestReduce:
         assert run(["eval-quantum", "--quantum", out, "--host", host, "--budget", -1]) == 2
         assert capsys.readouterr() == ("", "error: --budget must be nonnegative, got -1\n")
 
+    def test_terms_of_an_older_reduce_file_are_never_parsed(self, tmp_path, capsys):
+        # files written before carry the term digraphs next to the meta block
+        rq = build_reduction(parse_poly_text("x1"), toy_family(3, (2,)))
+        out, host = tmp_path / "fp.json", tmp_path / "host.txt"
+        save_reduced(out, rq)
+        save_digraph(host, rotational_tournament(7))
+        args = ["eval-quantum", "--quantum", out, "--host", host]
+        assert run(args) == 0
+        printed = capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"meta"}
+        doc["terms"] = [{"coef": 1, "graph": "not a digraph"}]
+        out.write_text(json.dumps(doc))
+        assert run(args) == 0
+        assert capsys.readouterr() == printed
+
     def test_generic_eval_without_meta(self, tmp_path, capsys):
         quantum = tmp_path / "q.json"
         quantum.write_text(json.dumps({
@@ -710,6 +727,34 @@ class TestReduce:
         save_digraph(host, rotational_tournament(5))
         assert run(["eval-quantum", "--quantum", quantum, "--host", host]) == 0
         assert Fraction(json.loads(capsys.readouterr().out)["value"]) == Fraction(2, 5)
+
+
+@pytest.mark.parametrize("site", ["quantum", "poly", "family", "atlas"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, site):
+    # each of these raised a RecursionError from json.loads, exit 1 with a traceback
+    fam = toy_family(3, (2,))
+    fam_dir, poly, fd = tmp_path / "family", tmp_path / "p.json", tmp_path / "fd.txt"
+    host_file, atlas_file, quantum = tmp_path / "h.txt", tmp_path / "a.json", tmp_path / "q.json"
+    fam_dir.mkdir()
+    save_digraph(fam_dir / "f0.txt", fam.base)
+    (fam_dir / "family.json").write_text(json.dumps({"f0": "f0.txt", "k": [2]}))
+    poly.write_text(json.dumps({"s": 1, "terms": [{"coef": 1, "exps": [1]}]}))
+    host, atlas = build_host(single_edge_graph(), fam, [1])
+    save_digraph(host_file, host)
+    atlas.save(atlas_file)
+    save_digraph(fd, fam.doubled[0].rooted.graph, roots=fam.doubled[0].rooted.roots)
+    reduce = ["reduce", "--poly", poly, "--family", fam_dir, "--out", tmp_path / "out.json"]
+    deep, args = {
+        "quantum": (quantum, ["eval-quantum", "--quantum", quantum, "--host", host_file]),
+        "poly": (poly, reduce),
+        "family": (fam_dir / "family.json", reduce),
+        "atlas": (atlas_file, ["density-matrix", "--gadget", fd, "--host", host_file,
+                               "--atlas", atlas_file, "--out", tmp_path / "c.csv",
+                               "--out-density", tmp_path / "d.csv"]),
+    }[site]
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: a JSON input is nested too deeply\n"
 
 
 class TestVerify:
@@ -887,6 +932,13 @@ POLYS = st.integers(1, 2).flatmap(lambda s: st.fixed_dictionaries({
         max_size=3,
     ),
 }))
+REDUCTION_META = st.fixed_dictionaries({
+    "kind": st.just("necklace-reduction"),
+    "base": st.just(BASE_TEXT) | TOURNAMENT_TEXTS,
+    "k": K_VALUES,
+    "poly": POLYS,
+    "E": st.lists(st.integers(0, 20), min_size=1, max_size=2),
+})
 QUANTUM_DOCS = st.fixed_dictionaries(
     {
         "terms": st.lists(
@@ -897,16 +949,8 @@ QUANTUM_DOCS = st.fixed_dictionaries(
             max_size=3,
         )
     },
-    optional={
-        "meta": st.fixed_dictionaries({
-            "kind": st.just("necklace-reduction"),
-            "base": st.just(BASE_TEXT) | TOURNAMENT_TEXTS,
-            "k": K_VALUES,
-            "poly": POLYS,
-            "E": st.lists(st.integers(0, 20), min_size=1, max_size=2),
-        })
-    },
-)
+    optional={"meta": REDUCTION_META},
+) | st.fixed_dictionaries({"meta": REDUCTION_META})  # a reduce file: its inputs alone
 MANIFESTS = st.fixed_dictionaries(
     {"f0": st.just("f0.txt"), "k": K_VALUES}, optional={"enforce_interval": st.booleans()}
 )

@@ -32,7 +32,7 @@ FILES = {
     "f.txt": "69bdeb7bc816561ae52fc0b541d804918ab2441e547f20fc5223977f3320d0e5",
     "fd.txt": "380f2919598043164d206db8a1229aeb95c6b06de0b31246add91aecd7bd7afb",
     "necklace.txt": "b93e66b6ade75ad1453addc76a325a905f927967ec0ddec5a2d264b72ad5cb43",
-    "reduced.json": "cd9bc8a3e675946ec2f08e3f56d7544c31e41ecce9a3801c93cd41ee5eccc033",
+    "reduced.json": "bd1c22be92abd39ec43545e7e854fd29e8fc45065985580b48b3bf399ee710a3",
 }
 # the density layer on the hosts above: the SHA-256 of the count matrices with
 # their supports, of the block pattern verdicts, and of the exact (x, y) fields

@@ -176,8 +176,7 @@ class TestBuildReduction:
 
     def test_quantum_terms_match_structure(self):
         rq = build_reduction(parse_poly_text("x1"), FAM1)
-        q = rq.quantum()
-        sizes = sorted(g.n for _, g in q.terms)
+        sizes = sorted(monomial_to_quantum(e, FAM1, rq.E).n for e, _ in rq.penalized.terms)
         # 7 * D8 and D12 + 11 * D4 and 2 * D8 + 10 * D4, each 392 vertices
         assert sizes == [392, 392, 392]
 
@@ -305,14 +304,13 @@ class TestPersistence:
             assert back.family.k == rq.family.k, text
             assert [eval_reduced(back, T) for T in hosts] == [eval_reduced(rq, T) for T in hosts]
 
-    def test_json_is_standard_schema(self, tmp_path):
+    def test_json_holds_only_the_inputs(self, tmp_path):
         import json
 
         rq = build_reduction(parse_poly_text("x1"), FAM1)
         save_reduced(tmp_path / "f.json", rq)
         doc = json.loads((tmp_path / "f.json").read_text())
-        assert set(doc) == {"terms", "meta"}
-        assert all(set(t) == {"coef", "graph"} for t in doc["terms"])
+        assert set(doc) == {"meta"}  # no term digraphs
         meta = doc["meta"]
         assert set(meta) == {"kind", "base", "k", "poly", "E"}
         assert meta["kind"] == "necklace-reduction"
